@@ -23,4 +23,4 @@ from .preprocess import (FeatureSeries, PhasedCurve, PreprocessConfig,
 from .weighting import DensityModel, compute_weights, fit_density
 from .zoo import KINDS, ModelSpec, build, build_default, layer_param_counts
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -14,6 +14,7 @@ from typing import Optional
 
 import numpy as np
 
+from .container import atomic_open
 from .errors import (DegenerateSplit, DuplicateEpoch, EmptyCatalog,
                      MissingColumn, OrphanStar, ParseError)
 
@@ -263,7 +264,7 @@ def join_photometry(records, photometry_path, delimiter=None):
 
 def write_rejection_report(path, rejections, delimiter=","):
     """Sidecar audit file: (source_id, failed_rule, offending_value)."""
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh, delimiter=delimiter)
         writer.writerow(["source_id", "failed_rule", "offending_value"])
         for rej in rejections:

@@ -101,8 +101,7 @@ def _out(cfg, *parts):
 
 
 def _write_config_snapshot(cfg):
-    path = _out(cfg, "config.snapshot.yaml")
-    with open(path, "w") as fh:
+    with container.atomic_open(_out(cfg, "config.snapshot.yaml")) as fh:
         yaml.safe_dump(cfg, fh, sort_keys=True)
 
 
@@ -165,7 +164,7 @@ def cmd_ingest(cfg):
                               meta={"side": "validation"})
         print(f"train {len(train_recs)} validation {len(val_recs)}")
     manifest = {"accepted": len(accepted), "rejected": len(rejected)}
-    with open(_out(cfg, "manifest.json"), "w") as fh:
+    with container.atomic_open(_out(cfg, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
     return 0
 
@@ -190,11 +189,14 @@ def cmd_preprocess(cfg):
 
     meta_base = {"preprocess": cfg["preprocess"],
                  "config_hash": container.config_hash(cfg["preprocess"])}
+    built = {side: preprocess.build_datasets(
+                 pairs, [VARIANTS[name] for name in variants], pconfig)
+             for side, pairs in sides.items()}
     for name in variants:
         variant = VARIANTS[name]
         datasets = {}
-        for side, pairs in sides.items():
-            series, manifest = preprocess.build_dataset(pairs, variant, pconfig)
+        for side in sides:
+            series, manifest = built[side][variant]
             ds = container.from_feature_series(
                 series, variant,
                 meta=dict(meta_base, side=side, failures=len(manifest.failures)))
@@ -215,8 +217,11 @@ def cmd_preprocess(cfg):
 def _load_side(cfg, variant, side):
     ds = container.load_dataset(
         _require(_dataset_path(cfg, variant, side), f"{variant} {side} dataset"))
-    _, w = container.load_weights(
+    ids, w = container.load_weights(
         _require(_weights_path(cfg, variant, side), f"{variant} {side} weights"))
+    if not np.array_equal(ids, ds.source_ids):
+        raise IntegrityError(f"{variant} {side} weights do not follow the "
+                             f"dataset's source_ids row for row")
     return ds, w
 
 

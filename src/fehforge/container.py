@@ -7,6 +7,7 @@ and an atomic rename.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -67,22 +68,42 @@ def _npy_bytes(arr):
     return buf.getvalue()
 
 
-def _write_zip(path, members):
-    """members: list of (name, bytes). Deterministic output, atomic rename."""
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Open a temp file next to `path` for writing. A clean exit renames it
+    over `path` in one step; an error removes it and leaves `path` as it was."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-                for name, data in members:
-                    info = zipfile.ZipInfo(name, date_time=_EPOCH)
-                    info.external_attr = 0o644 << 16
-                    zf.writestr(info, data)
+        os.fchmod(fd, 0o644)      # mkstemp makes it 0600; outputs are shared
+        with os.fdopen(fd, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_zip(path, members):
+    """members: list of (name, bytes). Deterministic output, atomic rename."""
+    with atomic_open(path, "wb") as fh:
+        with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+            for name, data in members:
+                info = zipfile.ZipInfo(name, date_time=_EPOCH)
+                info.external_attr = 0o644 << 16
+                zf.writestr(info, data)
+
+
+def _read_manifest(zf, path, kind, member="manifest.json"):
+    """The container's JSON manifest; IntegrityError unless it is of `kind`."""
+    try:
+        manifest = json.loads(zf.read(member))
+    except KeyError:
+        manifest = {}
+    if manifest.get("kind") != kind:
+        raise IntegrityError(f"{path} is not a {kind} container")
+    return manifest
 
 
 def save_dataset(path, dataset: ArrayDataset):
@@ -109,9 +130,7 @@ def load_dataset(path) -> ArrayDataset:
     if not os.path.exists(path):
         raise MissingInput(f"dataset container not found: {path}")
     with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-        if manifest.get("kind") != "dataset":
-            raise IntegrityError(f"{path} is not a dataset container")
+        manifest = _read_manifest(zf, path, "dataset")
         load = lambda name: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
         return ArrayDataset(
             source_ids=load("source_ids.npy"),
@@ -146,9 +165,7 @@ def load_snapshot(path):
     if not os.path.exists(path):
         raise MissingInput(f"snapshot not found: {path}")
     with zipfile.ZipFile(path) as zf:
-        meta = json.loads(zf.read("meta.json"))
-        if meta.get("kind") != "snapshot":
-            raise IntegrityError(f"{path} is not a model snapshot")
+        meta = _read_manifest(zf, path, "snapshot", member="meta.json")
         state = {}
         for name in meta["state_names"]:
             state[name] = np.load(io.BytesIO(zf.read(f"state/{name}.npy")),
@@ -205,9 +222,7 @@ def load_curves(path):
     if not os.path.exists(path):
         raise MissingInput(f"curves container not found: {path}")
     with zipfile.ZipFile(path) as zf:
-        manifest = json.loads(zf.read("manifest.json"))
-        if manifest.get("kind") != "curves":
-            raise IntegrityError(f"{path} is not a curves container")
+        manifest = _read_manifest(zf, path, "curves")
         load = lambda name: np.load(io.BytesIO(zf.read(f"{name}.npy")),
                                     allow_pickle=False)
         data = {name: load(name) for name in
@@ -244,5 +259,6 @@ def load_weights(path):
     if not os.path.exists(path):
         raise MissingInput(f"weights container not found: {path}")
     with zipfile.ZipFile(path) as zf:
+        _read_manifest(zf, path, "weights")
         load = lambda name: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
         return load("source_ids.npy"), load("weights.npy")

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
-from .container import ArrayDataset
+from .container import ArrayDataset, atomic_open
 from .errors import (DivergedLoss, FehForgeError, NonPositiveWeightSum,
                      TooFewSamples, ZeroVariance)
 from .nn.losses import weighted_mse
@@ -386,24 +384,11 @@ def run_matrix(datasets, kinds, config: TrainConfig, weights_by_variant,
 
 # --- report writers ---------------------------------------------------------
 
-def _atomic_writer(path):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    return fd, tmp
-
-
 def _write_rows(path, header, rows):
-    fd, tmp = _atomic_writer(path)
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_metrics_csv(path, report: MetricsReport):

@@ -11,6 +11,32 @@ recurrent bias vectors, so a layer with U units on I input channels holds
 
 Masked timesteps leave the hidden (and cell) state unchanged, so appending
 padded steps never changes the final state or its gradients.
+
+Both cells run one time-major loop over T steps of a batch of B:
+
+  - the inputs are projected once, x W + b, into a contiguous (T, B, k*U)
+    array, so step t reads the slab Xp[t];
+  - the sigmoid is the branch-free 0.5 * (1 + tanh(x / 2)), applied once
+    per step to the contiguous block of sigmoid gates (z and r; the LSTM
+    takes one tanh over all four gates, scaled so i, f and o come out as
+    sigmoids);
+  - the forward pass writes its caches in place into stacked arrays: the
+    states H (T+1, B, U) with H[0] = 0 (and the cells C for the LSTM), the
+    gate activations (T, B, k*U), and for the GRU the candidate state and
+    h Uh + bh_rec (T, B, U) each;
+  - the mask becomes one time-major (T, B, 1) array of padded steps, and
+    when every step is valid the per-step select is skipped;
+  - the backward pass writes the gate gradients into preallocated
+    (T, B, .) buffers and forms the weight, bias and input gradients after
+    the loop, with GEMMs and sums over the flattened T*B rows (the GRU
+    takes its z/r block and its candidate block apart, so the gradient at
+    x W + b_in is never assembled as a copy).
+
+Against the plain per-step formulation (masked-index sigmoid, per-step
+gradient accumulation), which tests/test_recurrent.py keeps as its
+reference, outputs and all gradients agree to within 1e-12 absolute on
+the test shapes; the difference is rounding, from the sigmoid form and
+the order of summation. Reruns are bit-identical.
 """
 from __future__ import annotations
 
@@ -20,21 +46,34 @@ from ..errors import ShapeMismatch
 from .layers import Layer, glorot_uniform
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def _sigmoid(x, out=None):
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): no branch, no overflow."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
-def _as_float_mask(mask, B, T):
+def _padded_steps(mask, B, T):
+    """Time-major (T, B, 1) bool array marking padded steps, or None when
+    there are none."""
     if mask is None:
-        return np.ones((B, T, 1))
+        return None
     if mask.shape != (B, T):
         raise ShapeMismatch(f"mask shape {mask.shape} != {(B, T)}")
-    return mask.astype(np.float64)[:, :, None]
+    if mask.all():
+        return None
+    return np.ascontiguousarray(~np.asarray(mask, dtype=bool).T)[:, :, None]
+
+
+def _project(x, W, b):
+    """Time-major inputs (T*B, I) and their projection x W + b as (T, B, k*U)."""
+    B, T, I = x.shape
+    xt = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(T * B, I)
+    Xp = xt @ W
+    Xp += b
+    return xt, Xp.reshape(T, B, -1)
 
 
 class GRU(Layer):
@@ -60,62 +99,78 @@ class GRU(Layer):
             raise ShapeMismatch(f"gru expects (B, T, {W.shape[0]}), got {x.shape}")
         B, T, _ = x.shape
         n = self.units
-        m = _as_float_mask(mask, B, T)
-        Xp = x @ W + self.params["b_in"]           # (B, T, 3U)
-        h = np.zeros((B, n))
-        steps = []
-        outputs = np.empty((B, T, n)) if self.return_sequences else None
+        pad = _padded_steps(mask, B, T)
+        xt, Xp = _project(x, W, self.params["b_in"])
+        b_rec = self.params["b_rec"]
+        H = np.empty((T + 1, B, n))
+        H[0] = 0.0
+        ZR = np.empty((T, B, 2 * n))      # update and reset gates
+        HH = np.empty((T, B, n))          # candidate state
+        HPh = np.empty((T, B, n))         # h Uh + bh_rec
+        hp = np.empty((B, 3 * n))
         for t in range(T):
-            hp = h @ U + self.params["b_rec"]
-            z = _sigmoid(Xp[:, t, :n] + hp[:, :n])
-            r = _sigmoid(Xp[:, t, n:2 * n] + hp[:, n:2 * n])
-            hh = np.tanh(Xp[:, t, 2 * n:] + r * hp[:, 2 * n:])
-            cand = z * h + (1.0 - z) * hh
-            mt = m[:, t]
-            h_new = mt * cand + (1.0 - mt) * h
-            steps.append((h, z, r, hh, hp[:, 2 * n:], mt))
-            if self.return_sequences:
-                outputs[:, t] = h_new
-            h = h_new
-        self._cache = (x, Xp, steps)
+            h, zr, hh, h_new = H[t], ZR[t], HH[t], H[t + 1]
+            np.matmul(h, U, out=hp)
+            hp += b_rec
+            np.add(Xp[t, :, :2 * n], hp[:, :2 * n], out=zr)
+            _sigmoid(zr, out=zr)
+            HPh[t] = hp[:, 2 * n:]
+            np.multiply(zr[:, n:], HPh[t], out=hh)
+            hh += Xp[t, :, 2 * n:]
+            np.tanh(hh, out=hh)
+            # z * h + (1 - z) * hh
+            np.subtract(h, hh, out=h_new)
+            h_new *= zr[:, :n]
+            h_new += hh
+            if pad is not None:
+                np.copyto(h_new, h, where=pad[t])
+        self._cache = (xt, H, ZR, HH, HPh, pad)
         self.mask_out = mask if self.return_sequences else None
-        return outputs if self.return_sequences else h
+        return H[1:].transpose(1, 0, 2) if self.return_sequences else H[T]
 
     def backward(self, dy):
-        x, Xp, steps = self._cache
-        W, U = self.params["W"], self.params["U"]
-        B, T, _ = x.shape
-        n = self.units
-        dXp = np.zeros_like(Xp)
-        dU = np.zeros_like(U)
-        db_rec = np.zeros(3 * n)
-        dh = np.zeros((B, n)) if self.return_sequences else dy.copy()
+        xt, H, ZR, HH, HPh, pad = self._cache
+        UT = self.params["U"].T
+        T, B, n = HH.shape
+        dHP = np.empty((T, B, 3 * n))     # gradient at h U + b_rec
+        dAh = np.empty((T, B, n))         # gradient at the candidate's pre-activation
+        if self.return_sequences:
+            dyt = dy.transpose(1, 0, 2)
+            dh = np.zeros((B, n))
+        else:
+            dh = np.array(dy, dtype=np.float64)
         for t in range(T - 1, -1, -1):
             if self.return_sequences:
-                dh = dh + dy[:, t]
-            h_prev, z, r, hh, hp_h, mt = steps[t]
-            dcand = dh * mt
-            dh_carry = dh * (1.0 - mt)
-            dz = dcand * (h_prev - hh)
-            dhh = dcand * (1.0 - z)
-            dh_prev = dcand * z
-            da_h = dhh * (1.0 - hh * hh)
-            dr = da_h * hp_h
-            dhp_h = da_h * r
-            da_z = dz * z * (1.0 - z)
-            da_r = dr * r * (1.0 - r)
-            dXp[:, t, :n] = da_z
-            dXp[:, t, n:2 * n] = da_r
-            dXp[:, t, 2 * n:] = da_h
-            dhp = np.concatenate([da_z, da_r, dhp_h], axis=1)
-            dU += h_prev.T @ dhp
-            db_rec += dhp.sum(axis=0)
-            dh = dh_prev + dh_carry + dhp @ U.T
-        self.grads["W"] += x.reshape(-1, x.shape[2]).T @ dXp.reshape(-1, 3 * n)
-        self.grads["U"] += dU
-        self.grads["b_in"] += dXp.sum(axis=(0, 1))
+                dh += dyt[t]
+            dcand = dh if pad is None else np.where(pad[t], 0.0, dh)
+            zr, hh, da_h, dzr = ZR[t], HH[t], dAh[t], dHP[t, :, :2 * n]
+            dh_prev = dcand * zr[:, :n]
+            np.subtract(dcand, dh_prev, out=da_h)         # dcand * (1 - z)
+            da_h *= 1.0 - hh * hh
+            np.multiply(dcand, H[t] - hh, out=dzr[:, :n])
+            np.multiply(da_h, HPh[t], out=dzr[:, n:])
+            dzr *= zr * (1.0 - zr)
+            np.multiply(da_h, zr[:, n:], out=dHP[t, :, 2 * n:])
+            dh_prev += dHP[t] @ UT
+            if pad is not None:
+                np.copyto(dh_prev, dh, where=pad[t])
+            dh = dh_prev
+        # The gradient at x W + b_in is dHP with its candidate block
+        # replaced by dAh; the z and r blocks are shared, not copied.
+        W = self.params["W"]
+        dHP = dHP.reshape(T * B, 3 * n)
+        dZR = dHP[:, :2 * n]
+        dAh = dAh.reshape(T * B, n)
+        db_rec = dHP.sum(axis=0)
+        self.grads["W"][:, :2 * n] += xt.T @ dZR
+        self.grads["W"][:, 2 * n:] += xt.T @ dAh
+        self.grads["U"] += H[:-1].reshape(T * B, n).T @ dHP
+        self.grads["b_in"][:2 * n] += db_rec[:2 * n]
+        self.grads["b_in"][2 * n:] += dAh.sum(axis=0)
         self.grads["b_rec"] += db_rec
-        return dXp @ W.T
+        dx = dZR @ W[:, :2 * n].T
+        dx += dAh @ W[:, 2 * n:].T
+        return dx.reshape(T, B, -1).transpose(1, 0, 2)
 
 
 class LSTM(Layer):
@@ -145,66 +200,83 @@ class LSTM(Layer):
             raise ShapeMismatch(f"lstm expects (B, T, {W.shape[0]}), got {x.shape}")
         B, T, _ = x.shape
         n = self.units
-        m = _as_float_mask(mask, B, T)
-        Xp = x @ W + self.params["b"]
-        h = np.zeros((B, n))
-        c = np.zeros((B, n))
-        steps = []
-        outputs = np.empty((B, T, n)) if self.return_sequences else None
+        pad = _padded_steps(mask, B, T)
+        xt, Xp = _project(x, W, self.params["b"])
+        # sigmoid(a) = 0.5 * tanh(a / 2) + 0.5, so one tanh serves all four
+        # gates: the i, f and o blocks are scaled by 1/2 around it, g by 1
+        scale = np.full(4 * n, 0.5)
+        scale[2 * n:3 * n] = 1.0
+        shift = 1.0 - scale
+        H = np.empty((T + 1, B, n))
+        C = np.empty((T + 1, B, n))
+        H[0] = 0.0
+        C[0] = 0.0
+        A = np.empty((T, B, 4 * n))       # gate activations i, f, g, o
+        TC = np.empty((T, B, n))          # tanh of the updated cell
+        a = np.empty((B, 4 * n))
         for t in range(T):
-            a = Xp[:, t] + h @ U
-            i = _sigmoid(a[:, :n])
-            f = _sigmoid(a[:, n:2 * n])
-            g = np.tanh(a[:, 2 * n:3 * n])
-            o = _sigmoid(a[:, 3 * n:])
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
-            mt = m[:, t]
-            h_next = mt * (o * tc) + (1.0 - mt) * h
-            c_next = mt * c_new + (1.0 - mt) * c
-            steps.append((h, c, i, f, g, o, tc, mt))
-            if self.return_sequences:
-                outputs[:, t] = h_next
-            h, c = h_next, c_next
-        self._cache = (x, steps)
+            gates, c = A[t], C[t + 1]
+            np.matmul(H[t], U, out=a)
+            a += Xp[t]
+            np.multiply(a, scale, out=gates)
+            np.tanh(gates, out=gates)
+            gates *= scale
+            gates += shift
+            np.multiply(gates[:, n:2 * n], C[t], out=c)
+            c += gates[:, :n] * gates[:, 2 * n:3 * n]
+            np.tanh(c, out=TC[t])
+            np.multiply(gates[:, 3 * n:], TC[t], out=H[t + 1])
+            if pad is not None:
+                np.copyto(H[t + 1], H[t], where=pad[t])
+                np.copyto(c, C[t], where=pad[t])
+        self._cache = (xt, H, C, A, TC, pad)
         self.mask_out = mask if self.return_sequences else None
-        return outputs if self.return_sequences else h
+        return H[1:].transpose(1, 0, 2) if self.return_sequences else H[T]
 
     def backward(self, dy):
-        x, steps = self._cache
-        W, U = self.params["W"], self.params["U"]
-        B, T, _ = x.shape
-        n = self.units
-        dXp = np.zeros((B, T, 4 * n))
-        dU = np.zeros_like(U)
-        dh = np.zeros((B, n)) if self.return_sequences else dy.copy()
+        xt, H, C, A, TC, pad = self._cache
+        UT = self.params["U"].T
+        T, B, n = TC.shape
+        dA = np.empty((T, B, 4 * n))      # gradient at the gate pre-activations
+        if self.return_sequences:
+            dyt = dy.transpose(1, 0, 2)
+            dh = np.zeros((B, n))
+        else:
+            dh = np.array(dy, dtype=np.float64)
         dc = np.zeros((B, n))
         for t in range(T - 1, -1, -1):
             if self.return_sequences:
-                dh = dh + dy[:, t]
-            h_prev, c_prev, i, f, g, o, tc, mt = steps[t]
-            dh_eff = dh * mt
-            dh_carry = dh * (1.0 - mt)
-            do = dh_eff * tc
-            dc_new = dc * mt + dh_eff * o * (1.0 - tc * tc)
-            dc_carry = dc * (1.0 - mt)
-            di = dc_new * g
-            df = dc_new * c_prev
-            dg = dc_new * i
-            da = np.concatenate([
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                dg * (1.0 - g * g),
-                do * o * (1.0 - o),
-            ], axis=1)
-            dXp[:, t] = da
-            dU += h_prev.T @ da
-            dh = dh_carry + da @ U.T
-            dc = dc_new * f + dc_carry
-        self.grads["W"] += x.reshape(-1, x.shape[2]).T @ dXp.reshape(-1, 4 * n)
-        self.grads["U"] += dU
-        self.grads["b"] += dXp.sum(axis=(0, 1))
-        return dXp @ W.T
+                dh += dyt[t]
+            if pad is None:
+                dh_eff, dc_eff = dh, dc
+            else:
+                dh_eff = np.where(pad[t], 0.0, dh)
+                dc_eff = np.where(pad[t], 0.0, dc)
+            gates, tc, da = A[t], TC[t], dA[t]
+            i, f, g, o = (gates[:, k * n:(k + 1) * n] for k in range(4))
+            dc_new = dh_eff * o
+            dc_new *= 1.0 - tc * tc
+            dc_new += dc_eff
+            np.multiply(dc_new, g, out=da[:, :n])
+            np.multiply(dc_new, C[t], out=da[:, n:2 * n])
+            np.multiply(dc_new, i, out=da[:, 2 * n:3 * n])
+            np.multiply(dh_eff, tc, out=da[:, 3 * n:])
+            # sigmoid' = s (1 - s) on i, f, o; tanh' = 1 - g^2 on g
+            local = gates * (1.0 - gates)
+            np.subtract(1.0, g * g, out=local[:, 2 * n:3 * n])
+            da *= local
+            dh_prev = da @ UT
+            dc_new *= f
+            if pad is not None:
+                np.copyto(dh_prev, dh, where=pad[t])
+                np.copyto(dc_new, dc, where=pad[t])
+            dh, dc = dh_prev, dc_new
+        dA = dA.reshape(T * B, 4 * n)
+        self.grads["W"] += xt.T @ dA
+        self.grads["U"] += H[:-1].reshape(T * B, n).T @ dA
+        self.grads["b"] += dA.sum(axis=0)
+        dx = dA @ self.params["W"].T
+        return dx.reshape(T, B, -1).transpose(1, 0, 2)
 
 
 def reverse_valid(x, mask):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -188,13 +188,22 @@ def build_feature_series(star: StarRecord, curve: PhasedCurve, variant: Variant,
     fit = fit_smoothing_spline(curve, config)
     grid, mags = resample(fit, config.resample_length)
     values = np.empty((config.resample_length, 2), dtype=np.float64)
-    if variant is Variant.FULL:
-        values[:, 0] = mags - np.mean(mags)
-    else:
-        values[:, 0] = mags
+    values[:, 0] = mags
     values[:, 1] = grid * curve.period
     mask = np.ones(config.resample_length, dtype=bool)
-    return FeatureSeries(star.source_id, values, mask, variant, star.feh)
+    series = FeatureSeries(star.source_id, values, mask, Variant.SPLINE_NO_MEAN,
+                           star.feh)
+    return center_series(series) if variant is Variant.FULL else series
+
+
+def center_series(series: FeatureSeries) -> FeatureSeries:
+    """The FULL series of a SPLINE_NO_MEAN one: the magnitude channel minus
+    its mean, the phase channel as it is."""
+    mags = series.values[:, 0].copy()
+    values = series.values.copy()
+    values[:, 0] = mags - np.mean(mags)
+    return FeatureSeries(series.source_id, values, series.mask, Variant.FULL,
+                         series.target)
 
 
 @dataclass
@@ -234,3 +243,21 @@ def build_dataset(pairs, variant: Variant,
                                n_requested=len(pairs), n_built=len(series),
                                failures=failures)
     return series, manifest
+
+
+def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig()):
+    """`build_dataset` for each of `variants`, fitting each spline once: when
+    both spline variants are asked for, FULL is derived from the
+    SPLINE_NO_MEAN series by `center_series`. Returns
+    {variant: (series, manifest)}."""
+    built = {}
+    for variant in sorted(variants, key=lambda v: v is Variant.FULL):
+        source = built.get(Variant.SPLINE_NO_MEAN)
+        if variant is Variant.FULL and source is not None:
+            series, manifest = source
+            built[variant] = ([center_series(s) for s in series],
+                              replace(manifest, variant=variant.value,
+                                      failures=list(manifest.failures)))
+        else:
+            built[variant] = build_dataset(pairs, variant, config)
+    return built

@@ -148,6 +148,7 @@ def test_05_weighting_properties():
              "invariant, -1.5 dex peak weighted below tails")
 
 
+@pytest.mark.slow
 def test_06_synthetic_end_to_end_learnability():
     t0 = time.time()
     noise = 0.1

@@ -1,12 +1,15 @@
 import csv
 import os
+import shutil
 
 import numpy as np
 import pytest
 import yaml
 
+from fehforge import preprocess
 from fehforge.cli import DEFAULT_CONFIG, load_config, main
-from fehforge.container import load_curves, load_dataset, load_weights
+from fehforge.container import (load_curves, load_dataset, load_weights,
+                                save_weights)
 from fehforge.synthetic import make_corpus, write_corpus_files
 
 
@@ -123,6 +126,65 @@ def test_exit_code_integrity(workspace, tmp_path):
     weights = os.path.join(workspace, "datasets", "weights_full_train.zip")
     assert main(["predict", "--output", workspace, "--snapshot", snap,
                  "--input", weights]) == 5
+
+
+def _cv_exit_code(workspace, tmp_path, tamper):
+    """Exit code of a one-epoch GRU cv on a copy of the workspace whose
+    full training weights `tamper(path)` has rewritten."""
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    tamper(os.path.join(work, "datasets", "weights_full_train.zip"))
+    return main(["cv", "--output", work, "--model", "gru", "--variant", "full",
+                 "--epochs", "1", "--folds", "2", "--repeats", "1"])
+
+
+def test_exit_code_weights_wrong_kind(workspace, tmp_path):
+    dataset = os.path.join(workspace, "datasets", "full_train.zip")
+    assert _cv_exit_code(workspace, tmp_path,
+                         lambda path: shutil.copyfile(dataset, path)) == 5
+
+
+@pytest.mark.parametrize("misalign", [lambda ids: ids[::-1],
+                                      lambda ids: ids + 1,
+                                      lambda ids: ids[1:]],
+                         ids=["reversed", "shifted", "short"])
+def test_exit_code_weights_misaligned(workspace, tmp_path, misalign):
+    def tamper(path):
+        ids, w = load_weights(path)
+        ids = misalign(ids)
+        save_weights(path, ids, w[:len(ids)])
+    assert _cv_exit_code(workspace, tmp_path, tamper) == 5
+
+
+def test_preprocess_all_fits_each_spline_once(corpus, tmp_path, monkeypatch):
+    catalog, photometry = corpus
+    out = str(tmp_path)
+    config = tmp_path / "fixed.yaml"
+    config.write_text(yaml.safe_dump({"preprocess": {"lambda_strategy": "fixed"}}))
+    assert main(["ingest", "--catalog", catalog, "--photometry", photometry,
+                 "--output", out, "--seed", "1"]) == 0
+    fitted = []
+    fit = preprocess.fit_smoothing_spline
+
+    def counting_fit(curve, config):
+        fitted.append(curve.source_id)
+        return fit(curve, config)
+
+    monkeypatch.setattr(preprocess, "fit_smoothing_spline", counting_fit)
+    assert main(["preprocess", "--output", out, "--variant", "all",
+                 "--config", str(config)]) == 0
+    stars = [r.source_id for side in ("train", "validation")
+             for r, _ in load_curves(os.path.join(out, f"curves_{side}.zip"))[0]]
+    assert sorted(fitted) == sorted(stars)
+
+    # FULL derived from SPLINE_NO_MEAN is byte for byte FULL fitted directly
+    derived = {side: open(os.path.join(out, "datasets", f"full_{side}.zip"),
+                          "rb").read() for side in ("train", "validation")}
+    assert main(["preprocess", "--output", out, "--variant", "full",
+                 "--config", str(config)]) == 0
+    for side, data in derived.items():
+        with open(os.path.join(out, "datasets", f"full_{side}.zip"), "rb") as fh:
+            assert fh.read() == data
 
 
 def test_unknown_model_rejected(workspace):

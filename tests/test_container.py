@@ -3,7 +3,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from fehforge.container import (from_feature_series, load_curves,
+from fehforge.container import (atomic_open, from_feature_series, load_curves,
                                 load_dataset, load_snapshot, load_weights,
                                 restore_model, save_curves, save_dataset,
                                 save_snapshot, save_weights)
@@ -102,6 +102,34 @@ def test_curves_roundtrip(tmp_path):
         assert rec2.epoch_max == rec.epoch_max
         np.testing.assert_array_equal(lc2.times, lc.times)
         np.testing.assert_array_equal(lc2.mags, lc.mags)
+
+
+def test_weights_wrong_kind(tmp_path, dataset):
+    path = tmp_path / "ds.zip"
+    save_dataset(path, dataset)
+    with pytest.raises(IntegrityError):
+        load_weights(path)
+    snap = tmp_path / "snap.zip"          # meta.json, no manifest.json
+    save_snapshot(snap, build(build_default("fcn"), (20, 2), seed=0))
+    with pytest.raises(IntegrityError):
+        load_weights(snap)
+    with pytest.raises(IntegrityError):
+        load_dataset(snap)
+
+
+def test_atomic_open_keeps_old_file_on_error(tmp_path):
+    path = tmp_path / "report.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path) as fh:
+            fh.write("half")
+            raise RuntimeError("interrupted")
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+    with atomic_open(path) as fh:
+        fh.write("new\n")
+    assert path.read_text() == "new\n"
+    assert path.stat().st_mode & 0o777 == 0o644
 
 
 def test_weights_roundtrip(tmp_path):
