@@ -242,23 +242,22 @@ def cmd_train(cfg):
                             extra_meta={"variant": variant})
     train_pred = evaluate.predict(result.model, train_ds)
     val_pred = evaluate.predict(result.model, val_ds)
+    fold_reports = [evaluate.FoldReport(
+        repeat=0, fold=0,
+        train_metrics=evaluate.metric_suite(train_ds.targets, train_pred, train_w),
+        val_metrics=evaluate.metric_suite(val_ds.targets, val_pred, val_w),
+        epochs_run=result.epochs_run,
+        train_loss_curve=result.train_loss_curve,
+        val_loss_curve=result.val_loss_curve)]
     report = evaluate.MetricsReport(
-        model_kind=spec.kind, variant=variant,
-        fold_reports=[evaluate.FoldReport(
-            repeat=0, fold=0,
-            train_metrics=evaluate.metric_suite(train_ds.targets, train_pred, train_w),
-            val_metrics=evaluate.metric_suite(val_ds.targets, val_pred, val_w),
-            epochs_run=result.epochs_run,
-            train_loss_curve=result.train_loss_curve,
-            val_loss_curve=result.val_loss_curve)],
-        summary=None)
-    report.summary = evaluate.summarize_folds(report.fold_reports)
+        model_kind=spec.kind, variant=variant, fold_reports=fold_reports,
+        summary=evaluate.summarize_folds(fold_reports))
     evaluate.write_metrics_csv(_out(cfg, "reports", f"train_{tag}.csv"), report)
     evaluate.write_loss_curves_csv(_out(cfg, "plots", f"loss_{tag}.csv"),
                                    report.fold_reports)
     evaluate.write_predictions_csv(_out(cfg, "plots", f"pred_vs_true_{tag}.csv"),
                                    val_ds.source_ids, val_pred, val_ds.targets)
-    fr = report.fold_reports[0]
+    fr = fold_reports[0]
     print(f"{tag}: epochs {result.epochs_run} "
           f"val r2 {fr.val_metrics['r2']:.4f} "
           f"val rmse {fr.val_metrics['rmse']:.4f}")

@@ -95,15 +95,24 @@ def _write_zip(path, members):
                 zf.writestr(info, data)
 
 
-def _read_manifest(zf, path, kind, member="manifest.json"):
-    """The container's JSON manifest; IntegrityError unless it is of `kind`."""
+@contextlib.contextmanager
+def _open_container(path, kind, member="manifest.json"):
+    """The open zip archive of the `kind` container at `path`, with its JSON
+    manifest. MissingInput if there is no file; IntegrityError if it is not
+    a sound zip archive or its manifest names another kind."""
+    if not os.path.exists(path):
+        raise MissingInput(f"{kind} container not found: {path}")
     try:
-        manifest = json.loads(zf.read(member))
-    except KeyError:
-        manifest = {}
-    if manifest.get("kind") != kind:
-        raise IntegrityError(f"{path} is not a {kind} container")
-    return manifest
+        with zipfile.ZipFile(path) as zf:
+            try:
+                manifest = json.loads(zf.read(member))
+            except KeyError:
+                manifest = {}
+            if manifest.get("kind") != kind:
+                raise IntegrityError(f"{path} is not a {kind} container")
+            yield zf, manifest
+    except zipfile.BadZipFile as exc:
+        raise IntegrityError(f"{path} is not a {kind} container: {exc}") from exc
 
 
 def save_dataset(path, dataset: ArrayDataset):
@@ -127,10 +136,7 @@ def save_dataset(path, dataset: ArrayDataset):
 
 
 def load_dataset(path) -> ArrayDataset:
-    if not os.path.exists(path):
-        raise MissingInput(f"dataset container not found: {path}")
-    with zipfile.ZipFile(path) as zf:
-        manifest = _read_manifest(zf, path, "dataset")
+    with _open_container(path, "dataset") as (zf, manifest):
         load = lambda name: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
         return ArrayDataset(
             source_ids=load("source_ids.npy"),
@@ -162,10 +168,7 @@ def save_snapshot(path, model, extra_meta=None):
 
 def load_snapshot(path):
     """Returns (spec_json, input_shape, state_dict, meta)."""
-    if not os.path.exists(path):
-        raise MissingInput(f"snapshot not found: {path}")
-    with zipfile.ZipFile(path) as zf:
-        meta = _read_manifest(zf, path, "snapshot", member="meta.json")
+    with _open_container(path, "snapshot", member="meta.json") as (zf, meta):
         state = {}
         for name in meta["state_names"]:
             state[name] = np.load(io.BytesIO(zf.read(f"state/{name}.npy")),
@@ -219,10 +222,7 @@ def load_curves(path):
     """Inverse of `save_curves`; returns (pairs, meta)."""
     from .catalog import LightCurve, StarRecord
 
-    if not os.path.exists(path):
-        raise MissingInput(f"curves container not found: {path}")
-    with zipfile.ZipFile(path) as zf:
-        manifest = _read_manifest(zf, path, "curves")
+    with _open_container(path, "curves") as (zf, manifest):
         load = lambda name: np.load(io.BytesIO(zf.read(f"{name}.npy")),
                                     allow_pickle=False)
         data = {name: load(name) for name in
@@ -256,9 +256,6 @@ def save_weights(path, source_ids, weights):
 
 
 def load_weights(path):
-    if not os.path.exists(path):
-        raise MissingInput(f"weights container not found: {path}")
-    with zipfile.ZipFile(path) as zf:
-        _read_manifest(zf, path, "weights")
+    with _open_container(path, "weights") as (zf, _):
         load = lambda name: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
         return load("source_ids.npy"), load("weights.npy")

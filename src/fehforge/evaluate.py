@@ -176,7 +176,9 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
 
     `train_data` / `val_data` are (X, mask, y, w) tuples. Early stopping
     monitors the validation weighted loss and restores the best-epoch
-    parameters. Raises `DivergedLoss` on a non-finite loss.
+    parameters. It stops after patience + 1 epochs in a row without a new
+    best, one later than Keras' EarlyStopping, which stops after `patience`.
+    Raises `DivergedLoss` on a non-finite loss.
     """
     Xtr, mtr, ytr, wtr = train_data
     Xval, mval, yval, wval = val_data

@@ -128,6 +128,14 @@ def test_exit_code_integrity(workspace, tmp_path):
                  "--input", weights]) == 5
 
 
+
+def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):
+    snap = tmp_path / "snapshot.zip"
+    snap.write_text("this is not a zip archive\n")
+    assert main(["predict", "--output", workspace, "--snapshot", str(snap),
+                 "--input", os.path.join(workspace, "datasets",
+                                         "full_validation.zip")]) == 5
+
 def _cv_exit_code(workspace, tmp_path, tamper):
     """Exit code of a one-epoch GRU cv on a copy of the workspace whose
     full training weights `tamper(path)` has rewritten."""

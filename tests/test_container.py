@@ -117,6 +117,18 @@ def test_weights_wrong_kind(tmp_path, dataset):
         load_dataset(snap)
 
 
+
+def test_loaders_refuse_files_that_are_not_sound_zips(tmp_path, dataset):
+    text = tmp_path / "text.zip"
+    text.write_text("one line of text\n")
+    truncated = tmp_path / "truncated.zip"
+    save_dataset(truncated, dataset)
+    truncated.write_bytes(truncated.read_bytes()[:-200])
+    for path in (text, truncated):
+        for load in (load_dataset, load_snapshot, load_curves, load_weights):
+            with pytest.raises(IntegrityError):
+                load(path)
+
 def test_atomic_open_keeps_old_file_on_error(tmp_path):
     path = tmp_path / "report.csv"
     path.write_text("old\n")

@@ -123,6 +123,18 @@ def test_train_learns_and_early_stops():
     assert r2(val.targets, preds) > 0.5
 
 
+
+def test_early_stopping_after_patience_plus_one_stale_epochs():
+    # with a zero learning rate no epoch after the first sets a new best;
+    # training stops once `stale > patience`, after 1 + (patience + 1)
+    # epochs, where Keras' EarlyStopping would stop after 1 + patience
+    cfg = TrainConfig(batch_size=16, learning_rate=0.0, max_epochs=50,
+                      patience=3, folds=3, repeats=1, bins=4, seed=0)
+    result = train(TINY_SPEC, as_tuple(toy_dataset(40)),
+                   as_tuple(toy_dataset(16, seed=1)), cfg)
+    assert result.epochs_run == 1 + cfg.patience + 1
+    assert len(set(result.val_loss_curve)) == 1
+
 def test_train_bit_identical_rerun():
     ds, val = toy_dataset(40), toy_dataset(16, seed=2)
     runs = [train(TINY_SPEC, as_tuple(ds), as_tuple(val), TINY_CONFIG)

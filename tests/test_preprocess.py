@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import make_smoothing_spline
 
 from fehforge.catalog import LightCurve, StarRecord
-from fehforge.errors import InsufficientPoints
+from fehforge.errors import InsufficientPoints, SingularFit
 from fehforge.preprocess import (PhasedCurve, PreprocessConfig, Variant,
                                  align_to_maximum, build_dataset,
                                  build_feature_series, fit_smoothing_spline,
@@ -184,3 +185,126 @@ def test_phase_fold_shift_invariance(period, epoch_max, k):
     pc2 = phase_fold(lc, period, epoch_max + k * period)
     np.testing.assert_allclose(np.sort(pc1.phases), np.sort(pc2.phases),
                                atol=1e-7)
+
+
+# --- the smoothing-spline solver ----------------------------------------------
+
+def corpus_curves(n, seed=0):
+    """Phase-folded, aligned curves of `make_corpus(n, seed)`, by source_id."""
+    pairs, _ = make_corpus(n, seed=seed)
+    return {rec.source_id: align_to_maximum(phase_fold(lc, rec.period,
+                                                       rec.epoch_max))
+            for rec, lc in pairs}
+
+
+def wrapped(curve):
+    """The data `fit_smoothing_spline` fits: three points wrapped in from
+    each end by one period (corpus phases are distinct)."""
+    x, y = curve.phases, curve.mags
+    assert len(np.unique(x)) == len(x)
+    return (np.concatenate([x[-3:] - 1.0, x, x[:3] + 1.0]),
+            np.concatenate([y[-3:], y, y[:3]]))
+
+
+def dense_gcv(x, y, lam):
+    """GCV score n |(I - H) y|^2 / (n - tr H)^2 with the hat matrix H built
+    column by column from scipy's smoothing spline of the unit vectors."""
+    n = len(y)
+    H = make_smoothing_spline(x, np.eye(n), lam=lam)(x)
+    r = y - H @ y
+    return n * (r @ r) / (n - np.trace(H)) ** 2
+
+
+def lambda_of(spline, x, y):
+    """The lambda of a natural cubic smoothing spline through (x, y), from
+    its Euler-Lagrange equations: y_i - f(x_i) = lambda * (jump of the third
+    derivative at x_i), which is zero outside [x_0, x_-1]."""
+    third = spline.derivative(3)(0.5 * (x[1:] + x[:-1]))
+    jumps = np.diff(np.concatenate([[0.0], third, [0.0]]))
+    resid = y - spline(x)
+    return float(resid @ jumps / (jumps @ jumps))
+
+
+def test_fixed_lambda_bit_identical_to_scipy():
+    for curve in corpus_curves(100).values():
+        x, y = wrapped(curve)
+        for lam in (0.0, 1e-4, 1e9):
+            ours = fit_smoothing_spline(curve, PreprocessConfig(
+                lambda_strategy="fixed", lam=lam)).spline
+            ref = make_smoothing_spline(x, y, lam=lam)
+            assert np.array_equal(ours.t, ref.t)
+            assert np.array_equal(ours.c, ref.c)
+
+
+def test_lambda_of_recovers_a_fixed_lambda():
+    curve = next(iter(corpus_curves(3).values()))
+    x, y = wrapped(curve)
+    for lam in (1e-7, 1e-5, 1e-3):
+        assert lambda_of(make_smoothing_spline(x, y, lam=lam), x, y) \
+            == pytest.approx(lam, rel=1e-6)
+
+
+def test_gcv_lambda_never_scores_worse_than_scipy():
+    for curve in corpus_curves(100).values():
+        x, y = wrapped(curve)
+        lam_scipy = lambda_of(make_smoothing_spline(x, y), x, y)
+        lam = fit_smoothing_spline(curve).lam
+        assert dense_gcv(x, y, lam) <= dense_gcv(x, y, lam_scipy) * (1 + 1e-9)
+
+
+def test_gcv_keeps_lambda_and_ends_in_the_fixed_solve():
+    for curve in corpus_curves(20, seed=5).values():
+        fit = fit_smoothing_spline(curve)
+        assert isinstance(fit.lam, float) and fit.lam > 0
+        refit = fit_smoothing_spline(curve, PreprocessConfig(
+            lambda_strategy="fixed", lam=fit.lam))
+        assert np.array_equal(refit.spline.t, fit.spline.t)
+        assert np.array_equal(refit.spline.c, fit.spline.c)
+
+
+def test_gcv_no_longer_collapses_to_a_line():
+    # scipy's linear-scale search picked a near-linear fit here (0.106 mag)
+    curve = corpus_curves(400, seed=1)[1000154]
+    assert fit_smoothing_spline(curve).residual_rms <= 0.02
+
+
+def test_gcv_fits_every_curve_of_a_corpus():
+    pairs, _ = make_corpus(300, seed=3)
+    series, manifest = build_dataset(pairs, Variant.SPLINE_NO_MEAN)
+    assert manifest.failures == [] and len(series) == 300
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_near_duplicate_phases_fit_or_are_recorded(gap, seed):
+    # an ordinary curve plus a cluster of 20 phases `gap` apart
+    rng = np.random.default_rng(seed)
+    period = 0.55
+    phases = np.concatenate([rng.uniform(0.0, 1.0, 60),
+                             0.4 + gap * np.arange(20)])
+    times = np.sort((rng.integers(0, 900, len(phases)) + phases) * period)
+    folded = np.mod(times / period, 1.0)
+    mags = 16.0 + sawtooth_mag(folded, 0.8, 0.2) + rng.normal(0, 0.01, len(times))
+    star = make_star(source_id=7, n_epochs=len(times), epoch_max=0.0)
+    lc = LightCurve(7, times, mags)
+    series, manifest = build_dataset([(star, lc)], Variant.FULL)
+    try:
+        fit = fit_smoothing_spline(align_to_maximum(phase_fold(lc, period, 0.0)))
+    except SingularFit:
+        assert [sid for sid, _ in manifest.failures] == [7] and series == []
+    else:
+        assert fit.residual_rms <= 0.05
+        assert manifest.failures == [] and len(series) == 1
+
+
+def test_wrapped_phases_that_collapse_raise_singular_fit():
+    # 1e-17 and 2e-17 are distinct phases, but both round to 1.0 plus one
+    x = np.array([0.0, 1e-17, 2e-17, 0.3, 0.6, 0.9])
+    pc = PhasedCurve(1, x, np.sin(2 * np.pi * x), 0.5, 0.0)
+    with pytest.raises(SingularFit):
+        fit_smoothing_spline(pc)
+
+
+def test_negative_fixed_lambda_rejected():
+    with pytest.raises(ValueError):
+        PreprocessConfig(lambda_strategy="fixed", lam=-1e-4)
