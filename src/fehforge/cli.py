@@ -12,7 +12,8 @@ Exit codes:
     0  success
     1  unclassified pipeline error
     2  missing input file
-    3  malformed input (missing column, parse error, empty catalog)
+    3  malformed input (missing column, parse error, empty catalog,
+       configuration value out of range)
     4  degenerate data (bad split, too few points, diverged loss, ...)
     5  integrity mismatch (snapshot/spec hash, wrong container kind)
 """
@@ -31,16 +32,16 @@ from . import catalog as cat
 from . import container, evaluate, preprocess, weighting
 from .errors import (DegenerateBatch, DegenerateDistribution, DegenerateSplit,
                      DivergedLoss, DuplicateEpoch, EmptyCatalog, FehForgeError,
-                     InsufficientPoints, IntegrityError, MissingColumn,
-                     MissingInput, NonPositiveWeightSum, OrphanStar,
-                     ParseError, SingularFit, TooFewSamples, ZeroDensity,
-                     ZeroVariance)
+                     InsufficientPoints, IntegrityError, InvalidConfig,
+                     MissingColumn, MissingInput, NonPositiveWeightSum,
+                     OrphanStar, ParseError, SingularFit, TooFewSamples,
+                     ZeroDensity, ZeroVariance)
 from .preprocess import PreprocessConfig, Variant
 from .zoo import KINDS, build_default
 
 EXIT_CODES = (
     ((MissingInput, FileNotFoundError), 2),
-    ((MissingColumn, ParseError, EmptyCatalog), 3),
+    ((MissingColumn, ParseError, EmptyCatalog, InvalidConfig), 3),
     ((DegenerateSplit, DegenerateDistribution, DegenerateBatch,
       InsufficientPoints, SingularFit, TooFewSamples, ZeroVariance,
       ZeroDensity, DivergedLoss, NonPositiveWeightSum, OrphanStar,
@@ -241,7 +242,7 @@ def cmd_train(cfg):
     container.save_snapshot(_out(cfg, "snapshots", f"{tag}.zip"), result.model,
                             extra_meta={"variant": variant})
     train_pred = evaluate.predict(result.model, train_ds)
-    val_pred = evaluate.predict(result.model, val_ds)
+    val_pred = result.val_predictions
     fold_reports = [evaluate.FoldReport(
         repeat=0, fold=0,
         train_metrics=evaluate.metric_suite(train_ds.targets, train_pred, train_w),

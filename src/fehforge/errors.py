@@ -8,6 +8,12 @@ class FehForgeError(Exception):
     """Base class for all pipeline errors."""
 
 
+# --- configuration ---------------------------------------------------------
+
+class InvalidConfig(FehForgeError, ValueError):
+    """A configuration value outside its allowed range."""
+
+
 # --- catalog ---------------------------------------------------------------
 
 class MissingColumn(FehForgeError):

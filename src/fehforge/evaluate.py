@@ -17,8 +17,8 @@ from itertools import product
 import numpy as np
 
 from .container import ArrayDataset, atomic_open
-from .errors import (DivergedLoss, FehForgeError, NonPositiveWeightSum,
-                     TooFewSamples, ZeroVariance)
+from .errors import (DivergedLoss, FehForgeError, InvalidConfig,
+                     NonPositiveWeightSum, TooFewSamples, ZeroVariance)
 from .nn.losses import weighted_mse
 from .nn.optim import Adam
 from .zoo import ModelSpec, build
@@ -50,7 +50,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.folds < 2 or self.batch_size < 1 or self.bins < 2:
-            raise ValueError("invalid train config")
+            raise InvalidConfig(
+                f"invalid train config: folds {self.folds} (>= 2), batch_size "
+                f"{self.batch_size} (>= 1), bins {self.bins} (>= 2)")
 
 
 @dataclass(frozen=True)
@@ -168,6 +170,7 @@ class TrainResult:
     train_loss_curve: list
     val_loss_curve: list
     best_val_loss: float
+    val_predictions: np.ndarray   # of the returned (best-epoch) model
 
 
 def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
@@ -178,7 +181,9 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
     monitors the validation weighted loss and restores the best-epoch
     parameters. It stops after patience + 1 epochs in a row without a new
     best, one later than Keras' EarlyStopping, which stops after `patience`.
-    Raises `DivergedLoss` on a non-finite loss.
+    The best epoch's validation predictions are returned with the model;
+    they are bit-identical to predicting with it again. Raises
+    `DivergedLoss` on a non-finite loss.
     """
     Xtr, mtr, ytr, wtr = train_data
     Xval, mval, yval, wval = val_data
@@ -194,6 +199,7 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
 
     best_state = model.get_state()
     best_val = math.inf
+    best_pred = None
     stale = 0
     train_curve, val_curve = [], []
     epochs_run = 0
@@ -227,6 +233,7 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
         if val_loss < best_val:
             best_val = val_loss
             best_state = model.get_state()
+            best_pred = val_pred
             stale = 0
         else:
             stale += 1
@@ -234,9 +241,11 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
                 break
 
     model.set_state(best_state)
+    if best_pred is None:           # no epoch ran
+        best_pred = _forward_batched(model, Xval, mval)
     return TrainResult(model=model, epochs_run=epochs_run,
                        train_loss_curve=train_curve, val_loss_curve=val_curve,
-                       best_val_loss=best_val)
+                       best_val_loss=best_val, val_predictions=best_pred)
 
 
 def predict(model, dataset: ArrayDataset):
@@ -260,11 +269,11 @@ def _run_fold(spec, dataset, weights, config, rep, fold, assignments):
                    (X[val_sel], mask[val_sel], y[val_sel], weights[val_sel]),
                    config, seed_index=seed_index)
     train_pred = _forward_batched(result.model, X[tr_sel], mask[tr_sel])
-    val_pred = _forward_batched(result.model, X[val_sel], mask[val_sel])
     return FoldReport(
         repeat=rep, fold=fold,
         train_metrics=metric_suite(y[tr_sel], train_pred, weights[tr_sel]),
-        val_metrics=metric_suite(y[val_sel], val_pred, weights[val_sel]),
+        val_metrics=metric_suite(y[val_sel], result.val_predictions,
+                                 weights[val_sel]),
         epochs_run=result.epochs_run,
         train_loss_curve=result.train_loss_curve,
         val_loss_curve=result.val_loss_curve,
@@ -295,7 +304,11 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
 
     def run(job):
         rep, fold = job
-        return _run_fold(spec, dataset, weights, config, rep, fold, assignments)
+        report, result = _run_fold(spec, dataset, weights, config, rep, fold,
+                                   assignments)
+        # a fold's model still holds the activations of its last forward
+        # (recurrent layers keep them at inference too): free it unless asked
+        return report, (result if return_models else None)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -49,13 +49,13 @@ class ResidualBlock(Layer):
         h = self.body.forward(x, mask=mask, training=training)
         sc = x if self.projection is None else self.projection.forward(
             x, mask=mask, training=training)
-        y = sc + h
-        self._keep = y > 0
+        y = np.fmax(0.0, sc + h)
+        self._cache = y > 0 if training else None
         self.mask_out = mask
-        return np.where(self._keep, y, 0.0)
+        return y
 
     def backward(self, dy):
-        dy = np.where(self._keep, dy, 0.0)
+        dy = dy * self._saved()
         dx = self.body.backward(dy)
         if self.projection is None:
             return dx + dy
@@ -125,13 +125,13 @@ class InceptionResidualBlock(Layer):
         sc = self.shortcut_bn.forward(
             self.shortcut_conv.forward(x, mask=mask, training=training),
             mask=mask, training=training)
-        y = sc + h
-        self._keep = y > 0
+        y = np.fmax(0.0, sc + h)
+        self._cache = y > 0 if training else None
         self.mask_out = mask
-        return np.where(self._keep, y, 0.0)
+        return y
 
     def backward(self, dy):
-        dy = np.where(self._keep, dy, 0.0)
+        dy = dy * self._saved()
         dh = dy
         for mod in reversed(self.modules):
             dh = mod.backward(dh)

@@ -41,7 +41,8 @@ from scipy.linalg import LinAlgError, eigh, solve_banded
 from scipy.optimize import minimize_scalar
 
 from .catalog import LightCurve, StarRecord
-from .errors import InsufficientPoints, NonFinitePhase, SingularFit
+from .errors import (InsufficientPoints, InvalidConfig, NonFinitePhase,
+                     SingularFit)
 
 
 class Variant(enum.Enum):
@@ -88,11 +89,11 @@ class PreprocessConfig:
 
     def __post_init__(self):
         if self.resample_length < 8:
-            raise ValueError("resample_length must be >= 8")
+            raise InvalidConfig("resample_length must be >= 8")
         if self.lambda_strategy not in ("gcv", "fixed"):
-            raise ValueError(f"unknown lambda strategy {self.lambda_strategy!r}")
+            raise InvalidConfig(f"unknown lambda strategy {self.lambda_strategy!r}")
         if not self.lam >= 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+            raise InvalidConfig(f"lam must be >= 0, got {self.lam}")
 
 
 def phase_fold(curve: LightCurve, period: float, epoch_max: float) -> PhasedCurve:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import gaussian_kde
 
-from .errors import DegenerateDistribution, ZeroDensity
+from .errors import DegenerateDistribution, InvalidConfig, ZeroDensity
 
 
 @dataclass
@@ -42,7 +42,7 @@ def fit_density(values, bandwidth=None) -> DensityModel:
         eff_bw = kde.factor * std
     else:
         if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+            raise InvalidConfig(f"bandwidth must be positive, got {bandwidth}")
         kde = gaussian_kde(values, bw_method=bandwidth / std)
         eff_bw = bandwidth
     return DensityModel(kde=kde, bandwidth=float(eff_bw), support=values)

@@ -198,3 +198,17 @@ def test_preprocess_all_fits_each_spline_once(corpus, tmp_path, monkeypatch):
 def test_unknown_model_rejected(workspace):
     assert main(["cv", "--output", workspace, "--model", "perceptron",
                  "--variant", "full"]) == 1
+
+
+@pytest.mark.parametrize("command, section", [
+    ("preprocess", {"preprocess": {"lam": -1.0}}),
+    ("train", {"train": {"batch_size": 0}}),
+], ids=["negative_lam", "zero_batch_size"])
+def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section):
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(section))
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    assert main([command, "--config", str(config), "--output", work]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

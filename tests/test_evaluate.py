@@ -3,13 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fehforge.container import ArrayDataset
+from fehforge.container import ArrayDataset, from_feature_series
 from fehforge.errors import TooFewSamples, ZeroVariance
 from fehforge.evaluate import (GridSpec, TrainConfig, cross_validate,
                                grid_search, metric_suite, predict, r2,
                                run_matrix, stratified_kfold, summarize_folds,
                                train)
-from fehforge.zoo import build_rnn
+from fehforge.preprocess import PreprocessConfig, Variant, build_datasets
+from fehforge.synthetic import make_corpus
+from fehforge.zoo import build_default, build_rnn
 
 TINY_SPEC = build_rnn("gru", units=(6,), dropout=(0.0,))
 TINY_CONFIG = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=8,
@@ -149,6 +151,36 @@ def test_train_seed_index_changes_outcome():
     a = train(TINY_SPEC, as_tuple(ds), as_tuple(val), TINY_CONFIG, seed_index=0)
     b = train(TINY_SPEC, as_tuple(ds), as_tuple(val), TINY_CONFIG, seed_index=1)
     assert a.train_loss_curve != b.train_loss_curve
+
+
+@pytest.fixture(scope="module")
+def corpus_datasets():
+    pairs, _ = make_corpus(24, seed=3)
+    built = build_datasets(pairs, [Variant.FULL, Variant.RAW_PADDED],
+                           PreprocessConfig(lambda_strategy="fixed"))
+    return {v: from_feature_series(series, v) for v, (series, _) in built.items()}
+
+
+@pytest.mark.parametrize("variant", [Variant.FULL, Variant.RAW_PADDED])
+@pytest.mark.parametrize("kind", ["fcn", "gru"])
+def test_best_epoch_validation_predictions_reused(corpus_datasets, kind, variant):
+    # the CV scores the validation predictions `train` made at the best
+    # epoch; they must be exactly what the restored model predicts, so the
+    # report is the one a second validation forward would give
+    ds = corpus_datasets[variant]
+    w = np.linspace(0.5, 1.5, len(ds))
+    cfg = TrainConfig(batch_size=8, learning_rate=0.01, max_epochs=4,
+                      patience=1, folds=2, repeats=1, bins=3, seed=0)
+    report, results = cross_validate(build_default(kind), ds, w, cfg,
+                                     return_models=True)
+    folds = stratified_kfold(ds.targets, cfg.folds, bins=cfg.bins, seed=cfg.seed)[0]
+    for fr, res in zip(report.fold_reports, results):
+        val = folds == fr.fold
+        again = predict(res.model, ArrayDataset(ds.source_ids[val], ds.values[val],
+                                                ds.mask[val], ds.targets[val],
+                                                ds.variant, {}))
+        np.testing.assert_array_equal(res.val_predictions, again)
+        assert fr.val_metrics == metric_suite(ds.targets[val], again, w[val])
 
 
 # --- cross-validation ----------------------------------------------------------
