@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
+from decimal import Decimal
 from typing import Optional
 
 import numpy as np
@@ -32,6 +34,14 @@ DEFAULT_COLUMN_MAP = {
 }
 
 MANDATORY_FIELDS = ("source_id", "period", "amp_g", "n_epochs", "feh", "feh_sigma")
+
+# Photometry header names; every field is mandatory.
+PHOTOMETRY_COLUMN_MAP = {
+    "source_id": ("source_id",),
+    "time": ("time_bjd", "time", "bjd", "t"),
+    "mag": ("mag_g", "mag", "g_mag", "magnitude"),
+}
+_PHOTOMETRY_DTYPE = [("source_id", np.int64), ("time", np.float64), ("mag", np.float64)]
 
 
 @dataclass(frozen=True)
@@ -80,82 +90,86 @@ class Rejection:
 
 
 def _parse_value(raw, kind, row_num, name, path):
+    """A finite float, or an exact int64. An int field also takes a float form
+    ('12.0', '1e3') whose decimal value is an integer of at most 2**53."""
     raw = raw.strip()
     try:
         if kind is int:
-            return int(float(raw))
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ParseError(row_num, name, raw, path)
-    if not math.isfinite(value):
-        raise ParseError(row_num, name, raw, path)
-    return value
+            try:
+                value = int(raw)
+            except ValueError:
+                exact = Decimal(raw)
+                value = (int(exact) if exact.is_finite() and abs(exact) <= 2 ** 53
+                         and exact == exact.to_integral_value() else None)
+            if value is not None and -2 ** 63 <= value < 2 ** 63:
+                return value
+        elif math.isfinite(value := float(raw)):
+            return value
+    except (ValueError, ArithmeticError):   # decimal.InvalidOperation on junk
+        pass
+    raise ParseError(row_num, name, raw, path)
 
 
-def _sniff_delimiter(sample: str) -> str:
+def _read_header(fh, path, column_map, mandatory, delimiter, what):
+    """Sniff the delimiter and map fields onto column indices through their
+    aliases (case-insensitive). Returns (csv reader past the header, indices).
+    """
+    sample = fh.read(4096)
+    fh.seek(0)
+    if not delimiter:
+        try:
+            first = sample.splitlines()[0] if sample else ","
+            delimiter = csv.Sniffer().sniff(first, delimiters=",;\t| ").delimiter
+        except csv.Error:
+            delimiter = ","
+    reader = csv.reader(fh, delimiter=delimiter)
     try:
-        return csv.Sniffer().sniff(sample, delimiters=",;\t| ").delimiter
-    except csv.Error:
-        return ","
+        header = next(reader)
+    except StopIteration:
+        raise EmptyCatalog(f"{path}: empty {what}")
+    lookup = {h.strip().lower(): i for i, h in enumerate(header)}
+    indices = {}
+    for fld, aliases in column_map.items():
+        found = [lookup[a.lower()] for a in aliases if a.lower() in lookup]
+        if found:
+            indices[fld] = found[0]
+    for fld in mandatory:
+        if fld not in indices:
+            raise MissingColumn(fld, path)
+    return reader, indices
+
+
+def _data_rows(reader, indices):
+    """(row number, row) per non-blank row, padded with '' to cover `indices`."""
+    width = max(indices.values()) + 1
+    for row_num, row in enumerate(reader, start=2):
+        if row and any(c.strip() for c in row):
+            yield row_num, row + [""] * (width - len(row))
 
 
 def load_catalog(path, column_map=None, delimiter=None):
     """Read the star catalog into a list of `StarRecord`.
 
     Raises `MissingColumn` when a mandatory column cannot be found in the
-    header, `ParseError` (with row number and field name) on the first
+    header, `ParseError` (row number and field name) on the first missing or
     unparseable mandatory value, and `EmptyCatalog` when no data rows exist.
     """
     column_map = dict(DEFAULT_COLUMN_MAP, **(column_map or {}))
     with open(path, newline="") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        delim = delimiter or _sniff_delimiter(sample.splitlines()[0] if sample else ",")
-        reader = csv.reader(fh, delimiter=delim)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyCatalog(f"{path}: empty file")
-        lookup = {h.strip().lower(): i for i, h in enumerate(header)}
-
-        indices = {}
-        for fld, aliases in column_map.items():
-            for alias in aliases:
-                if alias.lower() in lookup:
-                    indices[fld] = lookup[alias.lower()]
-                    break
-        for fld in MANDATORY_FIELDS:
-            if fld not in indices:
-                raise MissingColumn(fld, path)
-
+        reader, indices = _read_header(fh, path, column_map, MANDATORY_FIELDS,
+                                       delimiter, "file")
         records = []
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            get = lambda f: row[indices[f]] if f in indices and indices[f] < len(row) else None
-            rid = row_num - 2
-            if "id" in indices and get("id") not in (None, ""):
-                rid = int(_parse_value(get("id"), int, row_num, "id", path))
-            epoch_max = None
-            if "epoch_max" in indices:
-                raw = get("epoch_max")
-                if raw is not None and raw.strip() not in ("", "nan", "NaN"):
-                    epoch_max = _parse_value(raw, float, row_num, "epoch_max", path)
-            phi31_sigma = 0.0
-            if "phi31_sigma" in indices and get("phi31_sigma") not in (None, ""):
-                phi31_sigma = _parse_value(get("phi31_sigma"), float, row_num,
-                                           "phi31_sigma", path)
+        for row_num, row in _data_rows(reader, indices):
+            get = lambda f: row[indices[f]] if f in indices else ""
+            value = lambda f, kind=float: _parse_value(get(f), kind, row_num, f, path)
+            rid = value("id", int) if get("id") else row_num - 2
+            epoch_max = (value("epoch_max") if get("epoch_max").strip()
+                         not in ("", "nan", "NaN") else None)
+            phi31_sigma = value("phi31_sigma") if get("phi31_sigma") else 0.0
             records.append(StarRecord(
-                id=rid,
-                source_id=int(_parse_value(get("source_id"), int, row_num, "source_id", path)),
-                period=_parse_value(get("period"), float, row_num, "period", path),
-                amp_g=_parse_value(get("amp_g"), float, row_num, "amp_g", path),
-                n_epochs=int(_parse_value(get("n_epochs"), int, row_num, "n_epochs", path)),
-                feh=_parse_value(get("feh"), float, row_num, "feh", path),
-                feh_sigma=_parse_value(get("feh_sigma"), float, row_num, "feh_sigma", path),
-                phi31_sigma=phi31_sigma,
-                epoch_max=epoch_max,
-            ))
+                id=rid, source_id=value("source_id", int), period=value("period"),
+                amp_g=value("amp_g"), n_epochs=value("n_epochs", int), feh=value("feh"),
+                feh_sigma=value("feh_sigma"), phi31_sigma=phi31_sigma, epoch_max=epoch_max))
     if not records:
         raise EmptyCatalog(f"{path}: header only, no data rows")
     return records
@@ -203,41 +217,50 @@ def split_train_validation(records, spec=SplitSpec()):
     return train, valid
 
 
-def load_photometry(path, delimiter=None):
-    """Read per-star epoch photometry keyed by source_id.
+def _photometry_rows(reader, cols, path):
+    """The row parser: every value through `_parse_value`, so a bad value
+    raises `ParseError` with its row number and field."""
+    sids, times, mags = [], [], []
+    for row_num, row in _data_rows(reader, cols):
+        for out, fld, kind in ((sids, "source_id", int), (times, "time", float),
+                               (mags, "mag", float)):
+            out.append(_parse_value(row[cols[fld]], kind, row_num, fld, path))
+    return np.array(sids, dtype=np.int64), np.array(times), np.array(mags)
 
-    Expected columns: source_id, time_bjd, mag_g (header required).
-    Returns dict source_id -> list of (time, mag), unsorted.
+
+def load_photometry(path, delimiter=None):
+    """Read per-star epoch photometry: dict source_id -> `LightCurve`.
+
+    Columns: source_id, time_bjd, mag_g or an alias (header required). Keys
+    ascend; each curve's times and mags are views sorted by (time, mag).
+    One `np.loadtxt` call parses the body. Input it rejects (quoted fields,
+    blank-looking or short rows, float-formatted ids) or a non-finite value
+    goes through the row parser instead, which raises `ParseError`.
     """
-    by_star = {}
     with open(path, newline="") as fh:
-        sample = fh.read(4096)
-        fh.seek(0)
-        delim = delimiter or _sniff_delimiter(sample.splitlines()[0] if sample else ",")
-        reader = csv.reader(fh, delimiter=delim)
+        reader, cols = _read_header(fh, path, PHOTOMETRY_COLUMN_MAP,
+                                    PHOTOMETRY_COLUMN_MAP, delimiter, "photometry file")
+        delim = reader.dialect.delimiter
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyCatalog(f"{path}: empty photometry file")
-        lookup = {h.strip().lower(): i for i, h in enumerate(header)}
-        cols = {}
-        for fld, aliases in (("source_id", ("source_id",)),
-                             ("time", ("time_bjd", "time", "bjd", "t")),
-                             ("mag", ("mag_g", "mag", "g_mag", "magnitude"))):
-            for alias in aliases:
-                if alias in lookup:
-                    cols[fld] = lookup[alias]
-                    break
-            else:
-                raise MissingColumn(fld, path)
-        for row_num, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            sid = int(_parse_value(row[cols["source_id"]], int, row_num, "source_id", path))
-            t = _parse_value(row[cols["time"]], float, row_num, "time", path)
-            m = _parse_value(row[cols["mag"]], float, row_num, "mag", path)
-            by_star.setdefault(sid, []).append((t, m))
-    return by_star
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)   # header only
+                body = np.loadtxt(fh, delimiter=delim, dtype=_PHOTOMETRY_DTYPE,
+                                  usecols=[cols[f] for f in PHOTOMETRY_COLUMN_MAP],
+                                  comments=None, ndmin=1)
+            sids, times, mags = body["source_id"], body["time"], body["mag"]
+            if not (np.isfinite(times).all() and np.isfinite(mags).all()):
+                raise ValueError("non-finite value")
+        except ValueError:
+            fh.seek(0)
+            reader = csv.reader(fh, delimiter=delim)
+            next(reader)
+            sids, times, mags = _photometry_rows(reader, cols, path)
+    order = np.lexsort((mags, times, sids))
+    sids, times, mags = sids[order], times[order], mags[order]
+    ids, starts = np.unique(sids, return_index=True)
+    bounds = np.append(starts, len(sids)).tolist()
+    return {sid: LightCurve(sid, times[lo:hi], mags[lo:hi])
+            for sid, lo, hi in zip(ids.tolist(), bounds[:-1], bounds[1:])}
 
 
 def join_photometry(records, photometry_path, delimiter=None):
@@ -252,13 +275,11 @@ def join_photometry(records, photometry_path, delimiter=None):
         raise OrphanStar(orphans)
     pairs = []
     for rec in records:
-        points = sorted(by_star[rec.source_id])
-        times = np.array([p[0] for p in points], dtype=np.float64)
-        mags = np.array([p[1] for p in points], dtype=np.float64)
-        if len(times) > 1 and np.any(np.diff(times) <= 0):
-            idx = int(np.argmax(np.diff(times) <= 0))
-            raise DuplicateEpoch(rec.source_id, times[idx])
-        pairs.append((rec, LightCurve(rec.source_id, times, mags)))
+        curve = by_star[rec.source_id]
+        repeated = np.diff(curve.times) <= 0
+        if repeated.any():
+            raise DuplicateEpoch(rec.source_id, curve.times[int(np.argmax(repeated))])
+        pairs.append((rec, curve))
     return pairs
 
 

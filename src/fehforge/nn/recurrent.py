@@ -124,12 +124,12 @@ class GRU(Layer):
             h_new += hh
             if pad is not None:
                 np.copyto(h_new, h, where=pad[t])
-        self._cache = (xt, H, ZR, HH, HPh, pad)
+        self._cache = (xt, H, ZR, HH, HPh, pad) if training else None
         self.mask_out = mask if self.return_sequences else None
         return H[1:].transpose(1, 0, 2) if self.return_sequences else H[T]
 
     def backward(self, dy):
-        xt, H, ZR, HH, HPh, pad = self._cache
+        xt, H, ZR, HH, HPh, pad = self._saved()
         UT = self.params["U"].T
         T, B, n = HH.shape
         dHP = np.empty((T, B, 3 * n))     # gradient at h U + b_rec
@@ -229,12 +229,12 @@ class LSTM(Layer):
             if pad is not None:
                 np.copyto(H[t + 1], H[t], where=pad[t])
                 np.copyto(c, C[t], where=pad[t])
-        self._cache = (xt, H, C, A, TC, pad)
+        self._cache = (xt, H, C, A, TC, pad) if training else None
         self.mask_out = mask if self.return_sequences else None
         return H[1:].transpose(1, 0, 2) if self.return_sequences else H[T]
 
     def backward(self, dy):
-        xt, H, C, A, TC, pad = self._cache
+        xt, H, C, A, TC, pad = self._saved()
         UT = self.params["U"].T
         T, B, n = TC.shape
         dA = np.empty((T, B, 4 * n))      # gradient at the gate pre-activations

@@ -1,8 +1,14 @@
+import csv
+import os
+import tempfile
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fehforge import catalog
 from fehforge.catalog import (LightCurve, SelectionCriteria, SplitSpec,
                               StarRecord, apply_selection, join_photometry,
                               load_catalog, load_photometry,
@@ -170,3 +176,179 @@ def test_split_partition_property(ids, seed):
     assert len(train) + len(valid) == len(records)
     assert {r.source_id for r in train}.isdisjoint(
         {r.source_id for r in valid})
+
+
+# --- exact integers, short rows, the two photometry parsers -----------------
+
+@pytest.mark.parametrize("raw, value", [
+    ("12", 12), (" 12 ", 12), ("+5", 5), ("-0", 0), ("12.0", 12), ("1e3", 1000),
+    ("5937126236232323456", 5937126236232323456),
+    ("9223372036854775807", 2 ** 63 - 1), ("-9223372036854775808", -2 ** 63),
+    ("9007199254740992.0", 2 ** 53),
+])
+def test_parse_int_is_exact(raw, value):
+    assert catalog._parse_value(raw, int, 2, "source_id", None) == value
+
+
+@pytest.mark.parametrize("raw", [
+    "12.5", "1e-3", "nan", "inf", "1e300", "9007199254740993.0",
+    "4503599627370496.5", "9223372036854775808", "-9223372036854775809", "", "x",
+])
+def test_parse_int_rejects_inexact_or_out_of_range(raw):
+    with pytest.raises(ParseError) as err:
+        catalog._parse_value(raw, int, 7, "source_id", None)
+    assert err.value.row == 7 and err.value.field == "source_id"
+
+
+def test_load_catalog_short_row_is_parse_error(tmp_path):
+    path = tmp_path / "cat.csv"
+    path.write_text("source_id,period,amp_g,n_epochs,feh,feh_sigma\n"
+                    "1,0.5,1.0,60,-1.0,0.2\n\n"
+                    "2,0.5,1.0\n")
+    with pytest.raises(ParseError) as err:
+        load_catalog(path)
+    assert (err.value.row, err.value.field) == (4, "n_epochs")
+
+
+def reference_photometry(path, delimiter):
+    """The original algorithm: csv rows, Python int/float, sorted (t, m)
+    tuples per star."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh, delimiter=delimiter))
+    header = [h.strip().lower() for h in rows[0]]
+    cols = [header.index(name) for name in ("source_id", "time_bjd", "mag_g")]
+    by_star = {}
+    for row in rows[1:]:
+        if row and any(c.strip() for c in row):
+            sid, t, m = (row[i].strip() for i in cols)
+            sid = int(sid) if sid.lstrip("+-").isdigit() else int(float(sid))
+            by_star.setdefault(sid, []).append((float(t), float(m)))
+    return {sid: (np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+            for sid, pts in ((s, sorted(p)) for s, p in by_star.items())}
+
+
+def parse_both(path, delimiter=None):
+    """(fast result, whether it fell back, row-parser result)."""
+    spy = mock.patch.object(catalog, "_photometry_rows",
+                            wraps=catalog._photometry_rows)
+    with spy as rows:
+        fast = load_photometry(path, delimiter)
+    with mock.patch.object(catalog.np, "loadtxt", side_effect=ValueError):
+        slow = load_photometry(path, delimiter)
+    return fast, rows.called, slow
+
+
+def assert_same_curves(got, expected):
+    assert list(got) == sorted(expected)
+    for sid, curve in got.items():
+        assert isinstance(curve, LightCurve) and curve.source_id == sid
+        for arr, ref in zip((curve.times, curve.mags), expected[sid]):
+            assert arr.dtype == np.float64 and arr.tobytes() == ref.tobytes()
+
+
+GAIA_IDS = (5937126236232323456, 5937126236232323457)
+ROWS = [(GAIA_IDS[1], 2.5, 15.25), (7, 1.0, 16.5), (GAIA_IDS[0], 2.5, 15.0),
+        (7, 0.5, -0.0), (GAIA_IDS[1], -1.0e-7, 14.75), (7, 3.0, 16.0),
+        (7, 1.0, 15.5)]     # a repeated time: the magnitude breaks the tie
+
+
+def write_table(path, rows, order=(0, 1, 2), delim=",", eol="\n", fmt=repr):
+    names = ("source_id", "time_bjd", "mag_g")
+    lines = [delim.join(names[i] for i in order)]
+    lines += [delim.join(str(r[0]) if i == 0 else fmt(r[i]) for i in order)
+              for r in rows]
+    path.write_text(eol.join(lines) + eol, newline="")
+
+
+@pytest.mark.parametrize("delim", [",", ";", "\t", "|"])
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+def test_fast_parse_matches_row_parser(tmp_path, delim, order, eol):
+    path = tmp_path / "phot.txt"
+    write_table(path, ROWS, order, delim, eol)
+    fast, fell_back, slow = parse_both(path)
+    assert not fell_back
+    expected = reference_photometry(path, delim)
+    assert set(expected) == {7, *GAIA_IDS}
+    assert_same_curves(fast, expected)
+    assert_same_curves(slow, expected)
+
+
+@pytest.mark.parametrize("edit, falls_back", [
+    (lambda text: text.replace("\n7,", '\n"7",', 1), True),      # quoted field
+    (lambda text: text.replace("\n7,", "\n7.0,", 1), True),      # float id
+    (lambda text: text.replace("\n7,", "\n   \n7,", 1), True),   # whitespace row
+    (lambda text: text + "\t\n", True),                         # tab-only row
+    (lambda text: text.replace("\n7,", "\n\n\n7,", 1), False),   # blank rows
+], ids=["quoted", "float_id", "whitespace_row", "tab_row", "blank_rows"])
+def test_fallback_input_gives_the_same_curves(tmp_path, edit, falls_back):
+    path = tmp_path / "phot.csv"
+    write_table(path, ROWS)
+    path.write_text(edit(path.read_text()), newline="")
+    fast, fell_back, slow = parse_both(path)
+    assert fell_back == falls_back
+    expected = reference_photometry(path, ",")
+    assert_same_curves(fast, expected)
+    assert_same_curves(slow, expected)
+
+
+@pytest.mark.parametrize("bad, field", [
+    ("7,nan,16.0", "time"), ("7,1.5,inf", "mag"), ("7,-inf,16.0", "time"),
+    ("7,1.5,NaN", "mag"), ("#7,1.5,16.0", "source_id"), ("7,1.5", "mag"),
+    ("7.5,1.5,16.0", "source_id"), ("99999999999999999999,1.5,16.0", "source_id"),
+])
+def test_bad_photometry_row_reports_its_row(tmp_path, bad, field):
+    path = tmp_path / "phot.csv"
+    path.write_text("source_id,time_bjd,mag_g\n7,0.5,16.0\n\n\n" + bad
+                    + "\n7,2.5,16.1\n")
+    with pytest.raises(ParseError) as err:
+        load_photometry(path)
+    assert (err.value.row, err.value.field) == (5, field)
+
+
+def test_header_only_photometry_is_empty(tmp_path):
+    path = tmp_path / "phot.csv"
+    path.write_text("source_id,time_bjd,mag_g\n")
+    assert load_photometry(path) == {}
+
+
+def test_load_photometry_missing_column(tmp_path):
+    path = tmp_path / "phot.csv"
+    path.write_text("source_id,time_bjd,flux\n1,2.0,3.0\n")
+    with pytest.raises(MissingColumn, match="'mag'"):
+        load_photometry(path)
+
+
+def _number(draw_float):
+    return st.one_of(
+        st.builds(repr, draw_float), st.builds("{:.6e}".format, draw_float),
+        st.builds("{:.3f}".format, draw_float), st.builds("{:.17g}".format, draw_float))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-3, 0, 12, 2 ** 62, *GAIA_IDS]),
+                          _number(st.floats(-1e9, 1e9, allow_subnormal=True)),
+                          _number(st.floats(-50, 50))),
+                min_size=1, max_size=40),
+       st.permutations((0, 1, 2)), st.sampled_from([",", ";", "\t", "|"]),
+       st.sampled_from(["\n", "\r\n"]), st.lists(st.booleans(), max_size=40),
+       st.booleans())
+def test_random_tables_parse_alike(rows, order, delim, eol, blanks, quote):
+    names = ("source_id", "time_bjd", "mag_g")
+    lines = [delim.join(names[i] for i in order)]
+    for k, row in enumerate(rows):
+        if k < len(blanks) and blanks[k]:
+            lines.append("")
+        cells = [str(row[0]), row[1], row[2]]
+        if quote and k == len(rows) - 1:
+            cells[1] = f'"{cells[1]}"'
+        lines.append(delim.join(cells[i] for i in order))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "phot.txt")
+        with open(path, "w", newline="") as fh:
+            fh.write(eol.join(lines) + eol)
+        fast, fell_back, slow = parse_both(path, delim)
+        expected = reference_photometry(path, delim)
+    assert fell_back == quote
+    assert_same_curves(fast, expected)
+    assert_same_curves(slow, expected)

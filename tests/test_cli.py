@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import os
 import shutil
 
@@ -7,6 +8,7 @@ import pytest
 import yaml
 
 from fehforge import preprocess
+from fehforge.catalog import apply_selection
 from fehforge.cli import DEFAULT_CONFIG, load_config, main
 from fehforge.container import (load_curves, load_dataset, load_weights,
                                 save_weights)
@@ -212,3 +214,55 @@ def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section)
     assert main([command, "--config", str(config), "--output", work]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_adjacent_gaia_ids_stay_two_stars(tmp_path):
+    """Two real Gaia DR3 ids one apart that a double cannot tell apart keep
+    their exact values through ingest, the curve containers and predict."""
+    gaia = (5937126236232323456, 5937126236232323457)
+    pairs, _ = make_corpus(60, seed=8)
+    accepted, _ = apply_selection([rec for rec, _ in pairs])
+    chosen = {accepted[0].source_id: gaia[0], accepted[1].source_id: gaia[1]}
+    pairs = [(dataclasses.replace(rec, source_id=chosen.get(rec.source_id,
+                                                            rec.source_id)), lc)
+             for rec, lc in pairs]
+    catalog, photometry = write_corpus_files(tmp_path / "in", pairs)
+    out = str(tmp_path / "out")
+    config = tmp_path / "fixed.yaml"
+    config.write_text(yaml.safe_dump({"preprocess": {"lambda_strategy": "fixed"}}))
+    assert main(["ingest", "--catalog", str(catalog), "--photometry",
+                 str(photometry), "--output", out, "--seed", "1"]) == 0
+    ingested = {r.source_id: len(lc) for side in ("train", "validation")
+                for r, lc in load_curves(os.path.join(out, f"curves_{side}.zip"))[0]}
+    by_id = {rec.source_id: len(lc) for rec, lc in pairs}
+    assert {sid: ingested[sid] for sid in gaia} == {sid: by_id[sid] for sid in gaia}
+    assert main(["preprocess", "--output", out, "--variant", "full",
+                 "--config", str(config)]) == 0
+    assert main(["train", "--output", out, "--model", "gru", "--variant", "full",
+                 "--epochs", "1", "--batch-size", "16"]) == 0
+    predicted = set()
+    for side in ("train", "validation"):
+        preds = str(tmp_path / f"preds_{side}.csv")
+        assert main(["predict", "--output", out,
+                     "--snapshot", os.path.join(out, "snapshots", "gru_full.zip"),
+                     "--input", os.path.join(out, "datasets", f"full_{side}.zip"),
+                     "--predictions-out", preds]) == 0
+        with open(preds) as fh:
+            predicted |= {int(r["source_id"]) for r in csv.DictReader(fh)}
+    assert set(gaia) <= predicted
+
+
+@pytest.mark.parametrize("which", ["catalog", "photometry"])
+def test_exit_code_short_row(corpus, tmp_path, capsys, which):
+    catalog, photometry = corpus
+    paths = {"catalog": catalog, "photometry": photometry}
+    bad = tmp_path / f"{which}.csv"
+    text = open(paths[which]).read()
+    first_id = text.splitlines()[1].split(",")[0]
+    bad.write_text(text + f"{first_id},3.0\n")     # a row that stops short
+    paths[which] = str(bad)
+    assert main(["ingest", "--catalog", paths["catalog"], "--photometry",
+                 paths["photometry"], "--output", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    row = len(text.splitlines()) + 1
+    assert err.startswith(f"error: row {row}: ") and "Traceback" not in err

@@ -100,7 +100,7 @@ def test_bidirectional_grads(rng):
     x = rng.normal(size=(2, 5, 2))
     mask = np.ones((2, 5), dtype=bool)
     mask[0, 3:] = False
-    out = bi.forward(x, mask=mask)
+    out = bi.forward(x, mask=mask, training=True)
     R = rng.normal(size=out.shape)
     for _, child in bi.children():
         for key in child.grads:
@@ -231,7 +231,7 @@ def test_time_loop_matches_per_step_reference(rng, cls, reference,
         mask[0, 7:] = False
         mask[3, 2:] = False
         mask[4, 5:9] = False        # a gap, not only a padded tail
-    out = layer.forward(x, mask=mask if masked else None)
+    out = layer.forward(x, mask=mask if masked else None, training=True)
     dy = rng.normal(size=out.shape)
     dx = layer.backward(dy)
     ref_out, ref_grads, ref_dx = reference(layer.params, x,
@@ -249,9 +249,23 @@ def test_time_loop_matches_per_step_reference(rng, cls, reference,
 def test_all_valid_mask_is_bit_identical_to_none(rng, cls, return_sequences):
     layer = cls(2, 4, rng, return_sequences=return_sequences)
     x = rng.normal(size=(3, 8, 2))
-    out_none = layer.forward(x, mask=None).copy()
+    out_none = layer.forward(x, mask=None, training=True).copy()
     dx_none = layer.backward(np.ones_like(out_none)).copy()
-    out_mask = layer.forward(x, mask=np.ones((3, 8), dtype=bool))
+    out_mask = layer.forward(x, mask=np.ones((3, 8), dtype=bool), training=True)
     dx_mask = layer.backward(np.ones_like(out_mask))
     np.testing.assert_array_equal(out_mask, out_none)
     np.testing.assert_array_equal(dx_mask, dx_none)
+
+
+@pytest.mark.parametrize("cls", [GRU, LSTM])
+def test_backward_needs_a_training_forward(rng, cls):
+    layer = cls(2, 4, rng, return_sequences=True)
+    x = rng.normal(size=(3, 8, 2))
+    out = layer.forward(x)
+    assert layer._cache is None
+    with pytest.raises(RuntimeError, match="training=True"):
+        layer.backward(np.ones_like(out))
+    layer.forward(x, training=True)
+    layer.backward(np.ones_like(out))
+    layer.forward(x)
+    assert layer._cache is None
