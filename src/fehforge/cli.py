@@ -8,14 +8,15 @@ defaults. Every run writes its effective config snapshot into the output
 directory, and rerunning from that snapshot reproduces the outputs
 (bit-identical with --threads 1).
 
-Exit codes:
+Exit codes: an error exits with its class's `exit_code` (see `errors`):
     0  success
-    1  unclassified pipeline error
-    2  missing input file
-    3  malformed input (missing column, parse error, empty catalog,
-       configuration value out of range)
-    4  degenerate data (bad split, too few points, diverged loss, ...)
-    5  integrity mismatch (snapshot/spec hash, wrong container kind)
+    2  missing input file (`MissingInput`, `FileNotFoundError`)
+    3  malformed input (`MalformedInput`: missing column, parse error,
+       empty catalog, configuration value out of range)
+    4  degenerate data (`DegenerateData`: bad split, too few points,
+       diverged loss, ...)
+    5  integrity mismatch (`IntegrityError`: snapshot/spec hash, wrong
+       container kind, misaligned rows)
 """
 from __future__ import annotations
 
@@ -30,24 +31,9 @@ import yaml
 
 from . import catalog as cat
 from . import container, evaluate, preprocess, weighting
-from .errors import (DegenerateBatch, DegenerateDistribution, DegenerateSplit,
-                     DivergedLoss, DuplicateEpoch, EmptyCatalog, FehForgeError,
-                     InsufficientPoints, IntegrityError, InvalidConfig,
-                     MissingColumn, MissingInput, NonPositiveWeightSum,
-                     OrphanStar, ParseError, SingularFit, TooFewSamples,
-                     ZeroDensity, ZeroVariance)
+from .errors import FehForgeError, IntegrityError, InvalidConfig, MissingInput
 from .preprocess import PreprocessConfig, Variant
 from .zoo import KINDS, build_default
-
-EXIT_CODES = (
-    ((MissingInput, FileNotFoundError), 2),
-    ((MissingColumn, ParseError, EmptyCatalog, InvalidConfig), 3),
-    ((DegenerateSplit, DegenerateDistribution, DegenerateBatch,
-      InsufficientPoints, SingularFit, TooFewSamples, ZeroVariance,
-      ZeroDensity, DivergedLoss, NonPositiveWeightSum, OrphanStar,
-      DuplicateEpoch), 4),
-    ((IntegrityError,), 5),
-)
 
 DEFAULT_CONFIG = {
     "paths": {"catalog": None, "photometry": None, "output_dir": None},
@@ -71,24 +57,42 @@ DEFAULT_CONFIG = {
 VARIANTS = {v.value: v for v in Variant}
 
 
-def _deep_merge(base, override):
-    out = copy.deepcopy(base)
-    for key, value in (override or {}).items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = copy.deepcopy(value)
-    return out
+def _merge(base, override, name="config"):
+    """`base` updated from `override`, each value read as the type of the
+    one it replaces; InvalidConfig for a key that `base` lacks or a value
+    that cannot be read so."""
+    if isinstance(base, dict):
+        if not isinstance(override, dict):
+            raise InvalidConfig(f"{name} must be a mapping, got {override!r}")
+        unknown = [key for key in override if key not in base]
+        if unknown:
+            raise InvalidConfig(f"unknown config key(s) {unknown} in {name}")
+        return {key: _merge(val, override[key], f"{name}.{key}")
+                if key in override else copy.deepcopy(val)
+                for key, val in base.items()}
+    try:
+        if isinstance(base, list):
+            return [type(base[0])(v) for v in override]
+        return override if base is None else type(base)(override)
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(f"{name}: cannot read {override!r} as "
+                            f"{type(base).__name__}") from exc
 
 
 def load_config(path=None, overrides=None):
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """DEFAULT_CONFIG < the YAML file at `path` < `overrides`, checked: a
+    key, type or choice outside DEFAULT_CONFIG raises InvalidConfig."""
+    cfg = DEFAULT_CONFIG
     if path:
         if not os.path.exists(path):
             raise MissingInput(f"config file not found: {path}")
         with open(path) as fh:
-            cfg = _deep_merge(cfg, yaml.safe_load(fh) or {})
-    cfg = _deep_merge(cfg, overrides or {})
+            cfg = _merge(cfg, yaml.safe_load(fh) or {})
+    cfg = _merge(cfg, overrides or {})
+    for key, allowed in (("variant", list(VARIANTS)), ("model", list(KINDS))):
+        if cfg[key] not in allowed + ["all"]:
+            raise InvalidConfig(f"unknown {key} {cfg[key]!r}; choose from "
+                                f"{', '.join(allowed)} or all")
     if cfg["paths"]["output_dir"] is None:
         cfg["paths"]["output_dir"] = os.environ.get("FEH_FORGE_OUT",
                                                     "fehforge_out")
@@ -107,26 +111,14 @@ def _write_config_snapshot(cfg):
 
 
 def _train_config(cfg):
-    t = cfg["train"]
-    return evaluate.TrainConfig(
-        batch_size=int(t["batch_size"]), learning_rate=float(t["learning_rate"]),
-        max_epochs=int(t["max_epochs"]), patience=int(t["patience"]),
-        folds=int(t["folds"]), repeats=int(t["repeats"]), bins=int(t["bins"]),
-        seed=int(cfg["seed"]), threads=int(cfg["threads"]))
-
-
-def _preprocess_config(cfg):
-    p = cfg["preprocess"]
-    return PreprocessConfig(resample_length=int(p["resample_length"]),
-                            lambda_strategy=p["lambda_strategy"],
-                            lam=float(p["lam"]),
-                            pad_value=float(p["pad_value"]))
+    return evaluate.TrainConfig(**cfg["train"], seed=cfg["seed"],
+                                threads=cfg["threads"])
 
 
 def _model_spec(cfg, kind=None):
     kind = kind or cfg["model"]
     if kind not in KINDS:
-        raise FehForgeError(f"unknown model kind {kind!r}; choose from {KINDS}")
+        raise InvalidConfig(f"unknown model kind {kind!r}; choose from {KINDS}")
     return build_default(kind)
 
 
@@ -152,8 +144,7 @@ def cmd_ingest(cfg):
     print(f"accepted {len(accepted)} rejected {len(rejected)}")
     if accepted:
         pairs = cat.join_photometry(accepted, photometry_path)
-        split = cat.SplitSpec(train_fraction=float(cfg["split"]["train_fraction"]),
-                              seed=int(cfg["seed"]))
+        split = cat.SplitSpec(**cfg["split"], seed=cfg["seed"])
         train_recs, val_recs = cat.split_train_validation(
             [rec for rec, _ in pairs], split)
         by_id = {rec.source_id: (rec, lc) for rec, lc in pairs}
@@ -180,7 +171,7 @@ def _weights_path(cfg, variant, side):
 
 def cmd_preprocess(cfg):
     _write_config_snapshot(cfg)
-    pconfig = _preprocess_config(cfg)
+    pconfig = PreprocessConfig(**cfg["preprocess"])
     variants = (list(VARIANTS) if cfg["variant"] == "all"
                 else [cfg["variant"]])
     sides = {}
@@ -407,10 +398,7 @@ def main(argv=None):
         raise AssertionError(args.command)
     except (FehForgeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for classes, code in EXIT_CODES:
-            if isinstance(exc, classes):
-                return code
-        return 1
+        return getattr(exc, "exit_code", 2)     # FileNotFoundError: 2
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
-"""Deterministic on-disk containers for datasets and model snapshots.
+"""Deterministic on-disk containers for curves, datasets, weights and model
+snapshots.
 
-Files are zip archives of .npy members plus a JSON manifest, written with
-fixed member timestamps and no compression so a rerun with identical
-content produces byte-identical files. All writes go through a temp file
-and an atomic rename.
+Every container is a zip archive of .npy members plus a JSON manifest that
+names its kind, written and read by one codec (`write_container`,
+`read_container`) with fixed member timestamps and no compression, so a
+rerun with identical content produces byte-identical files. All writes go
+through a temp file and an atomic rename. The `save_*`/`load_*` pairs only
+map each kind's fields onto arrays and manifest entries.
 """
 from __future__ import annotations
 
@@ -85,94 +88,87 @@ def atomic_open(path, mode="w", **kwargs):
         raise
 
 
-def _write_zip(path, members):
-    """members: list of (name, bytes). Deterministic output, atomic rename."""
-    with atomic_open(path, "wb") as fh:
-        with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-            for name, data in members:
-                info = zipfile.ZipInfo(name, date_time=_EPOCH)
-                info.external_attr = 0o644 << 16
-                zf.writestr(info, data)
+def write_container(path, kind, arrays, manifest=None,
+                    manifest_name="manifest.json"):
+    """Write a `kind` container: the JSON manifest (format version, kind and
+    `manifest`) as `manifest_name`, then each of `arrays` (name -> array) as
+    `<name>.npy`, in order. Deterministic bytes, atomic rename."""
+    head = dict(manifest or {}, format_version=FORMAT_VERSION, kind=kind)
+    members = [(manifest_name, json.dumps(head, sort_keys=True, indent=1).encode())]
+    members += [(f"{name}.npy", _npy_bytes(arr)) for name, arr in arrays.items()]
+    with atomic_open(path, "wb") as fh, \
+            zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+        for name, data in members:
+            info = zipfile.ZipInfo(name, date_time=_EPOCH)
+            info.external_attr = 0o644 << 16
+            zf.writestr(info, data)
 
 
-@contextlib.contextmanager
-def _open_container(path, kind, member="manifest.json"):
-    """The open zip archive of the `kind` container at `path`, with its JSON
-    manifest. MissingInput if there is no file; IntegrityError if it is not
-    a sound zip archive or its manifest names another kind."""
+def read_container(path, kind, names=None, manifest_name="manifest.json"):
+    """(manifest, arrays) of the `kind` container at `path`. `arrays` maps
+    each of `names` (default: every .npy member) to its array. MissingInput
+    if there is no file; IntegrityError if it is not a sound zip archive, its
+    manifest names another kind, or a member is missing or unreadable."""
     if not os.path.exists(path):
         raise MissingInput(f"{kind} container not found: {path}")
     try:
         with zipfile.ZipFile(path) as zf:
-            try:
-                manifest = json.loads(zf.read(member))
-            except KeyError:
-                manifest = {}
-            if manifest.get("kind") != kind:
+            manifest = json.loads(zf.read(manifest_name))
+            if not isinstance(manifest, dict) or manifest.get("kind") != kind:
                 raise IntegrityError(f"{path} is not a {kind} container")
-            yield zf, manifest
-    except zipfile.BadZipFile as exc:
-        raise IntegrityError(f"{path} is not a {kind} container: {exc}") from exc
+            if names is None:
+                names = [m[:-4] for m in zf.namelist() if m.endswith(".npy")]
+            arrays = {name: np.load(io.BytesIO(zf.read(f"{name}.npy")),
+                                    allow_pickle=False) for name in names}
+    except (zipfile.BadZipFile, KeyError, ValueError) as exc:
+        raise IntegrityError(f"{path} is not a sound {kind} container: "
+                             f"{exc}") from exc
+    return manifest, arrays
+
+
+_DATASET_ARRAYS = ("source_ids", "values", "mask", "targets")
 
 
 def save_dataset(path, dataset: ArrayDataset):
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": "dataset",
-        "variant": dataset.variant,
-        "count": len(dataset),
-        "length": int(dataset.values.shape[1]) if dataset.values.size else 0,
-        "meta": dataset.meta,
-    }
-    manifest["config_hash"] = config_hash(dataset.meta)
-    members = [
-        ("manifest.json", json.dumps(manifest, sort_keys=True, indent=1).encode()),
-        ("source_ids.npy", _npy_bytes(dataset.source_ids)),
-        ("values.npy", _npy_bytes(dataset.values)),
-        ("mask.npy", _npy_bytes(dataset.mask)),
-        ("targets.npy", _npy_bytes(dataset.targets)),
-    ]
-    _write_zip(path, members)
+    write_container(
+        path, "dataset",
+        {name: getattr(dataset, name) for name in _DATASET_ARRAYS},
+        {"variant": dataset.variant, "count": len(dataset),
+         "length": int(dataset.values.shape[1]) if dataset.values.size else 0,
+         "meta": dataset.meta, "config_hash": config_hash(dataset.meta)})
 
 
 def load_dataset(path) -> ArrayDataset:
-    with _open_container(path, "dataset") as (zf, manifest):
-        load = lambda name: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
-        return ArrayDataset(
-            source_ids=load("source_ids.npy"),
-            values=load("values.npy"),
-            mask=load("mask.npy"),
-            targets=load("targets.npy"),
-            variant=manifest["variant"],
-            meta=manifest.get("meta", {}),
-        )
+    manifest, arrays = read_container(path, "dataset", _DATASET_ARRAYS)
+    if (len({arr.shape[:1] for arr in arrays.values()}) != 1
+            or arrays["mask"].shape != arrays["values"].shape[:2]):
+        raise IntegrityError(
+            f"{path}: dataset arrays do not line up row for row "
+            + ", ".join(f"{k} {v.shape}" for k, v in arrays.items()))
+    return ArrayDataset(**arrays, variant=manifest["variant"],
+                        meta=manifest.get("meta", {}))
 
 
 def save_snapshot(path, model, extra_meta=None):
     """Persist a trained model: spec JSON plus every state array."""
     state = model.get_state()
-    meta = {
-        "format_version": FORMAT_VERSION,
-        "kind": "snapshot",
-        "spec": model.spec.to_json() if model.spec is not None else None,
-        "spec_hash": model.spec.spec_hash() if model.spec is not None else None,
-        "input_shape": list(model.input_shape) if model.input_shape else None,
-        "state_names": sorted(state),
-        "meta": dict(extra_meta or {}),
-    }
-    members = [("meta.json", json.dumps(meta, sort_keys=True, indent=1).encode())]
-    for name in sorted(state):
-        members.append((f"state/{name}.npy", _npy_bytes(state[name])))
-    _write_zip(path, members)
+    write_container(
+        path, "snapshot",
+        {f"state/{name}": state[name] for name in sorted(state)},
+        {"spec": model.spec.to_json() if model.spec is not None else None,
+         "spec_hash": model.spec.spec_hash() if model.spec is not None else None,
+         "input_shape": list(model.input_shape) if model.input_shape else None,
+         "state_names": sorted(state), "meta": dict(extra_meta or {})},
+        manifest_name="meta.json")
 
 
 def load_snapshot(path):
     """Returns (spec_json, input_shape, state_dict, meta)."""
-    with _open_container(path, "snapshot", member="meta.json") as (zf, meta):
-        state = {}
-        for name in meta["state_names"]:
-            state[name] = np.load(io.BytesIO(zf.read(f"state/{name}.npy")),
-                                  allow_pickle=False)
+    meta, arrays = read_container(path, "snapshot", manifest_name="meta.json")
+    state = {name[len("state/"):]: arr for name, arr in arrays.items()}
+    if sorted(state) != meta.get("state_names"):
+        raise IntegrityError(f"{path}: snapshot state arrays differ from "
+                             f"the state names in its manifest")
     return meta["spec"], meta["input_shape"], state, meta
 
 
@@ -191,71 +187,55 @@ def restore_model(path):
     return model
 
 
+# curves member -> StarRecord field, in member order: int64 ids and epoch
+# counts, float64 otherwise, with NaN for an unknown epoch_max
+_CURVE_FIELDS = {"source_ids": "source_id", "periods": "period",
+                 "amp_g": "amp_g", "n_epochs": "n_epochs", "feh": "feh",
+                 "feh_sigma": "feh_sigma", "phi31_sigma": "phi31_sigma",
+                 "epoch_max": "epoch_max"}
+
+
 def save_curves(path, pairs, meta=None):
     """Persist (StarRecord, LightCurve) pairs as a ragged-array container."""
-    n = len(pairs)
+    arrays = {name: np.array(
+                  [np.nan if getattr(r, field) is None else getattr(r, field)
+                   for r, _ in pairs],
+                  np.int64 if name in ("source_ids", "n_epochs") else np.float64)
+              for name, field in _CURVE_FIELDS.items()}
     lengths = np.array([len(lc) for _, lc in pairs], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    times = np.concatenate([lc.times for _, lc in pairs]) if n else np.zeros(0)
-    mags = np.concatenate([lc.mags for _, lc in pairs]) if n else np.zeros(0)
-    fields = {
-        "source_ids": np.array([r.source_id for r, _ in pairs], dtype=np.int64),
-        "periods": np.array([r.period for r, _ in pairs]),
-        "amp_g": np.array([r.amp_g for r, _ in pairs]),
-        "n_epochs": np.array([r.n_epochs for r, _ in pairs], dtype=np.int64),
-        "feh": np.array([r.feh for r, _ in pairs]),
-        "feh_sigma": np.array([r.feh_sigma for r, _ in pairs]),
-        "phi31_sigma": np.array([r.phi31_sigma for r, _ in pairs]),
-        "epoch_max": np.array([np.nan if r.epoch_max is None else r.epoch_max
-                               for r, _ in pairs]),
-        "offsets": offsets, "times": times, "mags": mags,
-    }
-    manifest = {"format_version": FORMAT_VERSION, "kind": "curves",
-                "count": n, "meta": dict(meta or {})}
-    members = [("manifest.json", json.dumps(manifest, sort_keys=True,
-                                            indent=1).encode())]
-    members += [(f"{name}.npy", _npy_bytes(arr)) for name, arr in fields.items()]
-    _write_zip(path, members)
+    arrays["offsets"] = np.concatenate([[0], np.cumsum(lengths)])
+    for name in ("times", "mags"):
+        arrays[name] = (np.concatenate([getattr(lc, name) for _, lc in pairs])
+                        if pairs else np.zeros(0))
+    write_container(path, "curves", arrays,
+                    {"count": len(pairs), "meta": dict(meta or {})})
 
 
 def load_curves(path):
     """Inverse of `save_curves`; returns (pairs, meta)."""
     from .catalog import LightCurve, StarRecord
 
-    with _open_container(path, "curves") as (zf, manifest):
-        load = lambda name: np.load(io.BytesIO(zf.read(f"{name}.npy")),
-                                    allow_pickle=False)
-        data = {name: load(name) for name in
-                ("source_ids", "periods", "amp_g", "n_epochs", "feh",
-                 "feh_sigma", "phi31_sigma", "epoch_max", "offsets",
-                 "times", "mags")}
+    manifest, data = read_container(
+        path, "curves", (*_CURVE_FIELDS, "offsets", "times", "mags"))
+    columns = {field: data[name].tolist() for name, field in _CURVE_FIELDS.items()}
+    columns["epoch_max"] = [None if np.isnan(em) else em
+                            for em in columns["epoch_max"]]
     pairs = []
     for i in range(manifest["count"]):
         lo, hi = data["offsets"][i], data["offsets"][i + 1]
-        em = data["epoch_max"][i]
-        rec = StarRecord(
-            id=i, source_id=int(data["source_ids"][i]),
-            period=float(data["periods"][i]), amp_g=float(data["amp_g"][i]),
-            n_epochs=int(data["n_epochs"][i]), feh=float(data["feh"][i]),
-            feh_sigma=float(data["feh_sigma"][i]),
-            phi31_sigma=float(data["phi31_sigma"][i]),
-            epoch_max=None if np.isnan(em) else float(em))
-        pairs.append((rec, LightCurve(rec.source_id,
-                                      data["times"][lo:hi],
+        rec = StarRecord(id=i, **{field: values[i]
+                                  for field, values in columns.items()})
+        pairs.append((rec, LightCurve(rec.source_id, data["times"][lo:hi],
                                       data["mags"][lo:hi])))
     return pairs, manifest.get("meta", {})
 
 
 def save_weights(path, source_ids, weights):
-    _write_zip(path, [
-        ("manifest.json", json.dumps({"format_version": FORMAT_VERSION,
-                                      "kind": "weights"}).encode()),
-        ("source_ids.npy", _npy_bytes(np.asarray(source_ids, dtype=np.int64))),
-        ("weights.npy", _npy_bytes(np.asarray(weights, dtype=np.float64))),
-    ])
+    write_container(path, "weights",
+                    {"source_ids": np.asarray(source_ids, dtype=np.int64),
+                     "weights": np.asarray(weights, dtype=np.float64)})
 
 
 def load_weights(path):
-    with _open_container(path, "weights") as (zf, _):
-        load = lambda name: np.load(io.BytesIO(zf.read(name)), allow_pickle=False)
-        return load("source_ids.npy"), load("weights.npy")
+    _, arrays = read_container(path, "weights", ("source_ids", "weights"))
+    return arrays["source_ids"], arrays["weights"]

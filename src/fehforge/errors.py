@@ -1,22 +1,44 @@
 """Exception hierarchy shared across the pipeline.
 
-Every error family maps to a distinct CLI exit code (see `cli.EXIT_CODES`).
+Each class carries the CLI exit code of its family as `exit_code`: every
+concrete error derives from one of the four family bases below.
 """
 
 
 class FehForgeError(Exception):
     """Base class for all pipeline errors."""
+    exit_code = 1
+
+
+class MissingInput(FehForgeError):
+    """An input file or path that does not exist."""
+    exit_code = 2
+
+
+class MalformedInput(FehForgeError):
+    """Input that cannot be read as what it claims to be."""
+    exit_code = 3
+
+
+class DegenerateData(FehForgeError):
+    """Well-formed input on which the computation is undefined."""
+    exit_code = 4
+
+
+class IntegrityError(FehForgeError):
+    """Snapshot or container does not match the model spec or kind it claims."""
+    exit_code = 5
 
 
 # --- configuration ---------------------------------------------------------
 
-class InvalidConfig(FehForgeError, ValueError):
+class InvalidConfig(MalformedInput, ValueError):
     """A configuration value outside its allowed range."""
 
 
 # --- catalog ---------------------------------------------------------------
 
-class MissingColumn(FehForgeError):
+class MissingColumn(MalformedInput):
     def __init__(self, column, path=None):
         self.column = column
         self.path = path
@@ -24,7 +46,7 @@ class MissingColumn(FehForgeError):
                          + (f" in {path}" if path else ""))
 
 
-class ParseError(FehForgeError):
+class ParseError(MalformedInput):
     def __init__(self, row, field, value, path=None):
         self.row = row
         self.field = field
@@ -34,21 +56,21 @@ class ParseError(FehForgeError):
             + (f" in {path}" if path else ""))
 
 
-class EmptyCatalog(FehForgeError):
+class EmptyCatalog(MalformedInput):
     pass
 
 
-class DegenerateSplit(FehForgeError):
+class DegenerateSplit(DegenerateData):
     pass
 
 
-class OrphanStar(FehForgeError):
+class OrphanStar(DegenerateData):
     def __init__(self, source_ids):
         self.source_ids = list(source_ids)
         super().__init__(f"no photometry for source_id(s): {self.source_ids}")
 
 
-class DuplicateEpoch(FehForgeError):
+class DuplicateEpoch(DegenerateData):
     def __init__(self, source_id, time):
         self.source_id = source_id
         self.time = time
@@ -57,68 +79,58 @@ class DuplicateEpoch(FehForgeError):
 
 # --- preprocess ------------------------------------------------------------
 
-class NonFinitePhase(FehForgeError):
+class NonFinitePhase(DegenerateData):
     pass
 
 
-class InsufficientPoints(FehForgeError):
+class InsufficientPoints(DegenerateData):
     pass
 
 
-class SingularFit(FehForgeError):
+class SingularFit(DegenerateData):
     pass
 
 
 # --- weighting -------------------------------------------------------------
 
-class DegenerateDistribution(FehForgeError):
+class DegenerateDistribution(DegenerateData):
     pass
 
 
-class ZeroDensity(FehForgeError):
+class ZeroDensity(DegenerateData):
     pass
 
 
 # --- neural nets -----------------------------------------------------------
 
-class ShapeMismatch(FehForgeError):
+class ShapeMismatch(MalformedInput):
     pass
 
 
-class DegenerateBatch(FehForgeError):
+class DegenerateBatch(DegenerateData):
     pass
 
 
-class InvalidRate(FehForgeError):
+class InvalidRate(MalformedInput):
     pass
 
 
-class NonPositiveWeightSum(FehForgeError):
+class NonPositiveWeightSum(DegenerateData):
     pass
 
 
 # --- evaluation ------------------------------------------------------------
 
-class ZeroVariance(FehForgeError):
+class ZeroVariance(DegenerateData):
     pass
 
 
-class TooFewSamples(FehForgeError):
+class TooFewSamples(DegenerateData):
     pass
 
 
-class DivergedLoss(FehForgeError):
+class DivergedLoss(DegenerateData):
     def __init__(self, epoch, loss):
         self.epoch = epoch
         self.loss = loss
         super().__init__(f"non-finite loss {loss!r} at epoch {epoch}")
-
-
-# --- io / integrity --------------------------------------------------------
-
-class MissingInput(FehForgeError):
-    pass
-
-
-class IntegrityError(FehForgeError):
-    """Snapshot or container does not match the model spec it claims."""

@@ -255,12 +255,8 @@ def predict(model, dataset: ArrayDataset):
 
 # --- cross-validation -------------------------------------------------------
 
-def _dataset_arrays(dataset: ArrayDataset):
-    return dataset.values, dataset.mask, dataset.targets
-
-
 def _run_fold(spec, dataset, weights, config, rep, fold, assignments):
-    X, mask, y = _dataset_arrays(dataset)
+    X, mask, y = dataset.values, dataset.mask, dataset.targets
     val_sel = assignments[rep] == fold
     tr_sel = ~val_sel
     seed_index = rep * config.folds + fold
@@ -306,8 +302,6 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
         rep, fold = job
         report, result = _run_fold(spec, dataset, weights, config, rep, fold,
                                    assignments)
-        # a fold's model still holds the activations of its last forward
-        # (recurrent layers keep them at inference too): free it unless asked
         return report, (result if return_models else None)
 
     if config.threads > 1:
@@ -370,8 +364,7 @@ def grid_search(spec: ModelSpec, dataset: ArrayDataset, weights,
 
 # --- model x variant matrix -------------------------------------------------
 
-def run_matrix(datasets, kinds, config: TrainConfig, weights_by_variant,
-               spec_overrides=None):
+def run_matrix(datasets, kinds, config: TrainConfig, weights_by_variant):
     """Train every model kind on every dataset variant; returns tidy rows
     (variant, model, metric, phase, mean, std) mirroring the full report
     matrix, ordered by variant then model."""
@@ -381,10 +374,7 @@ def run_matrix(datasets, kinds, config: TrainConfig, weights_by_variant,
     reports = {}
     for variant in sorted(datasets):
         for kind in kinds:
-            spec = build_default(kind)
-            if spec_overrides:
-                spec = spec.with_overrides(**spec_overrides.get(kind, {}))
-            report = cross_validate(spec, datasets[variant],
+            report = cross_validate(build_default(kind), datasets[variant],
                                     weights_by_variant[variant], config,
                                     variant=variant)
             reports[(variant, kind)] = report

@@ -82,7 +82,6 @@ class FeatureSeries:
 @dataclass(frozen=True)
 class PreprocessConfig:
     resample_length: int = 100
-    spline_degree: int = 3
     lambda_strategy: str = "gcv"   # "gcv" or "fixed"
     lam: float = 1e-4              # used when lambda_strategy == "fixed"
     pad_value: float = -1.0
@@ -287,10 +286,10 @@ def fit_smoothing_spline(curve: PhasedCurve, config: PreprocessConfig = Preproce
     leave it numerically unreliable raise `SingularFit`.
     """
     x, y = _dedupe(curve.phases, curve.mags)
-    if len(x) < config.spline_degree + 1:
+    if len(x) < 4:
         raise InsufficientPoints(
-            f"curve {curve.source_id}: {len(x)} distinct phases, "
-            f"need >= {config.spline_degree + 1}")
+            f"curve {curve.source_id}: {len(x)} distinct phases, a cubic "
+            f"spline needs >= 4")
     # wrap boundary points for a roughly periodic fit
     n_wrap = min(3, len(x))
     xe = np.concatenate([x[-n_wrap:] - 1.0, x, x[:n_wrap] + 1.0])

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 import yaml
 
-from fehforge import preprocess
+from fehforge import errors, preprocess
 from fehforge.catalog import apply_selection
 from fehforge.cli import DEFAULT_CONFIG, load_config, main
 from fehforge.container import (load_curves, load_dataset, load_weights,
-                                save_weights)
+                                save_snapshot, save_weights, write_container)
 from fehforge.synthetic import make_corpus, write_corpus_files
+from fehforge.zoo import build, build_default
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +139,42 @@ def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):
                  "--input", os.path.join(workspace, "datasets",
                                          "full_validation.zip")]) == 5
 
+
+@pytest.mark.parametrize("tamper", [
+    lambda arrays: arrays.pop("mask"),
+    lambda arrays: arrays.update(source_ids=arrays["source_ids"][:-1]),
+], ids=["no_mask", "short_source_ids"])
+def test_exit_code_predict_broken_dataset(workspace, tmp_path, capsys, tamper):
+    ds = load_dataset(os.path.join(workspace, "datasets", "full_validation.zip"))
+    arrays = {name: getattr(ds, name)
+              for name in ("source_ids", "values", "mask", "targets")}
+    tamper(arrays)
+    broken = tmp_path / "broken.zip"
+    write_container(broken, "dataset", arrays, {"variant": ds.variant})
+    snap = tmp_path / "snap.zip"
+    save_snapshot(snap, build(build_default("fcn"), (ds.length, 2), seed=0))
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--output", str(tmp_path), "--snapshot", str(snap),
+                 "--input", str(broken), "--predictions-out", str(out)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_every_error_class_exits_with_its_family_code():
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.FehForgeError)
+               and cls.__module__ == errors.__name__
+               and cls is not errors.FehForgeError]
+    assert len(classes) > 20
+    for cls in classes:
+        assert cls.exit_code in {2, 3, 4, 5}, cls.__name__
+    assert errors.NonFinitePhase.exit_code == 4
+    assert errors.ShapeMismatch.exit_code == 3
+    assert errors.InvalidRate.exit_code == 3
+    assert errors.FehForgeError.exit_code == 1
+
+
 def _cv_exit_code(workspace, tmp_path, tamper):
     """Exit code of a one-epoch GRU cv on a copy of the workspace whose
     full training weights `tamper(path)` has rewritten."""
@@ -199,13 +236,21 @@ def test_preprocess_all_fits_each_spline_once(corpus, tmp_path, monkeypatch):
 
 def test_unknown_model_rejected(workspace):
     assert main(["cv", "--output", workspace, "--model", "perceptron",
-                 "--variant", "full"]) == 1
+                 "--variant", "full"]) == 3
 
 
 @pytest.mark.parametrize("command, section", [
     ("preprocess", {"preprocess": {"lam": -1.0}}),
     ("train", {"train": {"batch_size": 0}}),
-], ids=["negative_lam", "zero_batch_size"])
+    ("preprocess", {"variant": "bogus"}),
+    ("ingest", {"selection": {"max_feh_sgma": 0.3}}),
+    ("ingest", {"split": {"train_fraction": "abc"}}),
+    ("train", {"train": {"batch_size": "x"}}),
+    ("preprocess", ["not", "a", "mapping"]),
+    ("cv", {"model": "nosuch"}),
+], ids=["negative_lam", "zero_batch_size", "unknown_variant", "unknown_key",
+        "train_fraction_not_a_number", "batch_size_not_a_number",
+        "top_level_list", "unknown_model"])
 def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section):
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(section))

@@ -6,7 +6,7 @@ import pytest
 from fehforge.container import (atomic_open, from_feature_series, load_curves,
                                 load_dataset, load_snapshot, load_weights,
                                 restore_model, save_curves, save_dataset,
-                                save_snapshot, save_weights)
+                                save_snapshot, save_weights, write_container)
 from fehforge.errors import IntegrityError, MissingInput
 from fehforge.preprocess import Variant, build_dataset
 from fehforge.synthetic import make_corpus
@@ -44,6 +44,21 @@ def test_dataset_missing_and_wrong_kind(tmp_path, dataset):
         load_dataset(tmp_path / "nope.zip")
     path = tmp_path / "w.zip"
     save_weights(path, dataset.source_ids, np.ones(len(dataset)))
+    with pytest.raises(IntegrityError):
+        load_dataset(path)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda arrays: arrays.pop("mask"),
+    lambda arrays: arrays.update(source_ids=arrays["source_ids"][:-1]),
+    lambda arrays: arrays.update(mask=arrays["mask"][:, :-1]),
+], ids=["no_mask", "short_source_ids", "narrow_mask"])
+def test_dataset_broken_members_rejected(tmp_path, dataset, tamper):
+    arrays = {name: getattr(dataset, name)
+              for name in ("source_ids", "values", "mask", "targets")}
+    tamper(arrays)
+    path = tmp_path / "ds.zip"
+    write_container(path, "dataset", arrays, {"variant": dataset.variant})
     with pytest.raises(IntegrityError):
         load_dataset(path)
 

@@ -267,8 +267,7 @@ def test_run_matrix_rows_complete():
     ds = toy_dataset(45)
     datasets = {"full": ds, "spline_no_mean": ds}
     weights = {k: np.ones(45) for k in datasets}
-    rows, reports = run_matrix(datasets, ["fcn"], TINY_CONFIG, weights,
-                               spec_overrides=None)
+    rows, reports = run_matrix(datasets, ["fcn"], TINY_CONFIG, weights)
     # 2 variants x 1 model x 5 metrics x 2 phases
     assert len(rows) == 20
     assert set(reports) == {("full", "fcn"), ("spline_no_mean", "fcn")}
