@@ -5,11 +5,11 @@
 
 Configuration precedence: command-line flags > config file (YAML) > built-in
 defaults. Every run writes its effective config snapshot into the output
-directory, and rerunning from that snapshot reproduces the outputs
-(bit-identical with --threads 1).
+directory, and rerunning from that snapshot reproduces the outputs.
 
 Exit codes: an error exits with its class's `exit_code` (see `errors`):
     0  success
+    1  other failure (`FehForgeError` itself: a cross-validation lane died)
     2  missing input file (`MissingInput`, `FileNotFoundError`)
     3  malformed input (`MalformedInput`: missing column, parse error,
        empty catalog, configuration value out of range)
@@ -51,16 +51,19 @@ DEFAULT_CONFIG = {
              "learning_rates": [0.001, 0.01, 0.1],
              "batch_sizes": [32, 64, 128, 256, 512]},
     "seed": 0,
-    "threads": 1,
+    "threads": 0,           # cross-validation lanes; 0 = CPUs / BLAS threads
 }
+# The type of each value whose default is None; null stays allowed.
+_NULLABLE_TYPES = {"paths.catalog": str, "paths.photometry": str,
+                  "paths.output_dir": str, "weighting.bandwidth": float}
 
 VARIANTS = {v.value: v for v in Variant}
 
 
 def _merge(base, override, name="config"):
     """`base` updated from `override`, each value read as the type of the
-    one it replaces; InvalidConfig for a key that `base` lacks or a value
-    that cannot be read so."""
+    one it replaces (of `_NULLABLE_TYPES` where that is None); InvalidConfig
+    for a key that `base` lacks or a value that cannot be read so."""
     if isinstance(base, dict):
         if not isinstance(override, dict):
             raise InvalidConfig(f"{name} must be a mapping, got {override!r}")
@@ -70,13 +73,17 @@ def _merge(base, override, name="config"):
         return {key: _merge(val, override[key], f"{name}.{key}")
                 if key in override else copy.deepcopy(val)
                 for key, val in base.items()}
+    if base is None and override is None:
+        return None
+    kind = (_NULLABLE_TYPES[name.partition(".")[2]] if base is None
+            else type(base))
     try:
         if isinstance(base, list):
             return [type(base[0])(v) for v in override]
-        return override if base is None else type(base)(override)
+        return kind(override)
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"{name}: cannot read {override!r} as "
-                            f"{type(base).__name__}") from exc
+                            f"{kind.__name__}") from exc
 
 
 def load_config(path=None, overrides=None):
@@ -336,7 +343,8 @@ def _build_parser():
         p.add_argument("--variant", default=None,
                        help="full | spline_no_mean | raw_padded | all")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None,
+                       help="cross-validation lanes; 0 = CPUs / BLAS threads")
         p.add_argument("--epochs", type=int, default=None)
         p.add_argument("--patience", type=int, default=None)
         p.add_argument("--folds", type=int, default=None)

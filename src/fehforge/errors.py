@@ -5,9 +5,23 @@ concrete error derives from one of the four family bases below.
 """
 
 
+def _restore(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class FehForgeError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors.
+
+    An error pickles by its message and attributes, not by re-running an
+    `__init__` whose signature differs from `Exception`'s, so it crosses
+    from a cross-validation fold lane to the caller intact.
+    """
     exit_code = 1
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
 
 
 class MissingInput(FehForgeError):

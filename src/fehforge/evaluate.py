@@ -3,14 +3,19 @@ the metric suite (R^2, RMSE, MAE, wRMSE, wMAE).
 
 All randomness derives from a single root seed through named substreams
 (model init, dropout, batch shuffling, fold assignment), so every component
-is independently reproducible and a rerun with the same config is
-bit-identical in single-threaded mode.
+is independently reproducible, and a rerun with the same config is
+bit-identical whatever the number of cross-validation lanes.
 """
 from __future__ import annotations
 
 import csv
+import io
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass, field, replace
 from itertools import product
 
@@ -46,13 +51,15 @@ class TrainConfig:
     repeats: int = 3
     bins: int = 10
     seed: int = 0
-    threads: int = 1
+    threads: int = 0        # fold lanes; 0 = CPUs / BLAS threads
 
     def __post_init__(self):
-        if self.folds < 2 or self.batch_size < 1 or self.bins < 2:
+        if (self.folds < 2 or self.batch_size < 1 or self.bins < 2
+                or self.threads < 0):
             raise InvalidConfig(
                 f"invalid train config: folds {self.folds} (>= 2), batch_size "
-                f"{self.batch_size} (>= 1), bins {self.bins} (>= 2)")
+                f"{self.batch_size} (>= 1), bins {self.bins} (>= 2), threads "
+                f"{self.threads} (>= 0)")
 
 
 @dataclass(frozen=True)
@@ -255,16 +262,8 @@ def predict(model, dataset: ArrayDataset):
 
 # --- cross-validation -------------------------------------------------------
 
-def _run_fold(spec, dataset, weights, config, rep, fold, assignments):
-    X, mask, y = dataset.values, dataset.mask, dataset.targets
-    val_sel = assignments[rep] == fold
-    tr_sel = ~val_sel
-    seed_index = rep * config.folds + fold
-    result = train(spec,
-                   (X[tr_sel], mask[tr_sel], y[tr_sel], weights[tr_sel]),
-                   (X[val_sel], mask[val_sel], y[val_sel], weights[val_sel]),
-                   config, seed_index=seed_index)
-    train_pred = _forward_batched(result.model, X[tr_sel], mask[tr_sel])
+def _score_fold(dataset, weights, val_sel, rep, fold, train_pred, result):
+    y, tr_sel = dataset.targets, ~val_sel
     return FoldReport(
         repeat=rep, fold=fold,
         train_metrics=metric_suite(y[tr_sel], train_pred, weights[tr_sel]),
@@ -273,7 +272,138 @@ def _run_fold(spec, dataset, weights, config, rep, fold, assignments):
         epochs_run=result.epochs_run,
         train_loss_curve=result.train_loss_curve,
         val_loss_curve=result.val_loss_curve,
-    ), result
+    )
+
+
+def _lane_count(threads, jobs):
+    """`threads` lanes, never more than there are jobs. When it is 0, the
+    CPUs this process may run on divided by the threads OpenBLAS gives each
+    call (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every CPU):
+    lanes x BLAS threads beyond the cores spin against each other, and
+    made a 5-fold GRU CV slower in two lanes than in one."""
+    if not threads:
+        try:
+            cpus = len(os.sched_getaffinity(0))
+        except AttributeError:          # no affinity call on this platform
+            cpus = os.cpu_count() or 1
+        blas = cpus
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            if os.environ.get(var, "").strip().isdigit():
+                blas = max(int(os.environ[var]), 1)
+                break
+        threads = max(cpus // blas, 1)
+    return min(threads, jobs)
+
+
+def _run_lane(fit, jobs, send):
+    """fit(job) for each job in order, sending ("ok", result) for each; the
+    first that raises sends ("error", exception) and ends the lane."""
+    for job in jobs:
+        try:
+            result = fit(job)
+        except Exception as exc:
+            send(("error", exc))
+            return
+        send(("ok", result))
+
+
+def _pickled(outcome):
+    """The outcome pickled; a child's exception carries its traceback as a
+    note."""
+    kind, value = outcome
+    if kind == "error" and hasattr(value, "add_note"):     # Python >= 3.11
+        value.add_note("raised in a fold lane:\n"
+                       + "".join(traceback.format_exception(value)))
+    return pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+
+
+def _fork_lane(fit, jobs):
+    """Forks a child that runs `jobs`; returns (pid, read end of a pipe).
+    The child writes its pickled outcomes into the pipe once all are in,
+    so a full pipe cannot stall its work while the caller runs its own
+    lane. It never returns into the caller's stack, its finally blocks or
+    its stdout buffer: whatever happens, it ends in os._exit."""
+    rfd, wfd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    code = 1
+    try:
+        os.close(rfd)
+        sent = []
+        _run_lane(fit, jobs, lambda outcome: sent.append(_pickled(outcome)))
+        with os.fdopen(wfd, "wb") as out:
+            out.writelines(sent)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _collect(pid, rfd):
+    """(outcomes, why the lane ended early) of a forked lane, once it has
+    exited; the reason is None for a lane that sent all it meant to."""
+    try:
+        with os.fdopen(rfd, "rb") as fh:
+            data = fh.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    reason = (f"was killed by signal {-code}" if code < 0
+              else f"exited with code {code}" if code else None)
+    outcomes, stream = [], io.BytesIO(data)
+    while stream.tell() < len(data):
+        try:
+            outcomes.append(pickle.load(stream))
+        except Exception as exc:
+            return outcomes, f"sent garbage ({type(exc).__name__}: {exc})"
+    return outcomes, reason
+
+
+def _map_folds(fit, jobs, lanes):
+    """[fit(job) for job in jobs] for (repeat, fold) jobs, dealt round-robin
+    to `lanes` lanes. The caller runs lane 0 itself; every other lane is one
+    forked child. Like a serial run, it raises the exception of the first
+    job, in job order, that failed; a lane that dies or sends garbage is a
+    FehForgeError naming the first fold it did not deliver. Runs serially
+    where there is no os.fork, or while other threads run, since a forked
+    child could inherit a lock that one of them holds."""
+    if lanes < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        lanes = 1
+    children = {}
+    try:
+        for lane in range(1, lanes):
+            children[lane] = _fork_lane(fit, jobs[lane::lanes])
+        own = []
+        _run_lane(fit, jobs[0::lanes], own.append)
+        lane_outcomes = [(own, None)] + [_collect(*children.pop(lane))
+                                         for lane in range(1, lanes)]
+    finally:
+        for pid, rfd in children.values():      # left only by an interrupt
+            os.kill(pid, signal.SIGKILL)
+            os.close(rfd)
+            os.waitpid(pid, 0)
+
+    results, failures = [None] * len(jobs), []
+    for lane, (outcomes, reason) in enumerate(lane_outcomes):
+        positions = range(lane, len(jobs), lanes)
+        for pos, (kind, value) in zip(positions, outcomes):
+            if kind == "error":
+                failures.append((pos, value))
+                break
+            results[pos] = value
+        else:
+            if len(outcomes) < len(positions):
+                pos = positions[len(outcomes)]
+                rep, fold = jobs[pos]
+                failures.append((pos, FehForgeError(
+                    f"cross-validation lane {lane} {reason or 'sent too little'}"
+                    f" before it delivered repeat {rep} fold {fold}")))
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 def summarize_folds(fold_reports):
@@ -290,7 +420,14 @@ def summarize_folds(fold_reports):
 def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
                    config: TrainConfig, variant=None,
                    return_models=False) -> MetricsReport:
-    """k x repeats training runs with aggregated mean +/- std metrics."""
+    """k x repeats training runs with aggregated mean +/- std metrics.
+
+    The folds train in `config.threads` lanes (0: see `_lane_count`), one
+    in this process and the others in forked children (see `_map_folds`);
+    the fold assignment and the scoring stay in this process. Every fold draws
+    from its own seed substreams, so the report is bit-identical at any
+    lane count. With `return_models`, also returns each fold's TrainResult.
+    """
     weights = np.asarray(weights, dtype=np.float64)
     assignments = stratified_kfold(dataset.targets, config.folds,
                                    bins=config.bins, repeats=config.repeats,
@@ -298,19 +435,23 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
     jobs = [(rep, fold) for rep in range(config.repeats)
             for fold in range(config.folds)]
 
-    def run(job):
+    X, mask, y = dataset.values, dataset.mask, dataset.targets
+
+    def fit(job):
+        """The fold's training-side predictions and TrainResult."""
         rep, fold = job
-        report, result = _run_fold(spec, dataset, weights, config, rep, fold,
-                                   assignments)
-        return report, (result if return_models else None)
+        val, tr = assignments[rep] == fold, assignments[rep] != fold
+        result = train(spec, (X[tr], mask[tr], y[tr], weights[tr]),
+                       (X[val], mask[val], y[val], weights[val]),
+                       config, seed_index=rep * config.folds + fold)
+        train_pred = _forward_batched(result.model, X[tr], mask[tr])
+        return train_pred, (result if return_models
+                            else replace(result, model=None))
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(job) for job in jobs]
-
-    fold_reports = [fr for fr, _ in outcomes]
+    fitted = _map_folds(fit, jobs, _lane_count(config.threads, len(jobs)))
+    fold_reports = [_score_fold(dataset, weights, assignments[rep] == fold,
+                                rep, fold, *out)
+                    for (rep, fold), out in zip(jobs, fitted)]
     report = MetricsReport(
         model_kind=spec.kind,
         variant=variant or dataset.variant,
@@ -318,7 +459,7 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
         summary=summarize_folds(fold_reports),
     )
     if return_models:
-        return report, [res for _, res in outcomes]
+        return report, [result for _, result in fitted]
     return report
 
 

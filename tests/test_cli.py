@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import os
+import pickle
 import shutil
 
 import numpy as np
@@ -125,11 +126,11 @@ def test_exit_code_malformed_catalog(tmp_path, corpus):
 
 def test_exit_code_integrity(workspace, tmp_path):
     # a weights container is not a dataset: predict refuses it
-    snap = os.path.join(workspace, "snapshots", "gru_full.zip")
+    snap = tmp_path / "snap.zip"
+    save_snapshot(snap, build(build_default("gru"), (100, 2), seed=0))
     weights = os.path.join(workspace, "datasets", "weights_full_train.zip")
-    assert main(["predict", "--output", workspace, "--snapshot", snap,
+    assert main(["predict", "--output", str(tmp_path), "--snapshot", str(snap),
                  "--input", weights]) == 5
-
 
 
 def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):
@@ -161,11 +162,18 @@ def test_exit_code_predict_broken_dataset(workspace, tmp_path, capsys, tamper):
     assert not out.exists()
 
 
+ERROR_CLASSES = [cls for cls in vars(errors).values()
+                 if isinstance(cls, type) and issubclass(cls, errors.FehForgeError)
+                 and cls.__module__ == errors.__name__]
+# constructor arguments of the classes that take more than a message
+ERROR_ARGS = {"MissingColumn": ("feh", "catalog.csv"),
+              "ParseError": (7, "mag", "1.2.3", "photometry.csv"),
+              "OrphanStar": ([11, 12],), "DuplicateEpoch": (11, 2.5),
+              "DivergedLoss": (3, float("inf"))}
+
+
 def test_every_error_class_exits_with_its_family_code():
-    classes = [cls for cls in vars(errors).values()
-               if isinstance(cls, type) and issubclass(cls, errors.FehForgeError)
-               and cls.__module__ == errors.__name__
-               and cls is not errors.FehForgeError]
+    classes = [cls for cls in ERROR_CLASSES if cls is not errors.FehForgeError]
     assert len(classes) > 20
     for cls in classes:
         assert cls.exit_code in {2, 3, 4, 5}, cls.__name__
@@ -173,6 +181,17 @@ def test_every_error_class_exits_with_its_family_code():
     assert errors.ShapeMismatch.exit_code == 3
     assert errors.InvalidRate.exit_code == 3
     assert errors.FehForgeError.exit_code == 1
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+def test_every_error_class_pickles(cls):
+    # a fold lane sends its error to the caller pickled
+    exc = cls(*ERROR_ARGS.get(cls.__name__, ("some message",)))
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is cls
+    assert str(back) == str(exc) and back.args == exc.args
+    assert vars(back) == vars(exc)
+    assert back.exit_code == exc.exit_code
 
 
 def _cv_exit_code(workspace, tmp_path, tamper):
@@ -248,9 +267,12 @@ def test_unknown_model_rejected(workspace):
     ("train", {"train": {"batch_size": "x"}}),
     ("preprocess", ["not", "a", "mapping"]),
     ("cv", {"model": "nosuch"}),
+    ("preprocess", {"weighting": {"bandwidth": "abc"}}),
+    ("cv", {"threads": -1}),
 ], ids=["negative_lam", "zero_batch_size", "unknown_variant", "unknown_key",
         "train_fraction_not_a_number", "batch_size_not_a_number",
-        "top_level_list", "unknown_model"])
+        "top_level_list", "unknown_model", "bandwidth_not_a_number",
+        "negative_threads"])
 def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section):
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(section))

@@ -1,10 +1,17 @@
+import os
+import signal
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fehforge import evaluate
 from fehforge.container import ArrayDataset, from_feature_series
-from fehforge.errors import TooFewSamples, ZeroVariance
+from fehforge.errors import (DivergedLoss, FehForgeError, TooFewSamples,
+                             ZeroVariance)
 from fehforge.evaluate import (GridSpec, TrainConfig, cross_validate,
                                grid_search, metric_suite, predict, r2,
                                run_matrix, stratified_kfold, summarize_folds,
@@ -207,15 +214,137 @@ def test_cross_validate_rerun_identical_single_thread():
 
 
 def test_cross_validate_threaded_matches_serial():
+    # 6 jobs in 1, 2 and 3 lanes: fold reports (metrics and loss curves),
+    # validation predictions and best-epoch weights are bit-identical
     ds = toy_dataset(45)
-    import dataclasses
-    serial = cross_validate(TINY_SPEC, ds, np.ones(45), TINY_CONFIG)
-    threaded = cross_validate(
-        TINY_SPEC, ds, np.ones(45),
-        dataclasses.replace(TINY_CONFIG, threads=3))
-    for fa, fb in zip(serial.fold_reports, threaded.fold_reports):
-        assert (fa.repeat, fa.fold) == (fb.repeat, fb.fold)
-        assert fa.val_metrics == fb.val_metrics
+    w = np.linspace(0.5, 1.5, 45)
+    runs = {threads: cross_validate(
+                TINY_SPEC, ds, w, replace(TINY_CONFIG, repeats=2, threads=threads),
+                return_models=True)
+            for threads in (1, 2, 3)}
+    serial, serial_results = runs[1]
+    assert len(serial.fold_reports) == 6
+    for threads in (2, 3):
+        report, results = runs[threads]
+        assert report.fold_reports == serial.fold_reports
+        assert report.summary == serial.summary
+        for ra, rb in zip(serial_results, results):
+            np.testing.assert_array_equal(ra.val_predictions, rb.val_predictions)
+            sa, sb = ra.model.get_state(), rb.model.get_state()
+            assert sa.keys() == sb.keys()
+            for name in sa:
+                np.testing.assert_array_equal(sa[name], sb[name])
+
+
+def _patch_train(monkeypatch, hook):
+    """Call hook(config, seed_index) before each fold's `train`, in whichever
+    process runs that fold."""
+    real_train = evaluate.train
+
+    def train(spec, train_data, val_data, config, seed_index=0):
+        hook(config, seed_index)
+        return real_train(spec, train_data, val_data, config, seed_index)
+
+    monkeypatch.setattr(evaluate, "train", train)
+
+
+def test_error_in_child_lane_raised_once_in_caller(monkeypatch, tmp_path):
+    # 3 folds in 2 lanes: fold 1 runs in the forked child
+    caller = os.getpid()
+
+    def hook(config, seed_index):
+        if seed_index == 1:
+            assert os.getpid() != caller
+            raise DivergedLoss(2, float("inf"))
+
+    _patch_train(monkeypatch, hook)
+    raised = tmp_path / "raised"
+    try:
+        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
+                       replace(TINY_CONFIG, threads=2))
+    except FehForgeError as exc:
+        with open(raised, "a") as fh:
+            fh.write(f"{os.getpid()} {type(exc).__name__} {exc.exit_code} "
+                     f"{exc.epoch} {exc.loss} {exc}\n")
+    assert os.getpid() == caller
+    assert raised.read_text().splitlines() == [
+        f"{caller} DivergedLoss 4 2 inf non-finite loss inf at epoch 2"]
+
+
+def test_first_failing_fold_in_job_order_is_raised(monkeypatch):
+    # fold 2 fails in the caller's lane and fold 1 in the child: a serial
+    # run would stop at fold 1, so that is the error raised
+    def hook(config, seed_index):
+        if seed_index in (1, 2):
+            raise DivergedLoss(seed_index, float("inf"))
+
+    _patch_train(monkeypatch, hook)
+    with pytest.raises(DivergedLoss) as info:
+        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
+                       replace(TINY_CONFIG, threads=2))
+    assert info.value.epoch == 1
+
+
+@pytest.mark.parametrize("fault", ["dies", "garbage"])
+def test_broken_child_lane_names_its_fold(monkeypatch, fault):
+    if fault == "dies":
+        def hook(config, seed_index):
+            if seed_index == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        _patch_train(monkeypatch, hook)
+        why = f"killed by signal {int(signal.SIGKILL)}"
+    else:
+        monkeypatch.setattr(evaluate, "_pickled", lambda outcome: b"garbage")
+        why = "sent garbage"
+    with pytest.raises(FehForgeError) as info:
+        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
+                       replace(TINY_CONFIG, threads=2))
+    assert type(info.value) is FehForgeError and info.value.exit_code == 1
+    assert why in str(info.value)
+    assert "repeat 0 fold 1" in str(info.value)
+
+
+def test_runs_serially_while_other_threads_run(monkeypatch):
+    ds = toy_dataset(45)
+    expected = cross_validate(TINY_SPEC, ds, np.ones(45),
+                              replace(TINY_CONFIG, threads=1))
+
+    def no_fork():
+        raise AssertionError("forked with another thread running")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        report = cross_validate(TINY_SPEC, ds, np.ones(45),
+                                replace(TINY_CONFIG, threads=2))
+    finally:
+        release.set()
+        waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert report.fold_reports == expected.fold_reports
+
+
+@pytest.mark.parametrize("threads, env, lanes", [
+    (0, {"OPENBLAS_NUM_THREADS": "1"}, 4),
+    (0, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+    (0, {"OMP_NUM_THREADS": "1"}, 4),
+    (0, {}, 1),                         # unpinned OpenBLAS takes every CPU
+    (0, {"OMP_NUM_THREADS": "8"}, 1),
+    (3, {}, 3),
+    (9, {}, 6),                         # never more lanes than jobs
+], ids=["blas_1", "blas_2", "omp_1", "unpinned", "omp_8", "explicit",
+        "capped_by_jobs"])
+def test_lane_count(monkeypatch, threads, env, lanes):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                        raising=False)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert evaluate._lane_count(threads, 6) == lanes
 
 
 def test_summarize_folds_mean_std():
@@ -246,6 +375,26 @@ def test_grid_search_single_cell_equals_plain_cv():
     direct = cross_validate(TINY_SPEC.with_overrides(dropout=0.0), ds,
                             np.ones(45), TINY_CONFIG)
     assert ranked[0].report.summary == direct.summary
+
+
+def test_grid_search_records_cell_diverged_in_child_lane(monkeypatch):
+    # the second cell's fold 1 diverges in the forked lane; the DivergedLoss
+    # crosses to the caller intact, so the cell is recorded as failed
+    caller = os.getpid()
+
+    def hook(config, seed_index):
+        if config.learning_rate == 20.0 and seed_index == 1:
+            assert os.getpid() != caller
+            raise DivergedLoss(3, float("nan"))
+
+    _patch_train(monkeypatch, hook)
+    grid = GridSpec(dropout_rates=(0.0,), learning_rates=(0.02, 20.0),
+                    batch_sizes=(16,))
+    ranked, failed = grid_search(TINY_SPEC, toy_dataset(45), np.ones(45), grid,
+                                 replace(TINY_CONFIG, threads=2))
+    assert [c.learning_rate for c in ranked] == [0.02]
+    assert [(c.learning_rate, c.error) for c in failed] == [
+        (20.0, "DivergedLoss: non-finite loss nan at epoch 3")]
 
 
 def test_grid_search_ranking_order():
