@@ -8,18 +8,17 @@ trained under repeated stratified k-fold cross-validation.
 from .catalog import (LightCurve, SelectionCriteria, SplitSpec, StarRecord,
                       apply_selection, join_photometry, load_catalog,
                       load_photometry, split_train_validation)
-from .container import (ArrayDataset, from_feature_series, load_curves,
-                        load_dataset, load_snapshot, load_weights,
-                        restore_model, save_curves, save_dataset,
-                        save_snapshot, save_weights)
+from .container import (ArrayDataset, load_curves, load_dataset,
+                        load_snapshot, load_weights, restore_model,
+                        save_curves, save_dataset, save_snapshot,
+                        save_weights)
 from .errors import FehForgeError
 from .evaluate import (GridSpec, MetricsReport, TrainConfig, cross_validate,
                        grid_search, metric_suite, predict, r2, run_matrix,
                        stratified_kfold, train)
-from .preprocess import (FeatureSeries, PhasedCurve, PreprocessConfig,
-                         SplineFit, Variant, align_to_maximum, build_dataset,
-                         build_feature_series, fit_smoothing_spline,
-                         phase_fold, resample)
+from .preprocess import (PhasedCurve, PreprocessConfig, SplineFit, Variant,
+                         align_to_maximum, build_datasets,
+                         fit_smoothing_spline, phase_fold, resample)
 from .weighting import DensityModel, compute_weights, fit_density
 from .zoo import KINDS, ModelSpec, build, build_default, layer_param_counts
 

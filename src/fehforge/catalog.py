@@ -1,9 +1,10 @@
 """Star catalog ingestion, selection cuts and train/validation splitting.
 
-The catalog is a delimited text table with one RRab star per row. Column
-names are mapped onto `StarRecord` fields through a configurable column map
-so that differently-named exports of the same quantities can be loaded
-without editing the file.
+The catalog is a delimited text table with one RRab star per row; the
+delimiter is sniffed from the header. Each `StarRecord` field is read from
+the first of its accepted header names (`DEFAULT_COLUMN_MAP`, matched
+case-insensitively), so differently-named exports of the same quantities
+load without editing the file.
 """
 from __future__ import annotations
 
@@ -147,17 +148,16 @@ def _data_rows(reader, indices):
             yield row_num, row + [""] * (width - len(row))
 
 
-def load_catalog(path, column_map=None, delimiter=None):
+def load_catalog(path):
     """Read the star catalog into a list of `StarRecord`.
 
     Raises `MissingColumn` when a mandatory column cannot be found in the
     header, `ParseError` (row number and field name) on the first missing or
     unparseable mandatory value, and `EmptyCatalog` when no data rows exist.
     """
-    column_map = dict(DEFAULT_COLUMN_MAP, **(column_map or {}))
     with open(path, newline="") as fh:
-        reader, indices = _read_header(fh, path, column_map, MANDATORY_FIELDS,
-                                       delimiter, "file")
+        reader, indices = _read_header(fh, path, DEFAULT_COLUMN_MAP,
+                                       MANDATORY_FIELDS, None, "file")
         records = []
         for row_num, row in _data_rows(reader, indices):
             get = lambda f: row[indices[f]] if f in indices else ""
@@ -263,13 +263,13 @@ def load_photometry(path, delimiter=None):
             for sid, lo, hi in zip(ids.tolist(), bounds[:-1], bounds[1:])}
 
 
-def join_photometry(records, photometry_path, delimiter=None):
+def join_photometry(records, photometry_path):
     """Pair every star with its time-sorted light curve.
 
     Raises `OrphanStar` listing stars with no photometry and
     `DuplicateEpoch` when a star has two identical timestamps.
     """
-    by_star = load_photometry(photometry_path, delimiter=delimiter)
+    by_star = load_photometry(photometry_path)
     orphans = [rec.source_id for rec in records if rec.source_id not in by_star]
     if orphans:
         raise OrphanStar(orphans)
@@ -283,10 +283,10 @@ def join_photometry(records, photometry_path, delimiter=None):
     return pairs
 
 
-def write_rejection_report(path, rejections, delimiter=","):
+def write_rejection_report(path, rejections):
     """Sidecar audit file: (source_id, failed_rule, offending_value)."""
     with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
+        writer = csv.writer(fh)
         writer.writerow(["source_id", "failed_rule", "offending_value"])
         for rej in rejections:
             writer.writerow([rej.record.source_id, rej.rule, rej.value])

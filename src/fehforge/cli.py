@@ -195,14 +195,12 @@ def cmd_preprocess(cfg):
         variant = VARIANTS[name]
         datasets = {}
         for side in sides:
-            series, manifest = built[side][variant]
-            ds = container.from_feature_series(
-                series, variant,
-                meta=dict(meta_base, side=side, failures=len(manifest.failures)))
+            ds, failures = built[side][variant]
+            ds.meta = dict(meta_base, side=side, failures=len(failures))
             container.save_dataset(_dataset_path(cfg, name, side), ds)
             datasets[side] = ds
             print(f"{name} {side}: {len(ds)} series of length {ds.length} "
-                  f"({len(manifest.failures)} failures)")
+                  f"({len(failures)} failures)")
         density = weighting.fit_density(datasets["train"].targets,
                                         bandwidth=cfg["weighting"]["bandwidth"])
         for side, ds in datasets.items():
@@ -239,24 +237,17 @@ def cmd_train(cfg):
     tag = f"{spec.kind}_{variant}"
     container.save_snapshot(_out(cfg, "snapshots", f"{tag}.zip"), result.model,
                             extra_meta={"variant": variant})
-    train_pred = evaluate.predict(result.model, train_ds)
     val_pred = result.val_predictions
-    fold_reports = [evaluate.FoldReport(
-        repeat=0, fold=0,
-        train_metrics=evaluate.metric_suite(train_ds.targets, train_pred, train_w),
-        val_metrics=evaluate.metric_suite(val_ds.targets, val_pred, val_w),
-        epochs_run=result.epochs_run,
-        train_loss_curve=result.train_loss_curve,
-        val_loss_curve=result.val_loss_curve)]
-    report = evaluate.MetricsReport(
-        model_kind=spec.kind, variant=variant, fold_reports=fold_reports,
-        summary=evaluate.summarize_folds(fold_reports))
+    report = evaluate.score_folds(spec.kind, variant, [(
+        0, 0, result,
+        (train_ds.targets, evaluate.predict(result.model, train_ds), train_w),
+        (val_ds.targets, val_pred, val_w))])
     evaluate.write_metrics_csv(_out(cfg, "reports", f"train_{tag}.csv"), report)
     evaluate.write_loss_curves_csv(_out(cfg, "plots", f"loss_{tag}.csv"),
                                    report.fold_reports)
     evaluate.write_predictions_csv(_out(cfg, "plots", f"pred_vs_true_{tag}.csv"),
                                    val_ds.source_ids, val_pred, val_ds.targets)
-    fr = fold_reports[0]
+    fr = report.fold_reports[0]
     print(f"{tag}: epochs {result.epochs_run} "
           f"val r2 {fr.val_metrics['r2']:.4f} "
           f"val rmse {fr.val_metrics['rmse']:.4f}")

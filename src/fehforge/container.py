@@ -45,21 +45,6 @@ class ArrayDataset:
         return self.values.shape[1]
 
 
-def from_feature_series(series, variant, meta=None):
-    if not series:
-        return ArrayDataset(np.zeros(0, np.int64), np.zeros((0, 0, 2)),
-                            np.zeros((0, 0), bool), np.zeros(0), variant.value,
-                            dict(meta or {}))
-    return ArrayDataset(
-        source_ids=np.array([s.source_id for s in series], dtype=np.int64),
-        values=np.stack([s.values for s in series]).astype(np.float64),
-        mask=np.stack([s.mask for s in series]),
-        targets=np.array([s.target for s in series], dtype=np.float64),
-        variant=variant.value,
-        meta=dict(meta or {}),
-    )
-
-
 def config_hash(obj):
     return hashlib.sha256(
         json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()
@@ -169,21 +154,30 @@ def load_snapshot(path):
     if sorted(state) != meta.get("state_names"):
         raise IntegrityError(f"{path}: snapshot state arrays differ from "
                              f"the state names in its manifest")
+    missing = sorted({"spec", "input_shape"} - meta.keys())
+    if missing:
+        raise IntegrityError(f"{path}: snapshot manifest lacks {missing}")
     return meta["spec"], meta["input_shape"], state, meta
 
 
 def restore_model(path):
-    """Rebuild a model from a snapshot, verifying the spec hash."""
+    """Rebuild a model from a snapshot, verifying the spec hash.
+    IntegrityError when the spec does not parse or the state arrays do not
+    fit the model it builds."""
     from .zoo import ModelSpec, build
 
     spec_json, input_shape, state, meta = load_snapshot(path)
     if spec_json is None:
         raise IntegrityError(f"{path}: snapshot carries no model spec")
-    spec = ModelSpec.from_json(spec_json)
-    if spec.spec_hash() != meta.get("spec_hash"):
-        raise IntegrityError(f"{path}: spec hash mismatch")
-    model = build(spec, tuple(input_shape), seed=0)
-    model.set_state(state)
+    try:
+        spec = ModelSpec.from_json(spec_json)
+        if spec.spec_hash() != meta.get("spec_hash"):
+            raise IntegrityError(f"{path}: spec hash mismatch")
+        model = build(spec, tuple(input_shape), seed=0)
+        model.set_state(state)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise IntegrityError(f"{path}: snapshot does not restore its model: "
+                             f"{exc!r}") from exc
     return model
 
 

@@ -262,19 +262,6 @@ def predict(model, dataset: ArrayDataset):
 
 # --- cross-validation -------------------------------------------------------
 
-def _score_fold(dataset, weights, val_sel, rep, fold, train_pred, result):
-    y, tr_sel = dataset.targets, ~val_sel
-    return FoldReport(
-        repeat=rep, fold=fold,
-        train_metrics=metric_suite(y[tr_sel], train_pred, weights[tr_sel]),
-        val_metrics=metric_suite(y[val_sel], result.val_predictions,
-                                 weights[val_sel]),
-        epochs_run=result.epochs_run,
-        train_loss_curve=result.train_loss_curve,
-        val_loss_curve=result.val_loss_curve,
-    )
-
-
 def _lane_count(threads, jobs):
     """`threads` lanes, never more than there are jobs. When it is 0, the
     CPUs this process may run on divided by the threads OpenBLAS gives each
@@ -417,6 +404,22 @@ def summarize_folds(fold_reports):
     return summary
 
 
+def score_folds(model_kind, variant, folds) -> MetricsReport:
+    """The MetricsReport of trained folds, each (repeat, fold, TrainResult,
+    train side, validation side), where a side is the (targets, predictions,
+    weights) that `metric_suite` scores."""
+    fold_reports = [FoldReport(repeat=rep, fold=fold,
+                               train_metrics=metric_suite(*train_side),
+                               val_metrics=metric_suite(*val_side),
+                               epochs_run=result.epochs_run,
+                               train_loss_curve=result.train_loss_curve,
+                               val_loss_curve=result.val_loss_curve)
+                    for rep, fold, result, train_side, val_side in folds]
+    return MetricsReport(model_kind=model_kind, variant=variant,
+                         fold_reports=fold_reports,
+                         summary=summarize_folds(fold_reports))
+
+
 def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
                    config: TrainConfig, variant=None,
                    return_models=False) -> MetricsReport:
@@ -448,16 +451,14 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
         return train_pred, (result if return_models
                             else replace(result, model=None))
 
+    def sides(rep, fold, train_pred, result):
+        val = assignments[rep] == fold
+        return (rep, fold, result, (y[~val], train_pred, weights[~val]),
+                (y[val], result.val_predictions, weights[val]))
+
     fitted = _map_folds(fit, jobs, _lane_count(config.threads, len(jobs)))
-    fold_reports = [_score_fold(dataset, weights, assignments[rep] == fold,
-                                rep, fold, *out)
-                    for (rep, fold), out in zip(jobs, fitted)]
-    report = MetricsReport(
-        model_kind=spec.kind,
-        variant=variant or dataset.variant,
-        fold_reports=fold_reports,
-        summary=summarize_folds(fold_reports),
-    )
+    report = score_folds(spec.kind, variant or dataset.variant,
+                         [sides(*job, *out) for job, out in zip(jobs, fitted)])
     if return_models:
         return report, [result for _, result in fitted]
     return report

@@ -6,6 +6,14 @@ import numpy as np
 from .layers import Dropout, Layer
 
 
+def _zero_padded(x, mask):
+    """`x` with its padded steps (mask False) set to 0; `x` itself when no
+    step is padded."""
+    if mask is None or mask.all():
+        return x
+    return np.where(mask[..., None], x, 0.0)
+
+
 class Sequential(Layer):
     def __init__(self, layers):
         super().__init__()
@@ -28,7 +36,8 @@ class Sequential(Layer):
 
 
 class ResidualBlock(Layer):
-    """Three conv blocks plus a skip path; output is ReLU(skip + body).
+    """Three conv blocks plus a skip path; output is ReLU(skip + body),
+    zero at padded steps.
 
     `projection` (a 1x1 conv) is used when the input channel count differs
     from the body's output channels, otherwise the skip is the identity.
@@ -49,7 +58,7 @@ class ResidualBlock(Layer):
         h = self.body.forward(x, mask=mask, training=training)
         sc = x if self.projection is None else self.projection.forward(
             x, mask=mask, training=training)
-        y = np.fmax(0.0, sc + h)
+        y = _zero_padded(np.fmax(0.0, sc + h), mask)
         self._cache = y > 0 if training else None
         self.mask_out = mask
         return y
@@ -105,7 +114,8 @@ class InceptionModule(Layer):
 
 
 class InceptionResidualBlock(Layer):
-    """Three inception modules with a conv+BN shortcut from the block input."""
+    """Three inception modules with a conv+BN shortcut from the block input;
+    output is ReLU(shortcut + modules), zero at padded steps."""
 
     def __init__(self, modules, shortcut_conv, shortcut_bn):
         super().__init__()
@@ -125,7 +135,7 @@ class InceptionResidualBlock(Layer):
         sc = self.shortcut_bn.forward(
             self.shortcut_conv.forward(x, mask=mask, training=training),
             mask=mask, training=training)
-        y = np.fmax(0.0, sc + h)
+        y = _zero_padded(np.fmax(0.0, sc + h), mask)
         self._cache = y > 0 if training else None
         self.mask_out = mask
         return y
@@ -159,8 +169,13 @@ class Model:
         self.spec = spec
 
     def forward(self, x, mask=None, training=False):
-        return self.root.forward(np.asarray(x, dtype=np.float64),
-                                 mask=mask, training=training)
+        """The root layer's output. Padded steps (mask False) are zeroed
+        first, so no layer reads the padding value: the recurrent layers
+        skip padded steps, but the conv, batch-norm and pooling layers
+        compute over them."""
+        return self.root.forward(
+            _zero_padded(np.asarray(x, dtype=np.float64), mask),
+            mask=mask, training=training)
 
     def backward(self, dy):
         return self.root.backward(dy)
@@ -217,9 +232,16 @@ class Model:
         return state
 
     def set_state(self, state):
+        """Copy in the arrays `get_state` names: KeyError for one missing,
+        ValueError for one of another shape."""
         for path, leaf in iter_leaves(self.root):
-            for key in leaf.params:
-                leaf.params[key][...] = state[f"{path}.{key}"]
+            arrays = dict(leaf.params)
             if hasattr(leaf, "running_mean"):
-                leaf.running_mean[...] = state[f"{path}.running_mean"]
-                leaf.running_var[...] = state[f"{path}.running_var"]
+                arrays.update(running_mean=leaf.running_mean,
+                              running_var=leaf.running_var)
+            for key, arr in arrays.items():
+                value = state[f"{path}.{key}"]
+                if np.shape(value) != arr.shape:
+                    raise ValueError(f"state {path}.{key} has shape "
+                                     f"{np.shape(value)}, not {arr.shape}")
+                arr[...] = value

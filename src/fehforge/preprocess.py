@@ -1,13 +1,13 @@
 """Light-curve preprocessing: phase folding, alignment to maximum light,
-smoothing-spline resampling, and assembly of the three dataset variants.
-
-Variants:
+smoothing-spline resampling, and `build_datasets`, which folds each curve
+once, fits each star's spline at most once and writes the arrays of the
+three dataset variants directly:
   RAW_PADDED      phase-folded/aligned observations, padded to the corpus
                   maximum length with a sentinel value and a validity mask.
   SPLINE_NO_MEAN  spline-resampled magnitudes on a uniform phase grid,
                   without mean-magnitude centering.
-  FULL            spline-resampled, mean-centered magnitudes; second channel
-                  is phase times period for both spline variants.
+  FULL            spline-resampled, mean-centered magnitudes.
+The second channel is phase times period in every variant.
 
 Smoothing splines: the cubic smoothing spline is solved in the basis of
 natural splines, as `scipy.interpolate.make_smoothing_spline` does, with the
@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,7 +39,8 @@ from scipy.interpolate import BSpline
 from scipy.linalg import LinAlgError, eigh, solve_banded
 from scipy.optimize import minimize_scalar
 
-from .catalog import LightCurve, StarRecord
+from .catalog import LightCurve
+from .container import ArrayDataset
 from .errors import (InsufficientPoints, InvalidConfig, NonFinitePhase,
                      SingularFit)
 
@@ -68,15 +68,6 @@ class SplineFit:
     spline: object         # scipy BSpline, evaluable on [0, 1)
     lam: float             # smoothing parameter used, also when GCV chose it
     residual_rms: float
-
-
-@dataclass(frozen=True)
-class FeatureSeries:
-    source_id: int
-    values: np.ndarray     # (L, 2): magnitude channel, phase*period channel
-    mask: np.ndarray       # (L,) bool, True = valid timestep
-    variant: Variant
-    target: float          # [Fe/H], dex
 
 
 @dataclass(frozen=True)
@@ -321,101 +312,70 @@ def resample(fit: SplineFit, length: int):
     return grid, np.asarray(fit.spline(grid), dtype=np.float64)
 
 
-def build_feature_series(star: StarRecord, curve: PhasedCurve, variant: Variant,
-                         config: PreprocessConfig = PreprocessConfig(),
-                         pad_to: Optional[int] = None) -> FeatureSeries:
-    """Assemble the two-channel input sequence for one star.
+def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig()):
+    """The dataset of each of `variants` from (StarRecord, LightCurve) pairs:
+    {variant: (ArrayDataset, failures)}, rows in input order, `meta` empty.
 
-    FULL: channel 1 = resampled magnitude minus its mean, channel 2 = phase
-    times period. SPLINE_NO_MEAN: same without the mean subtraction.
-    RAW_PADDED: per-observation channels (magnitude minus curve mean, phase
-    times period) padded to `pad_to` with the sentinel and mask=False.
+    Each curve is folded (at the brightest observation when `epoch_max` is
+    unknown) and aligned once, and each star's spline is fitted at most once.
+    The channels are (magnitude, phase times period) per step. RAW_PADDED:
+    the observations, magnitude minus the curve mean, padded to the longest
+    curve with `pad_value` and mask False. SPLINE_NO_MEAN: the spline on
+    `resample_length` uniform phases. FULL: that minus its mean magnitude.
+    A star whose fit fails is left out of both spline variants and listed
+    in their failures as (source_id, message).
     """
-    if variant is Variant.RAW_PADDED:
-        n = len(curve)
-        total = pad_to if pad_to is not None else n
-        if total < n:
-            raise ValueError(f"pad_to {total} < curve length {n}")
-        values = np.full((total, 2), config.pad_value, dtype=np.float64)
-        values[:n, 0] = curve.mags - curve.mean_mag
-        values[:n, 1] = curve.phases * curve.period
-        mask = np.zeros(total, dtype=bool)
-        mask[:n] = True
-        return FeatureSeries(star.source_id, values, mask, variant, star.feh)
-
-    fit = fit_smoothing_spline(curve, config)
-    grid, mags = resample(fit, config.resample_length)
-    values = np.empty((config.resample_length, 2), dtype=np.float64)
-    values[:, 0] = mags
-    values[:, 1] = grid * curve.period
-    mask = np.ones(config.resample_length, dtype=bool)
-    series = FeatureSeries(star.source_id, values, mask, Variant.SPLINE_NO_MEAN,
-                           star.feh)
-    return center_series(series) if variant is Variant.FULL else series
-
-
-def center_series(series: FeatureSeries) -> FeatureSeries:
-    """The FULL series of a SPLINE_NO_MEAN one: the magnitude channel minus
-    its mean, the phase channel as it is."""
-    mags = series.values[:, 0].copy()
-    values = series.values.copy()
-    values[:, 0] = mags - np.mean(mags)
-    return FeatureSeries(series.source_id, values, series.mask, Variant.FULL,
-                         series.target)
-
-
-@dataclass
-class DatasetManifest:
-    variant: str
-    config: PreprocessConfig
-    n_requested: int
-    n_built: int
-    failures: list = field(default_factory=list)  # (source_id, message)
-
-
-def build_dataset(pairs, variant: Variant,
-                  config: PreprocessConfig = PreprocessConfig()):
-    """Build one FeatureSeries per (StarRecord, LightCurve) pair.
-
-    Per-star failures are recorded in the manifest instead of aborting the
-    batch. Output order follows input order.
-    """
-    phased = []
+    curves = []
     for star, lc in pairs:
         epoch_max = star.epoch_max if star.epoch_max is not None else (
             lc.times[int(np.argmin(lc.mags))] if len(lc) else 0.0)
-        pc = phase_fold(lc, star.period, epoch_max)
-        phased.append((star, align_to_maximum(pc)))
-
-    pad_to = None
-    if variant is Variant.RAW_PADDED and phased:
-        pad_to = max(len(pc) for _, pc in phased)
-
-    series, failures = [], []
-    for star, pc in phased:
-        try:
-            series.append(build_feature_series(star, pc, variant, config, pad_to=pad_to))
-        except (InsufficientPoints, SingularFit) as exc:
-            failures.append((star.source_id, str(exc)))
-    manifest = DatasetManifest(variant=variant.value, config=config,
-                               n_requested=len(pairs), n_built=len(series),
-                               failures=failures)
-    return series, manifest
-
-
-def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig()):
-    """`build_dataset` for each of `variants`, fitting each spline once: when
-    both spline variants are asked for, FULL is derived from the
-    SPLINE_NO_MEAN series by `center_series`. Returns
-    {variant: (series, manifest)}."""
+        curves.append(align_to_maximum(phase_fold(lc, star.period, epoch_max)))
+    stars = [star for star, _ in pairs]
     built = {}
-    for variant in sorted(variants, key=lambda v: v is Variant.FULL):
-        source = built.get(Variant.SPLINE_NO_MEAN)
-        if variant is Variant.FULL and source is not None:
-            series, manifest = source
-            built[variant] = ([center_series(s) for s in series],
-                              replace(manifest, variant=variant.value,
-                                      failures=list(manifest.failures)))
-        else:
-            built[variant] = build_dataset(pairs, variant, config)
+    if Variant.RAW_PADDED in variants:
+        length = max((len(pc) for pc in curves), default=0)
+        values = np.full((len(curves), length, 2), config.pad_value,
+                         dtype=np.float64)
+        mask = np.zeros((len(curves), length), dtype=bool)
+        for row, pc in enumerate(curves):
+            n = len(pc)
+            values[row, :n, 0] = pc.mags - pc.mean_mag
+            values[row, :n, 1] = pc.phases * pc.period
+            mask[row, :n] = True
+        built[Variant.RAW_PADDED] = (
+            _dataset(Variant.RAW_PADDED, stars, values, mask), [])
+
+    spline_variants = [v for v in (Variant.SPLINE_NO_MEAN, Variant.FULL)
+                       if v in variants]
+    if spline_variants:
+        length = config.resample_length
+        values = {v: np.empty((len(curves), length, 2)) for v in spline_variants}
+        fitted, failures = [], []
+        for star, pc in zip(stars, curves):
+            try:
+                fit = fit_smoothing_spline(pc, config)
+            except (InsufficientPoints, SingularFit) as exc:
+                failures.append((star.source_id, str(exc)))
+                continue
+            grid, mags = resample(fit, length)
+            for variant, rows in values.items():
+                rows[len(fitted), :, 0] = (mags - np.mean(mags)
+                                           if variant is Variant.FULL else mags)
+                rows[len(fitted), :, 1] = grid * pc.period
+            fitted.append(star)
+        for variant, rows in values.items():
+            mask = np.ones((len(fitted), length), dtype=bool)
+            built[variant] = (_dataset(variant, fitted, rows[:len(fitted)], mask),
+                              list(failures))
     return built
+
+
+def _dataset(variant, stars, values, mask):
+    """The ArrayDataset of `stars`' rows; with no star, values (0, 0, 2)."""
+    if not stars:
+        values, mask = np.zeros((0, 0, 2)), np.zeros((0, 0), dtype=bool)
+    return ArrayDataset(
+        source_ids=np.array([s.source_id for s in stars], dtype=np.int64),
+        values=values, mask=mask,
+        targets=np.array([s.feh for s in stars], dtype=np.float64),
+        variant=variant.value, meta={})

@@ -9,15 +9,15 @@ import time
 import numpy as np
 import pytest
 
-from fehforge.container import (from_feature_series, load_dataset,
-                                restore_model, save_dataset, save_snapshot)
+from fehforge.container import (ArrayDataset, load_dataset, restore_model,
+                                save_dataset, save_snapshot)
 from fehforge.evaluate import (GridSpec, TrainConfig, cross_validate,
                                grid_search, metric_suite, predict, r2,
                                run_matrix, stratified_kfold)
 from fehforge.nn.recurrent import GRU, LSTM
 from fehforge.preprocess import (PhasedCurve, PreprocessConfig, Variant,
-                                 build_dataset, build_feature_series,
-                                 fit_smoothing_spline, phase_fold)
+                                 build_datasets, fit_smoothing_spline,
+                                 phase_fold)
 from fehforge.catalog import LightCurve, StarRecord
 from fehforge.synthetic import make_corpus
 from fehforge.weighting import compute_weights, fit_density
@@ -25,6 +25,27 @@ from fehforge.zoo import (build, build_conv_rnn, build_default, build_fcn,
                           build_inception_time, build_resnet, build_rnn,
                           layer_param_counts)
 from tests.conftest import check_model_gradients
+
+
+# one small model of each kind, shared by the gradient and padding checks
+TINY_SPECS = {
+    "fcn": build_fcn(filters=(4, 6, 4), kernels=(8, 5, 3)),
+    "resnet": build_resnet(filters=4, kernels=(8, 5, 3), blocks=2),
+    "inception": build_inception_time(blocks=1, modules_per_block=2,
+                                      bottleneck_filters=3,
+                                      branch_filters=3,
+                                      branch_kernels=(3, 5, 8)),
+    "lstm": build_rnn("lstm", units=(6, 4), dropout=(0.0, 0.0)),
+    "bilstm": build_rnn("bilstm", units=(5, 3), dropout=(0.0, 0.0)),
+    "gru": build_rnn("gru", units=(6, 4), dropout=(0.0, 0.0)),
+    "bigru": build_rnn("bigru", units=(5, 3), dropout=(0.0, 0.0)),
+    "convlstm": build_conv_rnn("convlstm", filters=(4, 4, 4),
+                               kernels=(8, 5, 3), pool_size=2,
+                               units=(4, 3), dropout=(0.0, 0.0)),
+    "convgru": build_conv_rnn("convgru", filters=(4, 4, 4),
+                              kernels=(8, 5, 3), pool_size=2,
+                              units=(4, 3), dropout=(0.0, 0.0)),
+}
 
 
 def _pass(n, text):
@@ -43,26 +64,8 @@ def test_01_parameter_count_oracle():
 
 def test_02_gradient_correctness_all_architectures():
     t0 = time.time()
-    tiny = {
-        "fcn": build_fcn(filters=(4, 6, 4), kernels=(8, 5, 3)),
-        "resnet": build_resnet(filters=4, kernels=(8, 5, 3), blocks=2),
-        "inception": build_inception_time(blocks=1, modules_per_block=2,
-                                          bottleneck_filters=3,
-                                          branch_filters=3,
-                                          branch_kernels=(3, 5, 8)),
-        "lstm": build_rnn("lstm", units=(6, 4), dropout=(0.0, 0.0)),
-        "bilstm": build_rnn("bilstm", units=(5, 3), dropout=(0.0, 0.0)),
-        "gru": build_rnn("gru", units=(6, 4), dropout=(0.0, 0.0)),
-        "bigru": build_rnn("bigru", units=(5, 3), dropout=(0.0, 0.0)),
-        "convlstm": build_conv_rnn("convlstm", filters=(4, 4, 4),
-                                   kernels=(8, 5, 3), pool_size=2,
-                                   units=(4, 3), dropout=(0.0, 0.0)),
-        "convgru": build_conv_rnn("convgru", filters=(4, 4, 4),
-                                  kernels=(8, 5, 3), pool_size=2,
-                                  units=(4, 3), dropout=(0.0, 0.0)),
-    }
     worst = 0.0
-    for kind, spec in tiny.items():
+    for kind, spec in TINY_SPECS.items():
         for seed in (0, 1, 2):
             rel = check_model_gradients(spec, (16, 2), seed=seed,
                                         per_param=2, h=1e-6, tol=1e-4)
@@ -110,9 +113,9 @@ def test_04_preprocessing_invariants():
     grid = np.linspace(0.1, 0.9, 40)
     assert np.max(np.abs(np.diff(line.spline(grid), 2))) < 1e-6
 
-    star = StarRecord(0, 1, period, 0.8, 60, -1.3, 0.2)
-    fs = build_feature_series(star, pc, Variant.FULL)
-    assert abs(fs.values[:, 0].mean()) < 1e-9
+    star = StarRecord(0, 1, period, 0.8, 60, -1.3, 0.2, epoch_max=epoch_max)
+    ds, _ = build_datasets([(star, lc)], [Variant.FULL])[Variant.FULL]
+    assert abs(ds.values[0, :, 0].mean()) < 1e-9
 
     # padded timesteps must not leak into recurrent outputs
     for cls in (GRU, LSTM):
@@ -126,6 +129,21 @@ def test_04_preprocessing_invariants():
         assert np.max(np.abs(layer.forward(padded, mask=mask) - short)) < 1e-9
     _pass(4, "folding periodicity, phase range, lambda=0 interpolation, "
              "lambda->inf line limit, mean-centering, mask invariance")
+
+
+@pytest.mark.parametrize("kind", list(TINY_SPECS))
+def test_04b_pad_value_never_reaches_a_prediction(kind):
+    model = build(TINY_SPECS[kind], (16, 2), seed=0)
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(4, 16, 2))
+    mask = np.ones((4, 16), dtype=bool)
+    mask[0, 10:] = mask[2, 13:] = False
+    preds = []
+    for pad in (-1.0, 5.0):
+        X[~mask] = pad
+        preds.append(model.forward(X, mask=mask))
+    np.testing.assert_array_equal(preds[0], preds[1])
+    _pass(4, f"{kind}: predictions equal with padding -1 and 5")
 
 
 def test_05_weighting_properties():
@@ -153,9 +171,8 @@ def test_06_synthetic_end_to_end_learnability():
     t0 = time.time()
     noise = 0.1
     pairs, _ = make_corpus(2000, seed=0, target_noise=noise)
-    series, manifest = build_dataset(pairs, Variant.FULL)
-    assert manifest.n_built == 2000
-    ds = from_feature_series(series, Variant.FULL)
+    ds, failures = build_datasets(pairs, [Variant.FULL])[Variant.FULL]
+    assert failures == [] and len(ds) == 2000
     weights = compute_weights(fit_density(ds.targets), ds.targets)
     # published training scheme with the epoch budget reduced to fit the
     # 15-minute allowance; early stopping still governs
@@ -193,9 +210,8 @@ def test_07_cv_machinery():
 
     X = rng.normal(size=(45, 10, 2))
     targets = X[:, :, 0].mean(axis=1)
-    ds = from_feature_series([], Variant.FULL)
-    ds.source_ids = np.arange(45, dtype=np.int64)
-    ds.values, ds.mask, ds.targets = X, np.ones((45, 10), bool), targets
+    ds = ArrayDataset(np.arange(45, dtype=np.int64), X, np.ones((45, 10), bool),
+                      targets, Variant.FULL.value, {})
     spec = build_rnn("gru", units=(4,), dropout=(0.0,))
     config = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=4,
                          patience=2, folds=3, repeats=2, bins=3, seed=0,
@@ -217,11 +233,9 @@ def test_08_grid_search_correctness():
     assert GridSpec().batch_sizes == (32, 64, 128, 256, 512)
 
     rng = np.random.default_rng(4)
-    ds = from_feature_series([], Variant.FULL)
-    ds.source_ids = np.arange(45, dtype=np.int64)
-    ds.values = rng.normal(size=(45, 10, 2))
-    ds.mask = np.ones((45, 10), bool)
-    ds.targets = ds.values[:, :, 0].mean(axis=1)
+    X = rng.normal(size=(45, 10, 2))
+    ds = ArrayDataset(np.arange(45, dtype=np.int64), X, np.ones((45, 10), bool),
+                      X[:, :, 0].mean(axis=1), Variant.FULL.value, {})
     spec = build_rnn("gru", units=(4,), dropout=(0.0,))
     config = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=4,
                          patience=2, folds=3, repeats=1, bins=3, seed=0)
@@ -246,8 +260,7 @@ def test_08_grid_search_correctness():
 
 def test_09_container_roundtrips(tmp_path):
     pairs, _ = make_corpus(6, seed=5)
-    series, _ = build_dataset(pairs, Variant.FULL)
-    ds = from_feature_series(series, Variant.FULL)
+    ds, _ = build_datasets(pairs, [Variant.FULL])[Variant.FULL]
     p1, p2 = tmp_path / "d1.zip", tmp_path / "d2.zip"
     save_dataset(p1, ds)
     save_dataset(p2, ds)
@@ -270,9 +283,7 @@ def test_10_matrix_driver_complete():
     pairs, _ = make_corpus(60, seed=6)
     kinds = list(__import__("fehforge.zoo", fromlist=["KINDS"]).KINDS)
     datasets, weights = {}, {}
-    for variant in (Variant.RAW_PADDED, Variant.SPLINE_NO_MEAN, Variant.FULL):
-        series, _ = build_dataset(pairs, variant)
-        ds = from_feature_series(series, variant)
+    for variant, (ds, _) in build_datasets(pairs, list(Variant)).items():
         datasets[variant.value] = ds
         weights[variant.value] = compute_weights(fit_density(ds.targets),
                                                  ds.targets)

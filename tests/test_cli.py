@@ -12,7 +12,8 @@ from fehforge import errors, preprocess
 from fehforge.catalog import apply_selection
 from fehforge.cli import DEFAULT_CONFIG, load_config, main
 from fehforge.container import (load_curves, load_dataset, load_weights,
-                                save_snapshot, save_weights, write_container)
+                                read_container, save_snapshot, save_weights,
+                                write_container)
 from fehforge.synthetic import make_corpus, write_corpus_files
 from fehforge.zoo import build, build_default
 
@@ -141,19 +142,43 @@ def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):
                                          "full_validation.zip")]) == 5
 
 
+def _drop_state(ds, meta, state):
+    del state[f"state/{meta['state_names'].pop(0)}"]
+
+
+def _reshape_state(shape):
+    def tamper(ds, meta, state):
+        state[f"state/{meta['state_names'][0]}"] = np.zeros(shape)
+    return tamper
+
+
 @pytest.mark.parametrize("tamper", [
-    lambda arrays: arrays.pop("mask"),
-    lambda arrays: arrays.update(source_ids=arrays["source_ids"][:-1]),
-], ids=["no_mask", "short_source_ids"])
-def test_exit_code_predict_broken_dataset(workspace, tmp_path, capsys, tamper):
+    lambda ds, meta, state: ds.pop("mask"),
+    lambda ds, meta, state: ds.update(source_ids=ds["source_ids"][:-1]),
+    lambda ds, meta, state: meta.update(
+        spec=meta["spec"].replace('"format_version": 1', '"format_version": 99')),
+    lambda ds, meta, state: meta.update(spec="{not json"),
+    lambda ds, meta, state: meta.pop("spec"),
+    lambda ds, meta, state: meta.pop("input_shape"),
+    _drop_state,
+    _reshape_state((3, 3, 3, 3)),
+    _reshape_state((1,)),
+], ids=["no_mask", "short_source_ids", "spec_format_99", "spec_not_json",
+        "no_spec", "no_input_shape", "state_dropped", "state_wrong_shape",
+        "state_broadcastable_shape"])
+def test_exit_code_predict_broken_input(workspace, tmp_path, capsys, tamper):
+    # `tamper` breaks the dataset's arrays, or the snapshot's manifest or
+    # state arrays
     ds = load_dataset(os.path.join(workspace, "datasets", "full_validation.zip"))
     arrays = {name: getattr(ds, name)
               for name in ("source_ids", "values", "mask", "targets")}
-    tamper(arrays)
-    broken = tmp_path / "broken.zip"
-    write_container(broken, "dataset", arrays, {"variant": ds.variant})
     snap = tmp_path / "snap.zip"
     save_snapshot(snap, build(build_default("fcn"), (ds.length, 2), seed=0))
+    meta, state = read_container(snap, "snapshot", manifest_name="meta.json")
+    tamper(arrays, meta, state)
+    broken = tmp_path / "broken.zip"
+    write_container(broken, "dataset", arrays, {"variant": ds.variant})
+    write_container(snap, "snapshot", state, meta, manifest_name="meta.json")
     out = tmp_path / "pred.csv"
     assert main(["predict", "--output", str(tmp_path), "--snapshot", str(snap),
                  "--input", str(broken), "--predictions-out", str(out)]) == 5

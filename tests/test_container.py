@@ -3,12 +3,12 @@ import zipfile
 import numpy as np
 import pytest
 
-from fehforge.container import (atomic_open, from_feature_series, load_curves,
-                                load_dataset, load_snapshot, load_weights,
-                                restore_model, save_curves, save_dataset,
-                                save_snapshot, save_weights, write_container)
+from fehforge.container import (atomic_open, load_curves, load_dataset,
+                                load_snapshot, load_weights, restore_model,
+                                save_curves, save_dataset, save_snapshot,
+                                save_weights, write_container)
 from fehforge.errors import IntegrityError, MissingInput
-from fehforge.preprocess import Variant, build_dataset
+from fehforge.preprocess import Variant, build_datasets
 from fehforge.synthetic import make_corpus
 from fehforge.zoo import build, build_default
 
@@ -16,8 +16,9 @@ from fehforge.zoo import build, build_default
 @pytest.fixture(scope="module")
 def dataset():
     pairs, _ = make_corpus(8, seed=0)
-    series, _ = build_dataset(pairs, Variant.FULL)
-    return from_feature_series(series, Variant.FULL, meta={"note": "t"})
+    ds, _ = build_datasets(pairs, [Variant.FULL])[Variant.FULL]
+    ds.meta = {"note": "t"}
+    return ds
 
 
 def test_dataset_roundtrip(tmp_path, dataset):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fehforge import evaluate
-from fehforge.container import ArrayDataset, from_feature_series
+from fehforge.container import ArrayDataset
 from fehforge.errors import (DivergedLoss, FehForgeError, TooFewSamples,
                              ZeroVariance)
 from fehforge.evaluate import (GridSpec, TrainConfig, cross_validate,
@@ -165,7 +165,7 @@ def corpus_datasets():
     pairs, _ = make_corpus(24, seed=3)
     built = build_datasets(pairs, [Variant.FULL, Variant.RAW_PADDED],
                            PreprocessConfig(lambda_strategy="fixed"))
-    return {v: from_feature_series(series, v) for v, (series, _) in built.items()}
+    return {v: ds for v, (ds, _) in built.items()}
 
 
 @pytest.mark.parametrize("variant", [Variant.FULL, Variant.RAW_PADDED])

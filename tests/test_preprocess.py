@@ -7,9 +7,8 @@ from scipy.interpolate import make_smoothing_spline
 from fehforge.catalog import LightCurve, StarRecord
 from fehforge.errors import InsufficientPoints, SingularFit
 from fehforge.preprocess import (PhasedCurve, PreprocessConfig, Variant,
-                                 align_to_maximum, build_dataset,
-                                 build_feature_series, fit_smoothing_spline,
-                                 phase_fold, resample)
+                                 align_to_maximum, build_datasets,
+                                 fit_smoothing_spline, phase_fold, resample)
 from fehforge.synthetic import make_corpus, sawtooth_mag
 
 
@@ -117,36 +116,43 @@ def test_resample_grid():
 
 
 def test_full_variant_mean_centered_and_phase_channel():
-    star = make_star()
-    pc = align_to_maximum(phase_fold(make_curve(), star.period, 0.0))
-    fs = build_feature_series(star, pc, Variant.FULL)
-    assert fs.values.shape == (100, 2)
-    assert abs(fs.values[:, 0].mean()) < 1e-9
-    np.testing.assert_allclose(fs.values[:, 1],
+    star = make_star(epoch_max=0.0)
+    ds, failures = build_datasets([(star, make_curve())], [Variant.FULL])[Variant.FULL]
+    assert failures == [] and ds.values.shape == (1, 100, 2)
+    assert abs(ds.values[0, :, 0].mean()) < 1e-9
+    np.testing.assert_allclose(ds.values[0, :, 1],
                                np.arange(100) / 100 * star.period)
-    assert fs.mask.all()
-    assert fs.target == star.feh
+    assert ds.mask.all()
+    assert ds.targets.tolist() == [star.feh]
+    assert ds.source_ids.tolist() == [star.source_id]
 
 
 def test_spline_no_mean_keeps_absolute_level():
-    star = make_star()
-    pc = align_to_maximum(phase_fold(make_curve(), star.period, 0.0))
-    full = build_feature_series(star, pc, Variant.FULL)
-    raw = build_feature_series(star, pc, Variant.SPLINE_NO_MEAN)
-    offset = raw.values[:, 0].mean()
+    star = make_star(epoch_max=0.0)
+    built = build_datasets([(star, make_curve())],
+                           [Variant.FULL, Variant.SPLINE_NO_MEAN])
+    full = built[Variant.FULL][0].values[0]
+    raw = built[Variant.SPLINE_NO_MEAN][0].values[0]
+    offset = raw[:, 0].mean()
     assert offset == pytest.approx(16.0, abs=0.1)
-    np.testing.assert_allclose(raw.values[:, 0] - offset, full.values[:, 0],
-                               atol=1e-12)
+    np.testing.assert_allclose(raw[:, 0] - offset, full[:, 0], atol=1e-12)
+    np.testing.assert_array_equal(raw[:, 1], full[:, 1])
 
 
 def test_raw_padded_variant():
-    star = make_star()
+    star = make_star(epoch_max=0.0)
     pc = align_to_maximum(phase_fold(make_curve(n=30), star.period, 0.0))
-    fs = build_feature_series(star, pc, Variant.RAW_PADDED, pad_to=48)
-    assert fs.values.shape == (48, 2)
-    assert fs.mask[:30].all() and not fs.mask[30:].any()
-    assert (fs.values[30:] == -1.0).all()
-    np.testing.assert_allclose(fs.values[:30, 1], pc.phases * pc.period)
+    longer = (make_star(source_id=2, epoch_max=0.0), make_curve(n=48, seed=1))
+    for pad in (-1.0, 5.0):
+        ds, failures = build_datasets(
+            [(star, make_curve(n=30)), longer], [Variant.RAW_PADDED],
+            PreprocessConfig(pad_value=pad))[Variant.RAW_PADDED]
+        assert failures == [] and ds.values.shape == (2, 48, 2)
+        assert ds.mask[0, :30].all() and not ds.mask[0, 30:].any()
+        assert ds.mask[1].all()
+        assert (ds.values[0, 30:] == pad).all()
+        np.testing.assert_allclose(ds.values[0, :30, 0], pc.mags - pc.mean_mag)
+        np.testing.assert_allclose(ds.values[0, :30, 1], pc.phases * pc.period)
 
 
 def test_build_dataset_records_failures():
@@ -154,27 +160,40 @@ def test_build_dataset_records_failures():
     # two observations -> too few distinct phases for a cubic fit
     bad_lc = LightCurve(2, np.array([0.0, 0.3]), np.array([15.0, 15.4]))
     bad = (make_star(source_id=2), bad_lc)
-    series, manifest = build_dataset([good, bad], Variant.FULL)
-    assert len(series) == 1 and series[0].source_id == 1
-    assert manifest.n_requested == 2 and manifest.n_built == 1
-    assert manifest.failures[0][0] == 2
+    built = build_datasets([good, bad], list(Variant))
+    for variant in (Variant.FULL, Variant.SPLINE_NO_MEAN):
+        ds, failures = built[variant]
+        assert ds.source_ids.tolist() == [1] and len(ds.targets) == 1
+        assert ds.values.shape == (1, 100, 2) and ds.mask.shape == (1, 100)
+        assert [sid for sid, _ in failures] == [2]
+    raw, failures = built[Variant.RAW_PADDED]
+    assert raw.source_ids.tolist() == [1, 2] and failures == []
+
+
+def test_every_fit_failing_leaves_empty_arrays():
+    bad_lc = LightCurve(2, np.array([0.0, 0.3]), np.array([15.0, 15.4]))
+    ds, failures = build_datasets([(make_star(source_id=2), bad_lc)],
+                                  [Variant.FULL])[Variant.FULL]
+    assert [sid for sid, _ in failures] == [2]
+    assert ds.values.shape == (0, 0, 2) and ds.mask.shape == (0, 0)
+    assert ds.source_ids.dtype == np.int64 and ds.targets.shape == (0,)
 
 
 def test_build_dataset_epoch_max_fallback():
     # without epoch_max the brightest observation defines phase zero
     star = make_star(epoch_max=None)
     lc = make_curve(n=60, seed=7)
-    series, _ = build_dataset([(star, lc)], Variant.RAW_PADDED)
-    assert series[0].values[0, 1] == 0.0   # first phase is exactly zero
+    ds, _ = build_datasets([(star, lc)], [Variant.RAW_PADDED])[Variant.RAW_PADDED]
+    assert ds.values[0, 0, 1] == 0.0   # first phase is exactly zero
 
 
 def test_raw_padded_pad_to_corpus_maximum():
     pairs, _ = make_corpus(5, seed=11)
-    series, _ = build_dataset(pairs, Variant.RAW_PADDED)
+    ds, _ = build_datasets(pairs, [Variant.RAW_PADDED])[Variant.RAW_PADDED]
     n_max = max(len(lc) for _, lc in pairs)
-    assert all(s.values.shape == (n_max, 2) for s in series)
-    for (rec, lc), s in zip(pairs, series):
-        assert s.mask.sum() == len(lc)
+    assert ds.values.shape == (5, n_max, 2)
+    for (rec, lc), mask in zip(pairs, ds.mask):
+        assert mask.sum() == len(lc)
 
 
 @settings(max_examples=30, deadline=None)
@@ -270,8 +289,9 @@ def test_gcv_no_longer_collapses_to_a_line():
 
 def test_gcv_fits_every_curve_of_a_corpus():
     pairs, _ = make_corpus(300, seed=3)
-    series, manifest = build_dataset(pairs, Variant.SPLINE_NO_MEAN)
-    assert manifest.failures == [] and len(series) == 300
+    ds, failures = build_datasets(
+        pairs, [Variant.SPLINE_NO_MEAN])[Variant.SPLINE_NO_MEAN]
+    assert failures == [] and len(ds) == 300
 
 
 @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9])
@@ -287,14 +307,14 @@ def test_near_duplicate_phases_fit_or_are_recorded(gap, seed):
     mags = 16.0 + sawtooth_mag(folded, 0.8, 0.2) + rng.normal(0, 0.01, len(times))
     star = make_star(source_id=7, n_epochs=len(times), epoch_max=0.0)
     lc = LightCurve(7, times, mags)
-    series, manifest = build_dataset([(star, lc)], Variant.FULL)
+    ds, failures = build_datasets([(star, lc)], [Variant.FULL])[Variant.FULL]
     try:
         fit = fit_smoothing_spline(align_to_maximum(phase_fold(lc, period, 0.0)))
     except SingularFit:
-        assert [sid for sid, _ in manifest.failures] == [7] and series == []
+        assert [sid for sid, _ in failures] == [7] and len(ds) == 0
     else:
         assert fit.residual_rms <= 0.05
-        assert manifest.failures == [] and len(series) == 1
+        assert failures == [] and len(ds) == 1
 
 
 def test_wrapped_phases_that_collapse_raise_singular_fit():
