@@ -4,15 +4,20 @@
               --config <path> [overrides]
 
 Configuration precedence: command-line flags > config file (YAML) > built-in
-defaults. Every run writes its effective config snapshot into the output
-directory, and rerunning from that snapshot reproduces the outputs.
+defaults. Each flag of `FLAGS` sets one config key, and `load_config` reads
+its value as it reads the file's. Every run writes its effective config
+snapshot into the output directory, and rerunning from that snapshot
+reproduces the outputs. `cv` writes each (model, variant) cell's report and
+loss curves, and `matrix.csv` for more than one cell.
 
 Exit codes: an error exits with its class's `exit_code` (see `errors`):
     0  success
     1  other failure (`FehForgeError` itself: a cross-validation lane died)
-    2  missing input file (`MissingInput`, `FileNotFoundError`)
+    2  missing input file (`MissingInput`, `FileNotFoundError`); also an
+       argparse usage error (unknown flag, no `--snapshot`)
     3  malformed input (`MalformedInput`: missing column, parse error,
-       empty catalog, configuration value out of range)
+       empty catalog, a config value or flag that cannot be read or is
+       out of range)
     4  degenerate data (`DegenerateData`: bad split, too few points,
        diverged loss, ...)
     5  integrity mismatch (`IntegrityError`: snapshot/spec hash, wrong
@@ -41,7 +46,7 @@ DEFAULT_CONFIG = {
                   "min_epochs": 50, "max_phi31_sigma": 0.10},
     "split": {"train_fraction": 4801.0 / 6002.0},
     "preprocess": {"resample_length": 100, "lambda_strategy": "gcv",
-                   "lam": 1e-4, "pad_value": -1.0},
+                   "lam": 1e-4},
     "weighting": {"bandwidth": None, "cap": 20.0},
     "variant": "full",
     "model": "gru",
@@ -58,6 +63,19 @@ _NULLABLE_TYPES = {"paths.catalog": str, "paths.photometry": str,
                   "paths.output_dir": str, "weighting.bandwidth": float}
 
 VARIANTS = {v.value: v for v in Variant}
+
+# Each flag that sets a config value, with its dotted config key; its value
+# reaches `load_config` as the string given, to be read as the file's are.
+FLAGS = {"--catalog": "paths.catalog", "--photometry": "paths.photometry",
+         "--output": "paths.output_dir", "--model": "model",
+         "--variant": "variant", "--seed": "seed", "--threads": "threads",
+         "--epochs": "train.max_epochs", "--patience": "train.patience",
+         "--folds": "train.folds", "--repeats": "train.repeats",
+         "--batch-size": "train.batch_size",
+         "--learning-rate": "train.learning_rate"}
+_FLAG_HELP = {"model": f"one of {', '.join(KINDS)} or 'all'",
+              "variant": f"{' | '.join(VARIANTS)} | all",
+              "threads": "cross-validation lanes; 0 = CPUs / BLAS threads"}
 
 
 def _merge(base, override, name="config"):
@@ -100,7 +118,7 @@ def load_config(path=None, overrides=None):
         if cfg[key] not in allowed + ["all"]:
             raise InvalidConfig(f"unknown {key} {cfg[key]!r}; choose from "
                                 f"{', '.join(allowed)} or all")
-    if cfg["paths"]["output_dir"] is None:
+    if not cfg["paths"]["output_dir"]:
         cfg["paths"]["output_dir"] = os.environ.get("FEH_FORGE_OUT",
                                                     "fehforge_out")
     return cfg
@@ -122,8 +140,8 @@ def _train_config(cfg):
                                 threads=cfg["threads"])
 
 
-def _model_spec(cfg, kind=None):
-    kind = kind or cfg["model"]
+def _model_spec(cfg):
+    kind = cfg["model"]
     if kind not in KINDS:
         raise InvalidConfig(f"unknown model kind {kind!r}; choose from {KINDS}")
     return build_default(kind)
@@ -186,8 +204,10 @@ def cmd_preprocess(cfg):
         path = os.path.join(cfg["paths"]["output_dir"], f"curves_{side}.zip")
         sides[side], _ = container.load_curves(_require(path, f"curves ({side})"))
 
-    meta_base = {"preprocess": cfg["preprocess"],
-                 "config_hash": container.config_hash(cfg["preprocess"])}
+    # the containers also record the value their padded steps hold
+    recorded = dict(cfg["preprocess"], pad_value=preprocess.PAD_VALUE)
+    meta_base = {"preprocess": recorded,
+                 "config_hash": container.config_hash(recorded)}
     built = {side: preprocess.build_datasets(
                  pairs, [VARIANTS[name] for name in variants], pconfig)
              for side, pairs in sides.items()}
@@ -255,33 +275,28 @@ def cmd_train(cfg):
 
 
 def cmd_cv(cfg):
+    """Cross-validates each (model, variant) cell, writing its report and
+    loss curves; a run of more than one cell also writes `matrix.csv`."""
     _write_config_snapshot(cfg)
     tconfig = _train_config(cfg)
     variants = list(VARIANTS) if cfg["variant"] == "all" else [cfg["variant"]]
     kinds = list(KINDS) if cfg["model"] == "all" else [cfg["model"]]
-
-    if len(variants) > 1 or len(kinds) > 1:
-        datasets, weights = {}, {}
-        for name in variants:
-            ds, w = _load_side(cfg, name, "train")
-            datasets[name], weights[name] = ds, w
-        rows, reports = evaluate.run_matrix(datasets, kinds, tconfig, weights)
+    datasets, weights = {}, {}
+    for name in variants:
+        datasets[name], weights[name] = _load_side(cfg, name, "train")
+    rows, reports = evaluate.run_matrix(datasets, kinds, tconfig, weights)
+    for (variant, kind), report in reports.items():
+        tag = f"{kind}_{variant}"
+        evaluate.write_metrics_csv(_out(cfg, "reports", f"cv_{tag}.csv"), report)
+        evaluate.write_loss_curves_csv(_out(cfg, "plots", f"cv_loss_{tag}.csv"),
+                                       report.fold_reports)
+        mean, std = report.summary["r2"]["validation"]
+        print(f"cv {tag}: {len(report.fold_reports)} folds, "
+              f"val r2 {mean:.4f} +/- {std:.4f}")
+    if len(reports) > 1:
         evaluate.write_matrix_csv(_out(cfg, "reports", "matrix.csv"), rows)
         print(f"matrix: {len(kinds)} models x {len(variants)} variants "
               f"-> {len(rows)} rows")
-        return 0
-
-    variant, kind = variants[0], kinds[0]
-    ds, w = _load_side(cfg, variant, "train")
-    report = evaluate.cross_validate(_model_spec(cfg, kind), ds, w, tconfig,
-                                     variant=variant)
-    tag = f"{kind}_{variant}"
-    evaluate.write_metrics_csv(_out(cfg, "reports", f"cv_{tag}.csv"), report)
-    evaluate.write_loss_curves_csv(_out(cfg, "plots", f"cv_loss_{tag}.csv"),
-                                   report.fold_reports)
-    mean, std = report.summary["r2"]["validation"]
-    print(f"cv {tag}: {len(report.fold_reports)} folds, "
-          f"val r2 {mean:.4f} +/- {std:.4f}")
     return 0
 
 
@@ -326,22 +341,8 @@ def _build_parser():
     for name in ("ingest", "preprocess", "train", "cv", "gridsearch", "predict"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--catalog", default=None)
-        p.add_argument("--photometry", default=None)
-        p.add_argument("--output", default=None, help="output directory")
-        p.add_argument("--model", default=None,
-                       help=f"one of {', '.join(KINDS)} or 'all'")
-        p.add_argument("--variant", default=None,
-                       help="full | spline_no_mean | raw_padded | all")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="cross-validation lanes; 0 = CPUs / BLAS threads")
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--patience", type=int, default=None)
-        p.add_argument("--folds", type=int, default=None)
-        p.add_argument("--repeats", type=int, default=None)
-        p.add_argument("--batch-size", type=int, default=None)
-        p.add_argument("--learning-rate", type=float, default=None)
+        for flag, key in FLAGS.items():
+            p.add_argument(flag, dest=key, help=_FLAG_HELP.get(key))
         if name == "predict":
             p.add_argument("--snapshot", required=True)
             p.add_argument("--input", required=True)
@@ -350,30 +351,13 @@ def _build_parser():
 
 
 def _overrides_from_args(args):
+    """The config overrides that the flags given set, nested by key."""
     over = {}
-    paths = {}
-    if args.catalog:
-        paths["catalog"] = args.catalog
-    if args.photometry:
-        paths["photometry"] = args.photometry
-    if args.output:
-        paths["output_dir"] = args.output
-    if paths:
-        over["paths"] = paths
-    for key in ("model", "variant", "seed", "threads"):
-        val = getattr(args, key)
-        if val is not None:
-            over[key] = val
-    train = {}
-    for flag, key in (("epochs", "max_epochs"), ("patience", "patience"),
-                      ("folds", "folds"), ("repeats", "repeats"),
-                      ("batch_size", "batch_size"),
-                      ("learning_rate", "learning_rate")):
-        val = getattr(args, flag)
-        if val is not None:
-            train[key] = val
-    if train:
-        over["train"] = train
+    for key in FLAGS.values():
+        value = getattr(args, key)
+        if value is not None:
+            section, _, name = key.rpartition(".")
+            (over.setdefault(section, {}) if section else over)[name] = value
     return over
 
 
@@ -391,10 +375,8 @@ def main(argv=None):
             return cmd_cv(cfg)
         if args.command == "gridsearch":
             return cmd_gridsearch(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.snapshot, args.input,
-                               args.predictions_out)
-        raise AssertionError(args.command)
+        return cmd_predict(cfg, args.snapshot, args.input,
+                           args.predictions_out)
     except (FehForgeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)     # FileNotFoundError: 2

@@ -9,7 +9,6 @@ bit-identical whatever the number of cross-validation lanes.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 import pickle
@@ -26,7 +25,7 @@ from .errors import (DivergedLoss, FehForgeError, InvalidConfig,
                      NonPositiveWeightSum, TooFewSamples, ZeroVariance)
 from .nn.losses import weighted_mse
 from .nn.optim import Adam
-from .zoo import ModelSpec, build
+from .zoo import ModelSpec, build, build_default
 
 METRIC_NAMES = ("r2", "rmse", "mae", "wrmse", "wmae")
 
@@ -55,11 +54,14 @@ class TrainConfig:
 
     def __post_init__(self):
         if (self.folds < 2 or self.batch_size < 1 or self.bins < 2
-                or self.threads < 0):
+                or self.threads < 0 or self.max_epochs < 1 or self.repeats < 1
+                or self.patience < 0 or not 0 < self.learning_rate < math.inf):
             raise InvalidConfig(
                 f"invalid train config: folds {self.folds} (>= 2), batch_size "
                 f"{self.batch_size} (>= 1), bins {self.bins} (>= 2), threads "
-                f"{self.threads} (>= 0)")
+                f"{self.threads} (>= 0), max_epochs {self.max_epochs} (>= 1), "
+                f"repeats {self.repeats} (>= 1), patience {self.patience} "
+                f"(>= 0), learning_rate {self.learning_rate} (finite, > 0)")
 
 
 @dataclass(frozen=True)
@@ -204,12 +206,11 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
         _substream(config.seed, _STREAM_SHUFFLE, seed_index))
     opt = Adam(model, learning_rate=config.learning_rate)
 
-    best_state = model.get_state()
+    # max_epochs >= 1, and a first epoch that does not diverge is the best
+    # so far, so the loop sets best_state and best_pred
     best_val = math.inf
-    best_pred = None
     stale = 0
     train_curve, val_curve = [], []
-    epochs_run = 0
 
     for epoch in range(config.max_epochs):
         epochs_run = epoch + 1
@@ -248,8 +249,6 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
                 break
 
     model.set_state(best_state)
-    if best_pred is None:           # no epoch ran
-        best_pred = _forward_batched(model, Xval, mval)
     return TrainResult(model=model, epochs_run=epochs_run,
                        train_loss_curve=train_curve, val_loss_curve=val_curve,
                        best_val_loss=best_val, val_predictions=best_pred)
@@ -282,34 +281,25 @@ def _lane_count(threads, jobs):
     return min(threads, jobs)
 
 
-def _run_lane(fit, jobs, send):
-    """fit(job) for each job in order, sending ("ok", result) for each; the
-    first that raises sends ("error", exception) and ends the lane."""
+def _run_lane(fit, jobs):
+    """(results, exception): fit(job) for each job in order, up to the first
+    that raises, whose exception is returned (None when none raised)."""
+    results = []
     for job in jobs:
         try:
-            result = fit(job)
+            results.append(fit(job))
         except Exception as exc:
-            send(("error", exc))
-            return
-        send(("ok", result))
-
-
-def _pickled(outcome):
-    """The outcome pickled; a child's exception carries its traceback as a
-    note."""
-    kind, value = outcome
-    if kind == "error" and hasattr(value, "add_note"):     # Python >= 3.11
-        value.add_note("raised in a fold lane:\n"
-                       + "".join(traceback.format_exception(value)))
-    return pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+            return results, exc
+    return results, None
 
 
 def _fork_lane(fit, jobs):
     """Forks a child that runs `jobs`; returns (pid, read end of a pipe).
-    The child writes its pickled outcomes into the pipe once all are in,
+    The child pickles its `_run_lane` outcome into the pipe once all is in,
     so a full pipe cannot stall its work while the caller runs its own
-    lane. It never returns into the caller's stack, its finally blocks or
-    its stdout buffer: whatever happens, it ends in os._exit."""
+    lane; its exception carries the child's traceback as a note. It never
+    returns into the caller's stack, its finally blocks or its stdout
+    buffer: whatever happens, it ends in os._exit."""
     rfd, wfd = os.pipe()
     pid = os.fork()
     if pid:
@@ -318,18 +308,21 @@ def _fork_lane(fit, jobs):
     code = 1
     try:
         os.close(rfd)
-        sent = []
-        _run_lane(fit, jobs, lambda outcome: sent.append(_pickled(outcome)))
+        results, exc = _run_lane(fit, jobs)
+        if exc is not None and hasattr(exc, "add_note"):     # Python >= 3.11
+            exc.add_note("raised in a fold lane:\n"
+                         + "".join(traceback.format_exception(exc)))
+        data = pickle.dumps((results, exc), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(wfd, "wb") as out:
-            out.writelines(sent)
+            out.write(data)
         code = 0
     finally:
         os._exit(code)
 
 
 def _collect(pid, rfd):
-    """(outcomes, why the lane ended early) of a forked lane, once it has
-    exited; the reason is None for a lane that sent all it meant to."""
+    """(results, exception, why the lane ended early) of a forked lane, once
+    it has exited; the reason is None for a lane that sent its outcome."""
     try:
         with os.fdopen(rfd, "rb") as fh:
             data = fh.read()
@@ -338,15 +331,14 @@ def _collect(pid, rfd):
         raise
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    reason = (f"was killed by signal {-code}" if code < 0
-              else f"exited with code {code}" if code else None)
-    outcomes, stream = [], io.BytesIO(data)
-    while stream.tell() < len(data):
-        try:
-            outcomes.append(pickle.load(stream))
-        except Exception as exc:
-            return outcomes, f"sent garbage ({type(exc).__name__}: {exc})"
-    return outcomes, reason
+    if code:
+        return [], None, (f"was killed by signal {-code}" if code < 0
+                          else f"exited with code {code}")
+    try:
+        results, exc = pickle.loads(data)
+    except Exception as exc:
+        return [], None, f"sent garbage ({type(exc).__name__}: {exc})"
+    return results, exc, None
 
 
 def _map_folds(fit, jobs, lanes):
@@ -363,10 +355,8 @@ def _map_folds(fit, jobs, lanes):
     try:
         for lane in range(1, lanes):
             children[lane] = _fork_lane(fit, jobs[lane::lanes])
-        own = []
-        _run_lane(fit, jobs[0::lanes], own.append)
-        lane_outcomes = [(own, None)] + [_collect(*children.pop(lane))
-                                         for lane in range(1, lanes)]
+        outcomes = [(*_run_lane(fit, jobs[0::lanes]), None)]
+        outcomes += [_collect(*children.pop(lane)) for lane in range(1, lanes)]
     finally:
         for pid, rfd in children.values():      # left only by an interrupt
             os.kill(pid, signal.SIGKILL)
@@ -374,20 +364,16 @@ def _map_folds(fit, jobs, lanes):
             os.waitpid(pid, 0)
 
     results, failures = [None] * len(jobs), []
-    for lane, (outcomes, reason) in enumerate(lane_outcomes):
+    for lane, (done, exc, reason) in enumerate(outcomes):
         positions = range(lane, len(jobs), lanes)
-        for pos, (kind, value) in zip(positions, outcomes):
-            if kind == "error":
-                failures.append((pos, value))
-                break
-            results[pos] = value
-        else:
-            if len(outcomes) < len(positions):
-                pos = positions[len(outcomes)]
-                rep, fold = jobs[pos]
-                failures.append((pos, FehForgeError(
-                    f"cross-validation lane {lane} {reason or 'sent too little'}"
-                    f" before it delivered repeat {rep} fold {fold}")))
+        for pos, result in zip(positions, done):
+            results[pos] = result
+        if len(done) < len(positions):
+            pos = positions[len(done)]
+            rep, fold = jobs[pos]
+            failures.append((pos, exc or FehForgeError(
+                f"cross-validation lane {lane} {reason} before it delivered "
+                f"repeat {rep} fold {fold}")))
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
     return results
@@ -510,8 +496,6 @@ def run_matrix(datasets, kinds, config: TrainConfig, weights_by_variant):
     """Train every model kind on every dataset variant; returns tidy rows
     (variant, model, metric, phase, mean, std) mirroring the full report
     matrix, ordered by variant then model."""
-    from .zoo import build_default
-
     rows = []
     reports = {}
     for variant in sorted(datasets):

@@ -7,7 +7,7 @@ Conventions:
   - a layer instance must not be used concurrently from multiple threads
 
 Mode contract of the conv stack (Conv1D, BatchNorm1D, ReLU, MaxPool1D,
-GlobalAveragePool, the residual blocks of `model`) and of the recurrent
+GlobalAveragePool, the residual block of `model`) and of the recurrent
 layers (GRU, LSTM and Bidirectional over them): a training=False forward
 keeps no backward cache; backward() needs a training=True forward and raises
 RuntimeError after an inference one. Dense and Dropout cache in both modes.

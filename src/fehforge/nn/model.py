@@ -36,27 +36,28 @@ class Sequential(Layer):
 
 
 class ResidualBlock(Layer):
-    """Three conv blocks plus a skip path; output is ReLU(skip + body),
-    zero at padded steps.
+    """ReLU(shortcut(x) + body(x)), zero at padded steps: the residual block
+    of ResNet (body: three conv blocks; shortcut: a 1x1 conv where the
+    channel count changes, else the identity) and of InceptionTime (body:
+    inception modules; shortcut: a 1x1 conv and batch norm).
 
-    `projection` (a 1x1 conv) is used when the input channel count differs
-    from the body's output channels, otherwise the skip is the identity.
+    `shortcut` None is the identity.
     """
 
-    def __init__(self, body_layers, projection=None):
+    def __init__(self, body_layers, shortcut=None):
         super().__init__()
         self.body = Sequential(body_layers)
-        self.projection = projection
+        self.shortcut = shortcut
 
     def children(self):
         kids = [("body", self.body)]
-        if self.projection is not None:
-            kids.append(("proj", self.projection))
+        if self.shortcut is not None:
+            kids.append(("proj", self.shortcut))
         return kids
 
     def forward(self, x, mask=None, training=False):
         h = self.body.forward(x, mask=mask, training=training)
-        sc = x if self.projection is None else self.projection.forward(
+        sc = x if self.shortcut is None else self.shortcut.forward(
             x, mask=mask, training=training)
         y = _zero_padded(np.fmax(0.0, sc + h), mask)
         self._cache = y > 0 if training else None
@@ -66,9 +67,9 @@ class ResidualBlock(Layer):
     def backward(self, dy):
         dy = dy * self._saved()
         dx = self.body.backward(dy)
-        if self.projection is None:
+        if self.shortcut is None:
             return dx + dy
-        return dx + self.projection.backward(dy)
+        return dx + self.shortcut.backward(dy)
 
 
 class InceptionModule(Layer):
@@ -113,42 +114,6 @@ class InceptionModule(Layer):
         return dx
 
 
-class InceptionResidualBlock(Layer):
-    """Three inception modules with a conv+BN shortcut from the block input;
-    output is ReLU(shortcut + modules), zero at padded steps."""
-
-    def __init__(self, modules, shortcut_conv, shortcut_bn):
-        super().__init__()
-        self.modules = list(modules)
-        self.shortcut_conv = shortcut_conv
-        self.shortcut_bn = shortcut_bn
-
-    def children(self):
-        kids = [(f"mod{i}", m) for i, m in enumerate(self.modules)]
-        kids += [("sc_conv", self.shortcut_conv), ("sc_bn", self.shortcut_bn)]
-        return kids
-
-    def forward(self, x, mask=None, training=False):
-        h = x
-        for mod in self.modules:
-            h = mod.forward(h, mask=mask, training=training)
-        sc = self.shortcut_bn.forward(
-            self.shortcut_conv.forward(x, mask=mask, training=training),
-            mask=mask, training=training)
-        y = _zero_padded(np.fmax(0.0, sc + h), mask)
-        self._cache = y > 0 if training else None
-        self.mask_out = mask
-        return y
-
-    def backward(self, dy):
-        dy = dy * self._saved()
-        dh = dy
-        for mod in reversed(self.modules):
-            dh = mod.backward(dh)
-        dsc = self.shortcut_conv.backward(self.shortcut_bn.backward(dy))
-        return dh + dsc
-
-
 def iter_leaves(layer, prefix=""):
     """Yield (path, leaf_layer) for every parameterized or stateful leaf."""
     kids = layer.children()
@@ -167,18 +132,22 @@ class Model:
         self.root = root
         self.input_shape = input_shape
         self.spec = spec
+        self._mask = None
 
     def forward(self, x, mask=None, training=False):
         """The root layer's output. Padded steps (mask False) are zeroed
         first, so no layer reads the padding value: the recurrent layers
         skip padded steps, but the conv, batch-norm and pooling layers
         compute over them."""
+        self._mask = mask if training else None
         return self.root.forward(
             _zero_padded(np.asarray(x, dtype=np.float64), mask),
             mask=mask, training=training)
 
     def backward(self, dy):
-        return self.root.backward(dy)
+        """The input gradient, 0 at padded steps: no output depends on
+        them, since `forward` replaced them by 0."""
+        return _zero_padded(self.root.backward(dy), self._mask)
 
     def named_params(self):
         for path, leaf in iter_leaves(self.root):

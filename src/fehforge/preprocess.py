@@ -3,7 +3,7 @@ smoothing-spline resampling, and `build_datasets`, which folds each curve
 once, fits each star's spline at most once and writes the arrays of the
 three dataset variants directly:
   RAW_PADDED      phase-folded/aligned observations, padded to the corpus
-                  maximum length with a sentinel value and a validity mask.
+                  maximum length with PAD_VALUE and a validity mask.
   SPLINE_NO_MEAN  spline-resampled magnitudes on a uniform phase grid,
                   without mean-magnitude centering.
   FULL            spline-resampled, mean-centered magnitudes.
@@ -45,6 +45,11 @@ from .errors import (InsufficientPoints, InvalidConfig, NonFinitePhase,
                      SingularFit)
 
 
+# The value of RAW_PADDED's padded steps; no prediction depends on it, since
+# the model zeroes padded steps at its input.
+PAD_VALUE = -1.0
+
+
 class Variant(enum.Enum):
     RAW_PADDED = "raw_padded"
     SPLINE_NO_MEAN = "spline_no_mean"
@@ -75,7 +80,6 @@ class PreprocessConfig:
     resample_length: int = 100
     lambda_strategy: str = "gcv"   # "gcv" or "fixed"
     lam: float = 1e-4              # used when lambda_strategy == "fixed"
-    pad_value: float = -1.0
 
     def __post_init__(self):
         if self.resample_length < 8:
@@ -320,7 +324,7 @@ def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig(
     unknown) and aligned once, and each star's spline is fitted at most once.
     The channels are (magnitude, phase times period) per step. RAW_PADDED:
     the observations, magnitude minus the curve mean, padded to the longest
-    curve with `pad_value` and mask False. SPLINE_NO_MEAN: the spline on
+    curve with PAD_VALUE and mask False. SPLINE_NO_MEAN: the spline on
     `resample_length` uniform phases. FULL: that minus its mean magnitude.
     A star whose fit fails is left out of both spline variants and listed
     in their failures as (source_id, message).
@@ -334,8 +338,7 @@ def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig(
     built = {}
     if Variant.RAW_PADDED in variants:
         length = max((len(pc) for pc in curves), default=0)
-        values = np.full((len(curves), length, 2), config.pad_value,
-                         dtype=np.float64)
+        values = np.full((len(curves), length, 2), PAD_VALUE, dtype=np.float64)
         mask = np.zeros((len(curves), length), dtype=bool)
         for row, pc in enumerate(curves):
             n = len(pc)

@@ -55,6 +55,8 @@ def compute_weights(model: DensityModel, values, cap=20.0):
     mean is restored afterwards. Raises `ZeroDensity` if the density
     underflows at any evaluation point.
     """
+    if cap is not None and not cap > 0:
+        raise InvalidConfig(f"cap must be positive, got {cap}")
     values = np.asarray(values, dtype=np.float64)
     dens = model.density(values)
     if np.any(dens <= 0) or not np.all(np.isfinite(dens)):

@@ -17,8 +17,7 @@ import numpy as np
 
 from .nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                         GlobalAveragePool, MaxPool1D, ReLU)
-from .nn.model import (InceptionModule, InceptionResidualBlock, Model,
-                       ResidualBlock, Sequential)
+from .nn.model import InceptionModule, Model, ResidualBlock, Sequential
 from .nn.recurrent import GRU, LSTM, Bidirectional
 
 SPEC_FORMAT_VERSION = 1
@@ -151,9 +150,9 @@ def _build_inception_root(spec, rng, in_ch):
             modules.append(InceptionModule(bottleneck, branches, pool,
                                            pool_conv, BatchNorm1D(out_ch), ReLU()))
             ch = out_ch
-        layers.append(InceptionResidualBlock(
-            modules, Conv1D(block_in, out_ch, 1, rng, use_bias=False),
-            BatchNorm1D(out_ch)))
+        layers.append(ResidualBlock(modules, shortcut=Sequential([
+            Conv1D(block_in, out_ch, 1, rng, use_bias=False),
+            BatchNorm1D(out_ch)])))
     layers += [GlobalAveragePool(), Dense(ch, 1, rng)]
     return Sequential(layers)
 
@@ -185,7 +184,7 @@ def build(spec: ModelSpec, input_shape, seed=0) -> Model:
                 body += _conv_block(rng, ch, f, k)
                 ch = f
             proj = Conv1D(body_in, f, 1, rng) if body_in != f else None
-            layers.append(ResidualBlock(body, projection=proj))
+            layers.append(ResidualBlock(body, shortcut=proj))
         layers += [GlobalAveragePool(), Dense(ch, 1, rng)]
         root = Sequential(layers)
 

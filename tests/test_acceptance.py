@@ -146,6 +146,20 @@ def test_04b_pad_value_never_reaches_a_prediction(kind):
     _pass(4, f"{kind}: predictions equal with padding -1 and 5")
 
 
+@pytest.mark.parametrize("kind", list(TINY_SPECS))
+def test_04c_input_gradient_zero_at_padded_steps(kind):
+    model = build(TINY_SPECS[kind], (16, 2), seed=0)
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(4, 16, 2))
+    mask = np.ones((4, 16), dtype=bool)
+    mask[0, 10:] = mask[2, 13:] = False
+    pred = model.forward(X, mask=mask, training=True)
+    dx = model.backward(np.ones_like(pred))
+    assert dx.shape == X.shape and np.abs(dx[mask]).max() > 0
+    assert (dx[~mask] == 0).all()
+    _pass(4, f"{kind}: input gradient 0 at padded steps")
+
+
 def test_05_weighting_properties():
     rng = np.random.default_rng(2)
     sample = np.concatenate([rng.normal(-1.5, 0.15, 800),

@@ -110,6 +110,35 @@ def test_cv_writes_report(workspace):
     assert {r["metric"] for r in rows} == {"r2", "rmse", "mae", "wrmse", "wmae"}
 
 
+def test_cv_matrix_writes_each_cell(workspace, tmp_path):
+    # a two-cell run writes matrix.csv plus each cell's report and loss
+    # curves, byte for byte those of a one-cell run, which has no matrix.csv
+    work, one = str(tmp_path / "work"), str(tmp_path / "one")
+    shutil.copytree(workspace, work)
+    assert main(["preprocess", "--output", work, "--variant", "all"]) == 0
+    shutil.copytree(work, one)
+    args = ["--model", "gru", "--epochs", "2", "--folds", "2", "--repeats", "1",
+            "--batch-size", "16"]
+    assert main(["cv", "--output", work, "--variant", "all", *args]) == 0
+    assert main(["cv", "--output", one, "--variant", "raw_padded", *args]) == 0
+    assert not os.path.exists(os.path.join(one, "reports", "matrix.csv"))
+    for name in ("reports/cv_gru_raw_padded.csv", "plots/cv_loss_gru_raw_padded.csv"):
+        with open(os.path.join(work, name), "rb") as a, \
+                open(os.path.join(one, name), "rb") as b:
+            assert a.read() == b.read()
+    with open(os.path.join(work, "reports", "matrix.csv")) as fh:
+        matrix = list(csv.DictReader(fh))
+    assert len(matrix) == 3 * 10                # 3 variants x 5 metrics x 2 phases
+    for variant in ("raw_padded", "spline_no_mean", "full"):
+        with open(os.path.join(work, "reports", f"cv_gru_{variant}.csv")) as fh:
+            report = [(r["metric"], r["phase"], r["mean"], r["std"])
+                      for r in csv.DictReader(fh)]
+        assert report == [(r["metric"], r["phase"], r["mean"], r["std"])
+                          for r in matrix if r["variant"] == variant]
+        assert os.path.exists(os.path.join(work, "plots",
+                                           f"cv_loss_gru_{variant}.csv"))
+
+
 def test_exit_code_missing_input(tmp_path):
     assert main(["preprocess", "--output", str(tmp_path / "empty")]) == 2
     assert main(["ingest", "--catalog", str(tmp_path / "no.csv"),
@@ -294,10 +323,19 @@ def test_unknown_model_rejected(workspace):
     ("cv", {"model": "nosuch"}),
     ("preprocess", {"weighting": {"bandwidth": "abc"}}),
     ("cv", {"threads": -1}),
+    ("cv", {"train": {"repeats": 0}}),
+    ("train", {"train": {"max_epochs": 0}}),
+    ("train", {"train": {"learning_rate": -1.0}}),
+    ("train", {"train": {"learning_rate": float("nan")}}),
+    ("train", {"train": {"patience": -5}}),
+    ("preprocess", {"weighting": {"cap": 0.0}}),
+    ("preprocess", {"preprocess": {"pad_value": -1.0}}),
 ], ids=["negative_lam", "zero_batch_size", "unknown_variant", "unknown_key",
         "train_fraction_not_a_number", "batch_size_not_a_number",
         "top_level_list", "unknown_model", "bandwidth_not_a_number",
-        "negative_threads"])
+        "negative_threads", "zero_repeats", "zero_max_epochs",
+        "negative_learning_rate", "nan_learning_rate", "negative_patience",
+        "zero_cap", "removed_pad_value"])
 def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section):
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(section))
@@ -306,6 +344,28 @@ def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section)
     assert main([command, "--config", str(config), "--output", work]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--epochs", "abc"], ["--learning-rate", "x"], ["--seed", "1.5"],
+    ["--threads", ""], ["--repeats", "0"], ["--learning-rate", "inf"],
+], ids=["epochs_abc", "learning_rate_x", "seed_1.5", "threads_empty",
+        "repeats_0", "learning_rate_inf"])
+def test_exit_code_invalid_flag(tmp_path, capsys, flags):
+    # flag values are read by load_config, as the same values in YAML are
+    out = str(tmp_path / "out")
+    assert main(["cv", "--output", out, *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cv", "--bogus", "1"], ["predict", "--input", "x.zip"], ["train", "--epochs"],
+], ids=["unknown_flag", "no_snapshot", "flag_without_value"])
+def test_usage_error_exits_2(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
 
 
 def test_adjacent_gaia_ids_stay_two_stars(tmp_path):

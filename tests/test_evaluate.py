@@ -1,4 +1,5 @@
 import os
+import pickle
 import signal
 import threading
 from dataclasses import replace
@@ -133,11 +134,12 @@ def test_train_learns_and_early_stops():
 
 
 
-def test_early_stopping_after_patience_plus_one_stale_epochs():
-    # with a zero learning rate no epoch after the first sets a new best;
-    # training stops once `stale > patience`, after 1 + (patience + 1)
+def test_early_stopping_after_patience_plus_one_stale_epochs(monkeypatch):
+    # with an optimizer that never steps no epoch after the first sets a new
+    # best; training stops once `stale > patience`, after 1 + (patience + 1)
     # epochs, where Keras' EarlyStopping would stop after 1 + patience
-    cfg = TrainConfig(batch_size=16, learning_rate=0.0, max_epochs=50,
+    monkeypatch.setattr(evaluate.Adam, "step", lambda self: None)
+    cfg = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=50,
                       patience=3, folds=3, repeats=1, bins=4, seed=0)
     result = train(TINY_SPEC, as_tuple(toy_dataset(40)),
                    as_tuple(toy_dataset(16, seed=1)), cfg)
@@ -295,7 +297,8 @@ def test_broken_child_lane_names_its_fold(monkeypatch, fault):
         _patch_train(monkeypatch, hook)
         why = f"killed by signal {int(signal.SIGKILL)}"
     else:
-        monkeypatch.setattr(evaluate, "_pickled", lambda outcome: b"garbage")
+        # the child's pickle of its outcome is garbage; the caller only loads
+        monkeypatch.setattr(pickle, "dumps", lambda *args: b"garbage")
         why = "sent garbage"
     with pytest.raises(FehForgeError) as info:
         cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),

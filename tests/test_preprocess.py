@@ -6,8 +6,8 @@ from scipy.interpolate import make_smoothing_spline
 
 from fehforge.catalog import LightCurve, StarRecord
 from fehforge.errors import InsufficientPoints, SingularFit
-from fehforge.preprocess import (PhasedCurve, PreprocessConfig, Variant,
-                                 align_to_maximum, build_datasets,
+from fehforge.preprocess import (PAD_VALUE, PhasedCurve, PreprocessConfig,
+                                 Variant, align_to_maximum, build_datasets,
                                  fit_smoothing_spline, phase_fold, resample)
 from fehforge.synthetic import make_corpus, sawtooth_mag
 
@@ -143,16 +143,14 @@ def test_raw_padded_variant():
     star = make_star(epoch_max=0.0)
     pc = align_to_maximum(phase_fold(make_curve(n=30), star.period, 0.0))
     longer = (make_star(source_id=2, epoch_max=0.0), make_curve(n=48, seed=1))
-    for pad in (-1.0, 5.0):
-        ds, failures = build_datasets(
-            [(star, make_curve(n=30)), longer], [Variant.RAW_PADDED],
-            PreprocessConfig(pad_value=pad))[Variant.RAW_PADDED]
-        assert failures == [] and ds.values.shape == (2, 48, 2)
-        assert ds.mask[0, :30].all() and not ds.mask[0, 30:].any()
-        assert ds.mask[1].all()
-        assert (ds.values[0, 30:] == pad).all()
-        np.testing.assert_allclose(ds.values[0, :30, 0], pc.mags - pc.mean_mag)
-        np.testing.assert_allclose(ds.values[0, :30, 1], pc.phases * pc.period)
+    ds, failures = build_datasets([(star, make_curve(n=30)), longer],
+                                  [Variant.RAW_PADDED])[Variant.RAW_PADDED]
+    assert failures == [] and ds.values.shape == (2, 48, 2)
+    assert ds.mask[0, :30].all() and not ds.mask[0, 30:].any()
+    assert ds.mask[1].all()
+    assert (ds.values[0, 30:] == PAD_VALUE).all() and PAD_VALUE == -1.0
+    np.testing.assert_allclose(ds.values[0, :30, 0], pc.mags - pc.mean_mag)
+    np.testing.assert_allclose(ds.values[0, :30, 1], pc.phases * pc.period)
 
 
 def test_build_dataset_records_failures():
