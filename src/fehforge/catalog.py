@@ -19,7 +19,7 @@ import numpy as np
 
 from .container import atomic_open
 from .errors import (DegenerateSplit, DuplicateEpoch, EmptyCatalog,
-                     MissingColumn, OrphanStar, ParseError)
+                     InvalidConfig, MissingColumn, OrphanStar, ParseError)
 
 # Default header names, with common aliases accepted per field.
 DEFAULT_COLUMN_MAP = {
@@ -75,12 +75,20 @@ class SelectionCriteria:
     min_epochs: int = 50
     max_phi31_sigma: float = 0.10
 
+    def __post_init__(self):
+        if not all(value >= 0 for value in vars(self).values()):
+            raise InvalidConfig(f"selection cuts must be >= 0, got {self}")
+
 
 @dataclass(frozen=True)
 class SplitSpec:
     # Default fraction reproduces the 4801/1201 partition of 6002 stars.
     train_fraction: float = 4801.0 / 6002.0
     seed: int = 0
+
+    def __post_init__(self):
+        if not 0.0 < self.train_fraction < 1.0:
+            raise InvalidConfig(f"train_fraction {self.train_fraction} not in (0, 1)")
 
 
 @dataclass

@@ -4,11 +4,13 @@
               --config <path> [overrides]
 
 Configuration precedence: command-line flags > config file (YAML) > built-in
-defaults. Each flag of `FLAGS` sets one config key, and `load_config` reads
-its value as it reads the file's. Every run writes its effective config
-snapshot into the output directory, and rerunning from that snapshot
-reproduces the outputs. `cv` writes each (model, variant) cell's report and
-loss curves, and `matrix.csv` for more than one cell.
+defaults (each section's are its dataclass's). Each flag of `FLAGS` sets
+one config key, and `load_config` reads its value as it reads the file's
+and checks every value before a command writes anything. Every run writes
+its effective config snapshot into the output directory, and rerunning
+from that snapshot reproduces the outputs. `cv` writes each (model,
+variant) cell's report and loss curves, and `matrix.csv` for more than one
+cell.
 
 Exit codes: an error exits with its class's `exit_code` (see `errors`):
     0  success
@@ -17,7 +19,7 @@ Exit codes: an error exits with its class's `exit_code` (see `errors`):
        argparse usage error (unknown flag, no `--snapshot`)
     3  malformed input (`MalformedInput`: missing column, parse error,
        empty catalog, a config value or flag that cannot be read or is
-       out of range)
+       out of range: raised before any output is written)
     4  degenerate data (`DegenerateData`: bad split, too few points,
        diverged loss, ...)
     5  integrity mismatch (`IntegrityError`: snapshot/spec hash, wrong
@@ -26,7 +28,9 @@ Exit codes: an error exits with its class's `exit_code` (see `errors`):
 from __future__ import annotations
 
 import argparse
+import collections
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -40,23 +44,22 @@ from .errors import FehForgeError, IntegrityError, InvalidConfig, MissingInput
 from .preprocess import PreprocessConfig, Variant
 from .zoo import KINDS, build_default
 
+# Each config section and the dataclass that holds its defaults and checks
+# its values. `seed` and `threads` are top-level keys that reach each
+# section with a field of that name.
+SECTIONS = {"selection": cat.SelectionCriteria, "split": cat.SplitSpec,
+            "preprocess": PreprocessConfig,
+            "weighting": weighting.WeightingConfig,
+            "train": evaluate.TrainConfig, "grid": evaluate.GridSpec}
+_SHARED = ("seed", "threads")
+
 DEFAULT_CONFIG = {
     "paths": {"catalog": None, "photometry": None, "output_dir": None},
-    "selection": {"max_feh_sigma": 0.4, "max_amp_g": 1.4,
-                  "min_epochs": 50, "max_phi31_sigma": 0.10},
-    "split": {"train_fraction": 4801.0 / 6002.0},
-    "preprocess": {"resample_length": 100, "lambda_strategy": "gcv",
-                   "lam": 1e-4},
-    "weighting": {"bandwidth": None, "cap": 20.0},
+    **{name: {f.name: f.default for f in dataclasses.fields(cls)
+              if f.name not in _SHARED} for name, cls in SECTIONS.items()},
     "variant": "full",
     "model": "gru",
-    "train": {"batch_size": 256, "learning_rate": 0.01, "max_epochs": 500,
-              "patience": 20, "folds": 5, "repeats": 3, "bins": 10},
-    "grid": {"dropout_rates": [0.1, 0.2, 0.4, 0.6],
-             "learning_rates": [0.001, 0.01, 0.1],
-             "batch_sizes": [32, 64, 128, 256, 512]},
-    "seed": 0,
-    "threads": 0,           # cross-validation lanes; 0 = CPUs / BLAS threads
+    **{key: getattr(evaluate.TrainConfig, key) for key in _SHARED},
 }
 # The type of each value whose default is None; null stays allowed.
 _NULLABLE_TYPES = {"paths.catalog": str, "paths.photometry": str,
@@ -95,56 +98,63 @@ def _merge(base, override, name="config"):
         return None
     kind = (_NULLABLE_TYPES[name.partition(".")[2]] if base is None
             else type(base))
-    try:
-        if isinstance(base, list):
-            return [type(base[0])(v) for v in override]
-        return kind(override)
+    try:        # from its text form, as a flag's value is read: 1.5 is no int
+        if isinstance(base, tuple):       # a YAML list
+            if not isinstance(override, list):
+                raise TypeError
+            return tuple(type(base[0])(str(v)) for v in override)
+        return kind(str(override))
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"{name}: cannot read {override!r} as "
                             f"{kind.__name__}") from exc
 
 
-def load_config(path=None, overrides=None):
-    """DEFAULT_CONFIG < the YAML file at `path` < `overrides`, checked: a
-    key, type or choice outside DEFAULT_CONFIG raises InvalidConfig."""
-    cfg = DEFAULT_CONFIG
+# A run's settings, checked: `values` is the merged config that the snapshot
+# records, each section the `SECTIONS` dataclass built from it, and
+# `variants` and `kinds` what `variant` and `model` name.
+Config = collections.namedtuple("Config",
+                                ["values", "variants", "kinds", *SECTIONS])
+
+
+def load_config(path=None, overrides=None, command=None):
+    """DEFAULT_CONFIG < the YAML file at `path` < `overrides`, as a checked
+    `Config`: a key, type, choice or range outside what DEFAULT_CONFIG and
+    the section dataclasses allow raises InvalidConfig. `train` and
+    `gridsearch` take one variant and one model, not 'all'."""
+    values = DEFAULT_CONFIG
     if path:
         if not os.path.exists(path):
             raise MissingInput(f"config file not found: {path}")
         with open(path) as fh:
-            cfg = _merge(cfg, yaml.safe_load(fh) or {})
-    cfg = _merge(cfg, overrides or {})
-    for key, allowed in (("variant", list(VARIANTS)), ("model", list(KINDS))):
-        if cfg[key] not in allowed + ["all"]:
-            raise InvalidConfig(f"unknown {key} {cfg[key]!r}; choose from "
-                                f"{', '.join(allowed)} or all")
-    if not cfg["paths"]["output_dir"]:
-        cfg["paths"]["output_dir"] = os.environ.get("FEH_FORGE_OUT",
-                                                    "fehforge_out")
-    return cfg
+            values = _merge(values, yaml.safe_load(fh) or {})
+    values = _merge(values, overrides or {})
+    if not values["paths"]["output_dir"]:
+        values["paths"]["output_dir"] = os.environ.get("FEH_FORGE_OUT",
+                                                       "fehforge_out")
+    chosen = {}
+    for key, names in (("variant", list(VARIANTS)), ("model", list(KINDS))):
+        allowed = names if command in ("train", "gridsearch") else names + ["all"]
+        if values[key] not in allowed:
+            raise InvalidConfig(f"{command or 'config'}: {key} {values[key]!r} "
+                                f"is not one of {', '.join(allowed)}")
+        chosen[key] = names if values[key] == "all" else [values[key]]
+    sections = {}
+    for name, cls in SECTIONS.items():
+        fields = {f.name for f in dataclasses.fields(cls)}
+        sections[name] = cls(**values[name], **{
+            key: values[key] for key in _SHARED if key in fields})
+    return Config(values, chosen["variant"], chosen["model"], **sections)
 
 
 def _out(cfg, *parts):
-    path = os.path.join(cfg["paths"]["output_dir"], *parts)
+    path = os.path.join(cfg.values["paths"]["output_dir"], *parts)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     return path
 
 
 def _write_config_snapshot(cfg):
     with container.atomic_open(_out(cfg, "config.snapshot.yaml")) as fh:
-        yaml.safe_dump(cfg, fh, sort_keys=True)
-
-
-def _train_config(cfg):
-    return evaluate.TrainConfig(**cfg["train"], seed=cfg["seed"],
-                                threads=cfg["threads"])
-
-
-def _model_spec(cfg):
-    kind = cfg["model"]
-    if kind not in KINDS:
-        raise InvalidConfig(f"unknown model kind {kind!r}; choose from {KINDS}")
-    return build_default(kind)
+        yaml.safe_dump(cfg.values, fh, sort_keys=True)
 
 
 def _require(path, what):
@@ -158,20 +168,18 @@ def _require(path, what):
 # --- commands ---------------------------------------------------------------
 
 def cmd_ingest(cfg):
-    catalog_path = _require(cfg["paths"]["catalog"], "catalog")
-    photometry_path = _require(cfg["paths"]["photometry"], "photometry")
+    catalog_path = _require(cfg.values["paths"]["catalog"], "catalog")
+    photometry_path = _require(cfg.values["paths"]["photometry"], "photometry")
     _write_config_snapshot(cfg)
 
     records = cat.load_catalog(catalog_path)
-    criteria = cat.SelectionCriteria(**cfg["selection"])
-    accepted, rejected = cat.apply_selection(records, criteria)
+    accepted, rejected = cat.apply_selection(records, cfg.selection)
     cat.write_rejection_report(_out(cfg, "rejections.csv"), rejected)
     print(f"accepted {len(accepted)} rejected {len(rejected)}")
     if accepted:
         pairs = cat.join_photometry(accepted, photometry_path)
-        split = cat.SplitSpec(**cfg["split"], seed=cfg["seed"])
         train_recs, val_recs = cat.split_train_validation(
-            [rec for rec, _ in pairs], split)
+            [rec for rec, _ in pairs], cfg.split)
         by_id = {rec.source_id: (rec, lc) for rec, lc in pairs}
         container.save_curves(_out(cfg, "curves_train.zip"),
                               [by_id[r.source_id] for r in train_recs],
@@ -186,32 +194,27 @@ def cmd_ingest(cfg):
     return 0
 
 
-def _dataset_path(cfg, variant, side):
-    return _out(cfg, "datasets", f"{variant}_{side}.zip")
-
-
-def _weights_path(cfg, variant, side):
-    return _out(cfg, "datasets", f"weights_{variant}_{side}.zip")
+def _dataset_path(cfg, variant, side, prefix=""):
+    """A dataset container's path; with prefix "weights_", its weights'."""
+    return _out(cfg, "datasets", f"{prefix}{variant}_{side}.zip")
 
 
 def cmd_preprocess(cfg):
     _write_config_snapshot(cfg)
-    pconfig = PreprocessConfig(**cfg["preprocess"])
-    variants = (list(VARIANTS) if cfg["variant"] == "all"
-                else [cfg["variant"]])
     sides = {}
     for side in ("train", "validation"):
-        path = os.path.join(cfg["paths"]["output_dir"], f"curves_{side}.zip")
+        path = _out(cfg, f"curves_{side}.zip")
         sides[side], _ = container.load_curves(_require(path, f"curves ({side})"))
 
     # the containers also record the value their padded steps hold
-    recorded = dict(cfg["preprocess"], pad_value=preprocess.PAD_VALUE)
+    recorded = dict(cfg.values["preprocess"], pad_value=preprocess.PAD_VALUE)
     meta_base = {"preprocess": recorded,
                  "config_hash": container.config_hash(recorded)}
     built = {side: preprocess.build_datasets(
-                 pairs, [VARIANTS[name] for name in variants], pconfig)
+                 pairs, [VARIANTS[name] for name in cfg.variants],
+                 cfg.preprocess)
              for side, pairs in sides.items()}
-    for name in variants:
+    for name in cfg.variants:
         variant = VARIANTS[name]
         datasets = {}
         for side in sides:
@@ -222,11 +225,11 @@ def cmd_preprocess(cfg):
             print(f"{name} {side}: {len(ds)} series of length {ds.length} "
                   f"({len(failures)} failures)")
         density = weighting.fit_density(datasets["train"].targets,
-                                        bandwidth=cfg["weighting"]["bandwidth"])
+                                        bandwidth=cfg.weighting.bandwidth)
         for side, ds in datasets.items():
             w = weighting.compute_weights(density, ds.targets,
-                                          cap=cfg["weighting"]["cap"])
-            container.save_weights(_weights_path(cfg, name, side),
+                                          cap=cfg.weighting.cap)
+            container.save_weights(_dataset_path(cfg, name, side, "weights_"),
                                    ds.source_ids, w)
     return 0
 
@@ -235,7 +238,8 @@ def _load_side(cfg, variant, side):
     ds = container.load_dataset(
         _require(_dataset_path(cfg, variant, side), f"{variant} {side} dataset"))
     ids, w = container.load_weights(
-        _require(_weights_path(cfg, variant, side), f"{variant} {side} weights"))
+        _require(_dataset_path(cfg, variant, side, "weights_"),
+                 f"{variant} {side} weights"))
     if not np.array_equal(ids, ds.source_ids):
         raise IntegrityError(f"{variant} {side} weights do not follow the "
                              f"dataset's source_ids row for row")
@@ -244,21 +248,19 @@ def _load_side(cfg, variant, side):
 
 def cmd_train(cfg):
     _write_config_snapshot(cfg)
-    variant = cfg["variant"]
-    tconfig = _train_config(cfg)
-    spec = _model_spec(cfg)
+    (variant,), (kind,) = cfg.variants, cfg.kinds
     train_ds, train_w = _load_side(cfg, variant, "train")
     val_ds, val_w = _load_side(cfg, variant, "validation")
     result = evaluate.train(
-        spec,
+        build_default(kind),
         (train_ds.values, train_ds.mask, train_ds.targets, train_w),
         (val_ds.values, val_ds.mask, val_ds.targets, val_w),
-        tconfig)
-    tag = f"{spec.kind}_{variant}"
+        cfg.train)
+    tag = f"{kind}_{variant}"
     container.save_snapshot(_out(cfg, "snapshots", f"{tag}.zip"), result.model,
                             extra_meta={"variant": variant})
     val_pred = result.val_predictions
-    report = evaluate.score_folds(spec.kind, variant, [(
+    report = evaluate.score_folds(kind, variant, [(
         0, 0, result,
         (train_ds.targets, evaluate.predict(result.model, train_ds), train_w),
         (val_ds.targets, val_pred, val_w))])
@@ -278,13 +280,10 @@ def cmd_cv(cfg):
     """Cross-validates each (model, variant) cell, writing its report and
     loss curves; a run of more than one cell also writes `matrix.csv`."""
     _write_config_snapshot(cfg)
-    tconfig = _train_config(cfg)
-    variants = list(VARIANTS) if cfg["variant"] == "all" else [cfg["variant"]]
-    kinds = list(KINDS) if cfg["model"] == "all" else [cfg["model"]]
     datasets, weights = {}, {}
-    for name in variants:
+    for name in cfg.variants:
         datasets[name], weights[name] = _load_side(cfg, name, "train")
-    rows, reports = evaluate.run_matrix(datasets, kinds, tconfig, weights)
+    rows, reports = evaluate.run_matrix(datasets, cfg.kinds, cfg.train, weights)
     for (variant, kind), report in reports.items():
         tag = f"{kind}_{variant}"
         evaluate.write_metrics_csv(_out(cfg, "reports", f"cv_{tag}.csv"), report)
@@ -295,22 +294,18 @@ def cmd_cv(cfg):
               f"val r2 {mean:.4f} +/- {std:.4f}")
     if len(reports) > 1:
         evaluate.write_matrix_csv(_out(cfg, "reports", "matrix.csv"), rows)
-        print(f"matrix: {len(kinds)} models x {len(variants)} variants "
+        print(f"matrix: {len(cfg.kinds)} models x {len(cfg.variants)} variants "
               f"-> {len(rows)} rows")
     return 0
 
 
 def cmd_gridsearch(cfg):
     _write_config_snapshot(cfg)
-    tconfig = _train_config(cfg)
-    grid = evaluate.GridSpec(
-        dropout_rates=tuple(cfg["grid"]["dropout_rates"]),
-        learning_rates=tuple(cfg["grid"]["learning_rates"]),
-        batch_sizes=tuple(cfg["grid"]["batch_sizes"]))
-    variant = cfg["variant"]
+    (variant,), (kind,) = cfg.variants, cfg.kinds
     ds, w = _load_side(cfg, variant, "train")
-    ranked, failed = evaluate.grid_search(_model_spec(cfg), ds, w, grid, tconfig)
-    tag = f"{cfg['model']}_{variant}"
+    ranked, failed = evaluate.grid_search(build_default(kind), ds, w,
+                                          cfg.grid, cfg.train)
+    tag = f"{kind}_{variant}"
     evaluate.write_grid_csv(_out(cfg, "reports", f"grid_{tag}.csv"),
                             ranked, failed)
     if ranked:
@@ -331,6 +326,11 @@ def cmd_predict(cfg, snapshot_path, input_path, output_path=None):
     return 0
 
 
+# Each command but `predict`, which takes its own flags as well
+COMMANDS = {"ingest": cmd_ingest, "preprocess": cmd_preprocess,
+            "train": cmd_train, "cv": cmd_cv, "gridsearch": cmd_gridsearch}
+
+
 # --- argument parsing -------------------------------------------------------
 
 def _build_parser():
@@ -338,7 +338,7 @@ def _build_parser():
         prog="feh-forge",
         description="RRab photometric metallicity regression pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("ingest", "preprocess", "train", "cv", "gridsearch", "predict"):
+    for name in (*COMMANDS, "predict"):
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
         for flag, key in FLAGS.items():
@@ -364,19 +364,12 @@ def _overrides_from_args(args):
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, _overrides_from_args(args))
-        if args.command == "ingest":
-            return cmd_ingest(cfg)
-        if args.command == "preprocess":
-            return cmd_preprocess(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "cv":
-            return cmd_cv(cfg)
-        if args.command == "gridsearch":
-            return cmd_gridsearch(cfg)
-        return cmd_predict(cfg, args.snapshot, args.input,
-                           args.predictions_out)
+        cfg = load_config(args.config, _overrides_from_args(args),
+                          args.command)
+        if args.command == "predict":
+            return cmd_predict(cfg, args.snapshot, args.input,
+                               args.predictions_out)
+        return COMMANDS[args.command](cfg)
     except (FehForgeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)     # FileNotFoundError: 2

@@ -70,6 +70,14 @@ class GridSpec:
     learning_rates: tuple = (0.001, 0.01, 0.1)
     batch_sizes: tuple = (32, 64, 128, 256, 512)
 
+    def __post_init__(self):
+        if not (self.cells() and all(0 <= r < 1 for r in self.dropout_rates)
+                and all(0 < lr < math.inf for lr in self.learning_rates)
+                and min(self.batch_sizes) >= 1):
+            raise InvalidConfig(f"invalid grid {self}: lists non-empty, dropout "
+                                f"in [0, 1), learning rates finite and > 0, "
+                                f"batch sizes >= 1")
+
     def cells(self):
         """Deterministic enumeration of the Cartesian product."""
         return list(product(self.dropout_rates, self.learning_rates,

@@ -16,6 +16,18 @@ from scipy.stats import gaussian_kde
 from .errors import DegenerateDistribution, InvalidConfig, ZeroDensity
 
 
+@dataclass(frozen=True)
+class WeightingConfig:
+    """Kernel standard deviation in dex (None: Scott's rule) and the weight
+    cap (None: uncapped), each positive."""
+    bandwidth: float | None = None
+    cap: float | None = 20.0
+
+    def __post_init__(self):
+        if not all(v is None or v > 0 for v in (self.bandwidth, self.cap)):
+            raise InvalidConfig(f"bandwidth and cap must be positive, got {self}")
+
+
 @dataclass
 class DensityModel:
     kde: gaussian_kde
@@ -31,6 +43,7 @@ def fit_density(values, bandwidth=None) -> DensityModel:
 
     `bandwidth`, when given, is the kernel standard deviation in dex.
     """
+    WeightingConfig(bandwidth=bandwidth)        # checks its range
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1 or len(values) < 2:
         raise DegenerateDistribution("need at least two values")
@@ -41,22 +54,19 @@ def fit_density(values, bandwidth=None) -> DensityModel:
         kde = gaussian_kde(values)  # Scott's rule
         eff_bw = kde.factor * std
     else:
-        if bandwidth <= 0:
-            raise InvalidConfig(f"bandwidth must be positive, got {bandwidth}")
         kde = gaussian_kde(values, bw_method=bandwidth / std)
         eff_bw = bandwidth
     return DensityModel(kde=kde, bandwidth=float(eff_bw), support=values)
 
 
-def compute_weights(model: DensityModel, values, cap=20.0):
+def compute_weights(model: DensityModel, values, cap=WeightingConfig.cap):
     """Inverse-density weights, rescaled to mean one.
 
     With a cap, weights are clipped after the first normalization and the
     mean is restored afterwards. Raises `ZeroDensity` if the density
     underflows at any evaluation point.
     """
-    if cap is not None and not cap > 0:
-        raise InvalidConfig(f"cap must be positive, got {cap}")
+    WeightingConfig(cap=cap)                    # checks its range
     values = np.asarray(values, dtype=np.float64)
     dens = model.density(values)
     if np.any(dens <= 0) or not np.all(np.isfinite(dens)):

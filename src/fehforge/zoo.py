@@ -1,7 +1,8 @@
-"""Builders for the nine regression architectures.
+"""The nine regression architectures.
 
-Each builder returns a `ModelSpec` (a serializable description); `build`
-materializes it into a trainable `nn.Model` deterministically from a seed.
+`build_default` returns a kind's `ModelSpec` (a serializable description)
+from `DEFAULT_OPTIONS`; `build` materializes a spec into a trainable
+`nn.Model` deterministically from a seed.
 
 Regularization follows the published settings: unidirectional recurrent
 layers (and the conv hybrids) use kernel l2 = 2e-6 with recurrent l1 = 2e-6;
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import InvalidConfig
 from .nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                         GlobalAveragePool, MaxPool1D, ReLU)
 from .nn.model import InceptionModule, Model, ResidualBlock, Sequential
@@ -22,8 +24,24 @@ from .nn.recurrent import GRU, LSTM, Bidirectional
 
 SPEC_FORMAT_VERSION = 1
 
-KINDS = ("fcn", "resnet", "inception", "lstm", "bilstm", "gru", "bigru",
-         "convlstm", "convgru")
+_RECURRENT = ("lstm", "bilstm", "gru", "bigru")
+_HYBRID = ("convlstm", "convgru")
+_CONV_STACK = {"filters": [128, 256, 128], "kernels": [8, 5, 3]}
+
+# The default options of each kind; a spec's JSON, and so its hash, is its
+# kind and options.
+DEFAULT_OPTIONS = {
+    "fcn": _CONV_STACK,
+    "resnet": {"filters": 64, "kernels": [8, 5, 3], "blocks": 3},
+    "inception": {"blocks": 2, "modules_per_block": 3,
+                  "bottleneck_filters": 32, "branch_filters": 32,
+                  "branch_kernels": [10, 20, 40]},
+    **{kind: {"units": [20, 16, 8], "dropout": [0.2, 0.2, 0.1]}
+       for kind in _RECURRENT},
+    **{kind: dict(_CONV_STACK, pool_size=2, units=[20, 16], dropout=[0.2, 0.1])
+       for kind in _HYBRID},
+}
+KINDS = tuple(DEFAULT_OPTIONS)
 
 _L2_KERNEL = 2e-6
 _L1_RECURRENT = 2e-6
@@ -49,57 +67,30 @@ class ModelSpec:
     def spec_hash(self):
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
-    def with_overrides(self, dropout=None, **options):
-        """Return a copy with updated options; `dropout` (a single rate)
-        replaces every dropout rate in the spec."""
-        opts = dict(self.options, **{k: v for k, v in options.items() if v is not None})
-        if dropout is not None and "dropout" in opts:
+    def with_overrides(self, dropout):
+        """A copy in which `dropout`, one rate, replaces every dropout rate
+        of the spec (a grid cell's); a kind without dropout is unchanged."""
+        opts = dict(self.options)
+        if "dropout" in opts:
             opts["dropout"] = [dropout] * len(opts["dropout"])
         return ModelSpec(self.kind, opts)
 
 
-def build_fcn(filters=(128, 256, 128), kernels=(8, 5, 3)):
-    return ModelSpec("fcn", {"filters": list(filters), "kernels": list(kernels)})
-
-
-def build_resnet(filters=64, kernels=(8, 5, 3), blocks=3):
-    return ModelSpec("resnet", {"filters": filters, "kernels": list(kernels),
-                                "blocks": blocks})
-
-
-def build_inception_time(blocks=2, modules_per_block=3, bottleneck_filters=32,
-                         branch_filters=32, branch_kernels=(10, 20, 40)):
-    return ModelSpec("inception", {
-        "blocks": blocks, "modules_per_block": modules_per_block,
-        "bottleneck_filters": bottleneck_filters,
-        "branch_filters": branch_filters,
-        "branch_kernels": list(branch_kernels)})
-
-
-def build_rnn(kind, units=(20, 16, 8), dropout=(0.2, 0.2, 0.1)):
-    if kind not in ("lstm", "bilstm", "gru", "bigru"):
-        raise ValueError(f"unknown recurrent kind {kind!r}")
-    if len(units) != len(dropout):
-        raise ValueError("units and dropout must have equal length")
-    return ModelSpec(kind, {"units": list(units), "dropout": list(dropout)})
-
-
-def build_conv_rnn(kind, filters=(128, 256, 128), kernels=(8, 5, 3),
-                   pool_size=2, units=(20, 16), dropout=(0.2, 0.1)):
-    if kind not in ("convlstm", "convgru"):
-        raise ValueError(f"unknown hybrid kind {kind!r}")
-    return ModelSpec(kind, {"filters": list(filters), "kernels": list(kernels),
-                            "pool_size": pool_size, "units": list(units),
-                            "dropout": list(dropout)})
-
-
-def build_default(kind):
-    if kind in ("lstm", "bilstm", "gru", "bigru"):
-        return build_rnn(kind)
-    if kind in ("convlstm", "convgru"):
-        return build_conv_rnn(kind)
-    return {"fcn": build_fcn, "resnet": build_resnet,
-            "inception": build_inception_time}[kind]()
+def build_default(kind, **options):
+    """The spec of `kind` with its `DEFAULT_OPTIONS`, each of `options`
+    replacing the default of its name; InvalidConfig for an unknown kind or
+    option, or for recurrent units and dropout rates of unequal length."""
+    if kind not in DEFAULT_OPTIONS:
+        raise InvalidConfig(f"unknown model kind {kind!r}; choose from "
+                            f"{', '.join(KINDS)}")
+    unknown = sorted(set(options) - set(DEFAULT_OPTIONS[kind]))
+    if unknown:
+        raise InvalidConfig(f"unknown {kind} option(s) {unknown}")
+    # through JSON, as a snapshot restores it: tuples become lists
+    opts = json.loads(json.dumps(dict(DEFAULT_OPTIONS[kind], **options)))
+    if len(opts.get("units", ())) != len(opts.get("dropout", ())):
+        raise InvalidConfig("units and dropout must have equal length")
+    return ModelSpec(kind, opts)
 
 
 def _conv_block(rng, in_ch, filters, kernel):
@@ -107,29 +98,33 @@ def _conv_block(rng, in_ch, filters, kernel):
             BatchNorm1D(filters), ReLU()]
 
 
-def _recurrent_stack(spec, rng, in_ch, bidirectional, cell_cls,
-                     return_sequence_tail=False):
-    """Stacked recurrent blocks, each followed by dropout."""
-    units = spec.options["units"]
-    rates = spec.options["dropout"]
+def _conv_stack(opts, rng, ch):
+    """Conv blocks of the `filters` and `kernels` options, and their width."""
+    layers = []
+    for f, k in zip(opts["filters"], opts["kernels"]):
+        layers += _conv_block(rng, ch, f, k)
+        ch = f
+    return layers, ch
+
+
+def _recurrent_head(kind, opts, rng, ch):
+    """Stacked recurrent layers of `kind`'s cell, each followed by dropout,
+    then the dense output."""
+    cell_cls = LSTM if "lstm" in kind else GRU
+    bidirectional = kind.startswith("bi")
     if bidirectional:
         regs = dict(kernel_l1=_L1_RECURRENT, recurrent_l1=_L1_RECURRENT)
     else:
         regs = dict(kernel_l2=_L2_KERNEL, recurrent_l1=_L1_RECURRENT)
     layers = []
-    ch = in_ch
-    for i, (u, rate) in enumerate(zip(units, rates)):
-        ret_seq = return_sequence_tail or i < len(units) - 1
-        if bidirectional:
-            layer = Bidirectional(
-                cell_cls(ch, u, rng, return_sequences=ret_seq, **regs),
-                cell_cls(ch, u, rng, return_sequences=ret_seq, **regs))
-            ch = 2 * u
-        else:
-            layer = cell_cls(ch, u, rng, return_sequences=ret_seq, **regs)
-            ch = u
-        layers += [layer, Dropout(rate)]
-    return layers, ch
+    units = opts["units"]
+    for i, (u, rate) in enumerate(zip(units, opts["dropout"])):
+        cells = [cell_cls(ch, u, rng, return_sequences=i < len(units) - 1, **regs)
+                 for _ in range(1 + bidirectional)]
+        layers += [Bidirectional(*cells) if bidirectional else cells[0],
+                   Dropout(rate)]
+        ch = u * len(cells)
+    return layers + [Dense(ch, 1, rng)]
 
 
 def _build_inception_root(spec, rng, in_ch):
@@ -165,13 +160,8 @@ def build(spec: ModelSpec, input_shape, seed=0) -> Model:
     opts = spec.options
 
     if kind == "fcn":
-        layers = []
-        ch = in_ch
-        for f, k in zip(opts["filters"], opts["kernels"]):
-            layers += _conv_block(rng, ch, f, k)
-            ch = f
-        layers += [GlobalAveragePool(), Dense(ch, 1, rng)]
-        root = Sequential(layers)
+        layers, ch = _conv_stack(opts, rng, in_ch)
+        root = Sequential(layers + [GlobalAveragePool(), Dense(ch, 1, rng)])
 
     elif kind == "resnet":
         layers = []
@@ -191,24 +181,13 @@ def build(spec: ModelSpec, input_shape, seed=0) -> Model:
     elif kind == "inception":
         root = _build_inception_root(spec, rng, in_ch)
 
-    elif kind in ("lstm", "bilstm", "gru", "bigru"):
-        cell_cls = LSTM if "lstm" in kind else GRU
-        stack, ch = _recurrent_stack(spec, rng, in_ch,
-                                     bidirectional=kind.startswith("bi"),
-                                     cell_cls=cell_cls)
-        root = Sequential(stack + [Dense(ch, 1, rng)])
+    elif kind in _RECURRENT:
+        root = Sequential(_recurrent_head(kind, opts, rng, in_ch))
 
-    elif kind in ("convlstm", "convgru"):
-        layers = []
-        ch = in_ch
-        for f, k in zip(opts["filters"], opts["kernels"]):
-            layers += _conv_block(rng, ch, f, k)
-            ch = f
+    elif kind in _HYBRID:
+        layers, ch = _conv_stack(opts, rng, in_ch)
         layers.append(MaxPool1D(opts["pool_size"], stride=opts["pool_size"]))
-        cell_cls = LSTM if kind == "convlstm" else GRU
-        stack, ch = _recurrent_stack(spec, rng, ch, bidirectional=False,
-                                     cell_cls=cell_cls)
-        root = Sequential(layers + stack + [Dense(ch, 1, rng)])
+        root = Sequential(layers + _recurrent_head(kind, opts, rng, ch))
 
     else:
         raise ValueError(f"unknown model kind {kind!r}")

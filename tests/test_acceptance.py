@@ -21,30 +21,25 @@ from fehforge.preprocess import (PhasedCurve, PreprocessConfig, Variant,
 from fehforge.catalog import LightCurve, StarRecord
 from fehforge.synthetic import make_corpus
 from fehforge.weighting import compute_weights, fit_density
-from fehforge.zoo import (build, build_conv_rnn, build_default, build_fcn,
-                          build_inception_time, build_resnet, build_rnn,
-                          layer_param_counts)
+from fehforge.zoo import build, build_default, layer_param_counts
 from tests.conftest import check_model_gradients
 
 
 # one small model of each kind, shared by the gradient and padding checks
 TINY_SPECS = {
-    "fcn": build_fcn(filters=(4, 6, 4), kernels=(8, 5, 3)),
-    "resnet": build_resnet(filters=4, kernels=(8, 5, 3), blocks=2),
-    "inception": build_inception_time(blocks=1, modules_per_block=2,
-                                      bottleneck_filters=3,
-                                      branch_filters=3,
-                                      branch_kernels=(3, 5, 8)),
-    "lstm": build_rnn("lstm", units=(6, 4), dropout=(0.0, 0.0)),
-    "bilstm": build_rnn("bilstm", units=(5, 3), dropout=(0.0, 0.0)),
-    "gru": build_rnn("gru", units=(6, 4), dropout=(0.0, 0.0)),
-    "bigru": build_rnn("bigru", units=(5, 3), dropout=(0.0, 0.0)),
-    "convlstm": build_conv_rnn("convlstm", filters=(4, 4, 4),
-                               kernels=(8, 5, 3), pool_size=2,
-                               units=(4, 3), dropout=(0.0, 0.0)),
-    "convgru": build_conv_rnn("convgru", filters=(4, 4, 4),
-                              kernels=(8, 5, 3), pool_size=2,
-                              units=(4, 3), dropout=(0.0, 0.0)),
+    "fcn": build_default("fcn", filters=[4, 6, 4], kernels=[8, 5, 3]),
+    "resnet": build_default("resnet", filters=4, kernels=[8, 5, 3], blocks=2),
+    "inception": build_default("inception", blocks=1, modules_per_block=2,
+                               bottleneck_filters=3, branch_filters=3,
+                               branch_kernels=[3, 5, 8]),
+    "lstm": build_default("lstm", units=[6, 4], dropout=[0.0, 0.0]),
+    "bilstm": build_default("bilstm", units=[5, 3], dropout=[0.0, 0.0]),
+    "gru": build_default("gru", units=[6, 4], dropout=[0.0, 0.0]),
+    "bigru": build_default("bigru", units=[5, 3], dropout=[0.0, 0.0]),
+    "convlstm": build_default("convlstm", filters=[4, 4, 4], kernels=[8, 5, 3],
+                              pool_size=2, units=[4, 3], dropout=[0.0, 0.0]),
+    "convgru": build_default("convgru", filters=[4, 4, 4], kernels=[8, 5, 3],
+                             pool_size=2, units=[4, 3], dropout=[0.0, 0.0]),
 }
 
 
@@ -226,7 +221,7 @@ def test_07_cv_machinery():
     targets = X[:, :, 0].mean(axis=1)
     ds = ArrayDataset(np.arange(45, dtype=np.int64), X, np.ones((45, 10), bool),
                       targets, Variant.FULL.value, {})
-    spec = build_rnn("gru", units=(4,), dropout=(0.0,))
+    spec = build_default("gru", units=[4], dropout=[0.0])
     config = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=4,
                          patience=2, folds=3, repeats=2, bins=3, seed=0,
                          threads=1)
@@ -250,7 +245,7 @@ def test_08_grid_search_correctness():
     X = rng.normal(size=(45, 10, 2))
     ds = ArrayDataset(np.arange(45, dtype=np.int64), X, np.ones((45, 10), bool),
                       X[:, :, 0].mean(axis=1), Variant.FULL.value, {})
-    spec = build_rnn("gru", units=(4,), dropout=(0.0,))
+    spec = build_default("gru", units=[4], dropout=[0.0])
     config = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=4,
                          patience=2, folds=3, repeats=1, bins=3, seed=0)
 

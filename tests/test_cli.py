@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import os
 import pickle
 import shutil
@@ -42,17 +43,28 @@ def test_config_precedence(tmp_path):
     cfg_file.write_text(yaml.safe_dump(
         {"model": "fcn", "train": {"folds": 7}}))
     cfg = load_config(str(cfg_file), {"model": "lstm"})
-    assert cfg["model"] == "lstm"                     # flag beats file
-    assert cfg["train"]["folds"] == 7                 # file beats default
-    assert cfg["train"]["patience"] == 20             # default survives
+    assert cfg.values["model"] == "lstm"              # flag beats file
+    assert cfg.values["train"]["folds"] == 7          # file beats default
+    assert cfg.values["train"]["patience"] == 20      # default survives
 
 
 def test_config_defaults_complete():
     cfg = load_config()
     for key in ("paths", "selection", "split", "preprocess", "weighting",
                 "variant", "model", "train", "grid", "seed", "threads"):
-        assert key in cfg
-    assert cfg["paths"]["output_dir"]
+        assert key in cfg.values
+    assert cfg.values["paths"]["output_dir"]
+
+
+def test_default_snapshot_unchanged():
+    # DEFAULT_CONFIG is built from the section dataclasses; the snapshot of
+    # the defaults is pinned so that no default moves unnoticed
+    cfg = load_config(None, {"paths": {"output_dir": "X"}})
+    assert cfg.values == dict(DEFAULT_CONFIG, paths=dict(
+        DEFAULT_CONFIG["paths"], output_dir="X"))
+    text = yaml.safe_dump(cfg.values, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c8c40aed05523be3ebccb7388f59cb92f7e7be3d20b1e41c262434ceacfe3f57")
 
 
 def test_ingest_outputs(workspace):
@@ -330,12 +342,23 @@ def test_unknown_model_rejected(workspace):
     ("train", {"train": {"patience": -5}}),
     ("preprocess", {"weighting": {"cap": 0.0}}),
     ("preprocess", {"preprocess": {"pad_value": -1.0}}),
+    ("cv", {"seed": 1.5}),
+    ("train", {"train": {"max_epochs": 2.7}}),
+    ("cv", {"threads": True}),
+    ("gridsearch", {"grid": {"batch_sizes": [32.9]}}),
+    ("preprocess", {"preprocess": {"lam": True}}),
+    ("gridsearch", {"grid": {"batch_sizes": 32}}),
+    ("gridsearch", {"grid": {"dropout_rates": [1.0]}}),
+    ("ingest", {"split": {"train_fraction": 1.0}}),
+    ("ingest", {"selection": {"min_epochs": -1}}),
 ], ids=["negative_lam", "zero_batch_size", "unknown_variant", "unknown_key",
         "train_fraction_not_a_number", "batch_size_not_a_number",
         "top_level_list", "unknown_model", "bandwidth_not_a_number",
         "negative_threads", "zero_repeats", "zero_max_epochs",
         "negative_learning_rate", "nan_learning_rate", "negative_patience",
-        "zero_cap", "removed_pad_value"])
+        "zero_cap", "removed_pad_value", "float_seed", "float_max_epochs",
+        "bool_threads", "float_grid_batch_size", "bool_lam", "grid_list_not_a_list",
+        "grid_dropout_one", "train_fraction_one", "negative_selection_cut"])
 def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section):
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(section))
@@ -344,6 +367,61 @@ def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section)
     assert main([command, "--config", str(config), "--output", work]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_preprocess_checks_weighting_before_writing(corpus, tmp_path):
+    catalog, photometry = corpus
+    out = str(tmp_path / "out")
+    assert main(["ingest", "--catalog", catalog, "--photometry", photometry,
+                 "--output", out, "--seed", "1"]) == 0
+    config = tmp_path / "cap.yaml"
+    config.write_text(yaml.safe_dump({"weighting": {"cap": 0}}))
+    assert main(["preprocess", "--output", out, "--variant", "all",
+                 "--config", str(config)]) == 3
+    assert not os.path.exists(os.path.join(out, "datasets"))
+
+
+@pytest.mark.parametrize("command, flags, section", [
+    ("train", ["--variant", "all"], {}),
+    ("train", ["--model", "all"], {}),
+    ("gridsearch", ["--variant", "all"], {}),
+    ("gridsearch", ["--model", "all"], {}),
+    ("preprocess", [], {"preprocess": {"lam": -1.0}}),
+    ("train", [], {"train": {"batch_size": 0}}),
+    ("preprocess", [], {"weighting": {"cap": 0}}),
+    ("cv", [], {"threads": -1}),
+    ("gridsearch", [], {"grid": {"learning_rates": [0.0]}}),
+], ids=["train_all_variants", "train_all_models", "gridsearch_all_variants",
+        "gridsearch_all_models", "negative_lam", "zero_batch_size", "zero_cap",
+        "negative_threads", "grid_zero_learning_rate"])
+def test_invalid_config_writes_nothing(tmp_path, capsys, command, flags,
+                                       section):
+    # a config error is raised before the command creates its output
+    config = tmp_path / "bad.yaml"
+    config.write_text(yaml.safe_dump(section))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--output", str(out),
+                 *flags]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_cv_rerun_from_snapshot_byte_identical(workspace, tmp_path):
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    assert main(["cv", "--output", work, "--model", "gru", "--variant", "full",
+                 "--epochs", "2", "--folds", "2", "--repeats", "1",
+                 "--batch-size", "16", "--seed", "3"]) == 0
+    outputs = [os.path.join(work, "reports", "cv_gru_full.csv"),
+               os.path.join(work, "plots", "cv_loss_gru_full.csv")]
+    before = [open(path, "rb").read() for path in outputs]
+    for path in outputs:
+        os.remove(path)
+    snapshot = os.path.join(work, "config.snapshot.yaml")
+    shutil.copyfile(snapshot, tmp_path / "snapshot.yaml")
+    assert main(["cv", "--config", str(tmp_path / "snapshot.yaml")]) == 0
+    assert [open(path, "rb").read() for path in outputs] == before
 
 
 @pytest.mark.parametrize("flags", [

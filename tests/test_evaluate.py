@@ -19,9 +19,9 @@ from fehforge.evaluate import (GridSpec, TrainConfig, cross_validate,
                                train)
 from fehforge.preprocess import PreprocessConfig, Variant, build_datasets
 from fehforge.synthetic import make_corpus
-from fehforge.zoo import build_default, build_rnn
+from fehforge.zoo import build_default
 
-TINY_SPEC = build_rnn("gru", units=(6,), dropout=(0.0,))
+TINY_SPEC = build_default("gru", units=[6], dropout=[0.0])
 TINY_CONFIG = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=8,
                           patience=4, folds=3, repeats=1, bins=4, seed=0)
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fehforge.errors import InvalidConfig
 from fehforge.zoo import (KINDS, ModelSpec, build, build_default,
-                          build_rnn, layer_param_counts)
+                          layer_param_counts)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -55,7 +56,7 @@ def test_spec_json_roundtrip_and_hash():
 
 
 def test_spec_dropout_override():
-    spec = build_rnn("lstm", units=(20, 16, 8), dropout=(0.2, 0.2, 0.1))
+    spec = build_default("lstm", units=[20, 16, 8], dropout=[0.2, 0.2, 0.1])
     flat = spec.with_overrides(dropout=0.5)
     assert flat.options["dropout"] == [0.5, 0.5, 0.5]
     assert flat.options["units"] == [20, 16, 8]
@@ -89,8 +90,33 @@ def test_state_roundtrip_changes_then_restores():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         build(ModelSpec("transformer", {}), (10, 2))
-    with pytest.raises(ValueError):
-        build_rnn("vanilla")
+    with pytest.raises(InvalidConfig):
+        build_default("vanilla")
+    with pytest.raises(InvalidConfig):
+        build_default("gru", unit=[6])
+    with pytest.raises(InvalidConfig):
+        build_default("convgru", units=[6], dropout=[0.1, 0.1])
+
+
+# spec hashes of the default specs: a snapshot stores its spec's hash, so
+# these must not change while old snapshots are to restore
+DEFAULT_SPEC_HASHES = {
+    "fcn": "67284f14549af4121e0a609b6d2fece33a09c01d3a80e0460dce213bef583a24",
+    "resnet": "a5879a376218c175068e5dda4bf7db5f47534e385a59ca7915a60489e45bd5a8",
+    "inception": "b754746fa5869934aaf1b9bf68f1cc0d15e0ddd608cd51c9c15cd5dc9ce15538",
+    "lstm": "2840177cd00da6fa1820a48da15e8cb8f461a4158d31698b9317c5483b4499f8",
+    "bilstm": "09f5b81cb16ebc93251278b945b402d8545c45427d3d33eee02a2efe37ada99b",
+    "gru": "8b05f61098bf73a6d39a84b614c632e28b88ef022a9b2cc2e350c8e725b99709",
+    "bigru": "951eeb073dba7e752cc4286a1789fd6915d9878ea7160abd380c0a8093222c95",
+    "convlstm": "66ca7b12209f5ab9945c9b428656c2823a23743b956455f789c2928c1418973d",
+    "convgru": "cefe8363aaf90349765ecd88f28c19a74d67214c08ca08111eb84d0825c8dc97",
+}
+
+
+def test_default_spec_hashes_unchanged():
+    assert tuple(DEFAULT_SPEC_HASHES) == KINDS
+    assert {kind: build_default(kind).spec_hash()
+            for kind in KINDS} == DEFAULT_SPEC_HASHES
 
 
 def test_seed_dropout_reproducible():
