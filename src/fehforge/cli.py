@@ -147,9 +147,7 @@ def load_config(path=None, overrides=None, command=None):
 
 
 def _out(cfg, *parts):
-    path = os.path.join(cfg.values["paths"]["output_dir"], *parts)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    return path
+    return os.path.join(cfg.values["paths"]["output_dir"], *parts)
 
 
 def _write_config_snapshot(cfg):
@@ -200,11 +198,11 @@ def _dataset_path(cfg, variant, side, prefix=""):
 
 
 def cmd_preprocess(cfg):
-    _write_config_snapshot(cfg)
     sides = {}
     for side in ("train", "validation"):
         path = _out(cfg, f"curves_{side}.zip")
         sides[side], _ = container.load_curves(_require(path, f"curves ({side})"))
+    _write_config_snapshot(cfg)
 
     # the containers also record the value their padded steps hold
     recorded = dict(cfg.values["preprocess"], pad_value=preprocess.PAD_VALUE)
@@ -247,10 +245,10 @@ def _load_side(cfg, variant, side):
 
 
 def cmd_train(cfg):
-    _write_config_snapshot(cfg)
     (variant,), (kind,) = cfg.variants, cfg.kinds
     train_ds, train_w = _load_side(cfg, variant, "train")
     val_ds, val_w = _load_side(cfg, variant, "validation")
+    _write_config_snapshot(cfg)
     result = evaluate.train(
         build_default(kind),
         (train_ds.values, train_ds.mask, train_ds.targets, train_w),
@@ -279,10 +277,10 @@ def cmd_train(cfg):
 def cmd_cv(cfg):
     """Cross-validates each (model, variant) cell, writing its report and
     loss curves; a run of more than one cell also writes `matrix.csv`."""
-    _write_config_snapshot(cfg)
     datasets, weights = {}, {}
     for name in cfg.variants:
         datasets[name], weights[name] = _load_side(cfg, name, "train")
+    _write_config_snapshot(cfg)
     rows, reports = evaluate.run_matrix(datasets, cfg.kinds, cfg.train, weights)
     for (variant, kind), report in reports.items():
         tag = f"{kind}_{variant}"
@@ -300,9 +298,9 @@ def cmd_cv(cfg):
 
 
 def cmd_gridsearch(cfg):
-    _write_config_snapshot(cfg)
     (variant,), (kind,) = cfg.variants, cfg.kinds
     ds, w = _load_side(cfg, variant, "train")
+    _write_config_snapshot(cfg)
     ranked, failed = evaluate.grid_search(build_default(kind), ds, w,
                                           cfg.grid, cfg.train)
     tag = f"{kind}_{variant}"

@@ -58,9 +58,11 @@ def _npy_bytes(arr):
 
 @contextlib.contextmanager
 def atomic_open(path, mode="w", **kwargs):
-    """Open a temp file next to `path` for writing. A clean exit renames it
-    over `path` in one step; an error removes it and leaves `path` as it was."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    """Open a temp file next to `path` for writing, creating its directory.
+    A clean exit renames it over `path` in one step; an error removes it and
+    leaves `path` as it was."""
+    directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         os.fchmod(fd, 0o644)      # mkstemp makes it 0600; outputs are shared

@@ -480,17 +480,20 @@ class GridCell:
 def grid_search(spec: ModelSpec, dataset: ArrayDataset, weights,
                 grid: GridSpec, config: TrainConfig):
     """Evaluate every grid cell via cross-validation and rank by mean
-    validation wRMSE (ties: validation MAE, then cell order)."""
-    cells = []
+    validation wRMSE (ties: validation MAE, then cell order). The cells of one
+    (spec, learning rate, batch size) share one cross-validation's outcome."""
+    cells, runs = [], {}
     for i, (dropout, lr, batch) in enumerate(grid.cells()):
         cell_spec = spec.with_overrides(dropout=dropout)
-        cell_config = replace(config, learning_rate=lr, batch_size=batch)
-        cell = GridCell(dropout=dropout, learning_rate=lr, batch_size=batch)
-        try:
-            cell.report = cross_validate(cell_spec, dataset, weights, cell_config)
-        except FehForgeError as exc:
-            cell.error = f"{type(exc).__name__}: {exc}"
-        cells.append((i, cell))
+        key = (cell_spec.spec_hash(), lr, batch)
+        if key not in runs:
+            cell_config = replace(config, learning_rate=lr, batch_size=batch)
+            try:
+                runs[key] = (cross_validate(cell_spec, dataset, weights,
+                                            cell_config), None)
+            except FehForgeError as exc:
+                runs[key] = (None, f"{type(exc).__name__}: {exc}")
+        cells.append((i, GridCell(dropout, lr, batch, *runs[key])))
     ok = [(i, c) for i, c in cells if c.error is None]
     failed = [c for _, c in cells if c.error is not None]
     ranked = [c for _, c in sorted(ok, key=lambda t: (t[1].val_wrmse,

@@ -3,14 +3,18 @@
 Conventions:
   - sequence tensors are (batch, timesteps, channels), float64
   - masks are boolean (batch, timesteps); True marks a valid step
-  - after forward(), `mask_out` holds the mask seen by the next layer
   - a layer instance must not be used concurrently from multiple threads
 
-Mode contract of the conv stack (Conv1D, BatchNorm1D, ReLU, MaxPool1D,
-GlobalAveragePool, the residual block of `model`) and of the recurrent
-layers (GRU, LSTM and Bidirectional over them): a training=False forward
-keeps no backward cache; backward() needs a training=True forward and raises
-RuntimeError after an inference one. Dense and Dropout cache in both modes.
+The mask rule: a layer reads the mask it is given and sets none.
+`Sequential` hands a layer's mask on to the next layer while the layer's
+output keeps the (batch, timesteps) axes of its input, and hands on None
+once it does not (a pool that changes T, a global pool, a recurrent layer
+that returns its last state, a dense layer).
+
+The cache rule, for every layer: a training=True forward keeps its backward
+cache in `_cache`, and backward() reads it through `_saved()`; a
+training=False forward keeps none, so backward() after it raises
+RuntimeError.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ class Layer:
         self.params = {}
         self.grads = {}
         self.reg = {}        # param name -> (l1, l2)
-        self.mask_out = None
         self._cache = None   # set by a training forward, read by backward
 
     def children(self):
@@ -59,24 +62,21 @@ class Layer:
 class Dense(Layer):
     """y = x W + b on (batch, features) inputs."""
 
-    def __init__(self, in_dim, units, rng, l1=0.0, l2=0.0):
+    def __init__(self, in_dim, units, rng):
         super().__init__()
         self.params["W"] = glorot_uniform(rng, (in_dim, units), in_dim, units)
         self.params["b"] = np.zeros(units)
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        if l1 or l2:
-            self.reg["W"] = (l1, l2)
 
     def forward(self, x, mask=None, training=False):
         if x.ndim != 2 or x.shape[1] != self.params["W"].shape[0]:
             raise ShapeMismatch(
                 f"dense expects (batch, {self.params['W'].shape[0]}), got {x.shape}")
-        self._x = x
-        self.mask_out = None
+        self._cache = x if training else None
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, dy):
-        self.grads["W"] += self._x.T @ dy
+        self.grads["W"] += self._saved().T @ dy
         self.grads["b"] += dy.sum(axis=0)
         return dy @ self.params["W"].T
 
@@ -89,8 +89,7 @@ class Conv1D(Layer):
     wider inputs loop over the k taps, faster there than copying x k times.
     """
 
-    def __init__(self, in_channels, filters, kernel_size, rng,
-                 use_bias=True, l1=0.0, l2=0.0):
+    def __init__(self, in_channels, filters, kernel_size, rng, use_bias=True):
         super().__init__()
         k = kernel_size
         self.kernel_size = k
@@ -103,8 +102,6 @@ class Conv1D(Layer):
         if use_bias:
             self.params["b"] = np.zeros(filters)
         self.grads = {k_: np.zeros_like(v) for k_, v in self.params.items()}
-        if l1 or l2:
-            self.reg["W"] = (l1, l2)
 
     def forward(self, x, mask=None, training=False):
         W = self.params["W"]
@@ -124,7 +121,6 @@ class Conv1D(Layer):
         if self.use_bias:
             y += self.params["b"]
         self._cache = (src, T) if training else None
-        self.mask_out = mask
         return y
 
     def backward(self, dy):
@@ -155,10 +151,11 @@ class BatchNorm1D(Layer):
     stats; inference mode is one scale and shift from the running stats.
     """
 
-    def __init__(self, channels, momentum=0.99, eps=1e-5):
+    momentum = 0.99
+    eps = 1e-5
+
+    def __init__(self, channels):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.params["gamma"] = np.ones(channels)
         self.params["beta"] = np.zeros(channels)
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
@@ -166,7 +163,6 @@ class BatchNorm1D(Layer):
         self.running_var = np.ones(channels)
 
     def forward(self, x, mask=None, training=False):
-        self.mask_out = mask
         scale, shift = self.params["gamma"], self.params["beta"]
         if training:
             if x.shape[0] < 2:
@@ -208,7 +204,6 @@ class ReLU(Layer):
     """max(x, 0); NaN maps to 0 (-0.0 may stay -0.0)."""
 
     def forward(self, x, mask=None, training=False):
-        self.mask_out = mask
         y = np.fmax(0.0, x)      # fmax ignores NaN
         self._cache = y > 0 if training else None
         return y
@@ -221,29 +216,23 @@ class Dropout(Layer):
     """Inverted dropout: scales kept activations by 1/(1-rate) in training,
     identity at inference."""
 
-    def __init__(self, rate, rng=None):
+    def __init__(self, rate):
         super().__init__()
         if not 0.0 <= rate < 1.0:
             raise InvalidRate(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self.rng = rng if rng is not None else np.random.default_rng()
-
-    def reseed(self, seed):
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng()   # `Model.seed_dropout` seeds it
 
     def forward(self, x, mask=None, training=False):
-        self.mask_out = mask
         if not training or self.rate == 0.0:
-            self._drop = None
+            self._cache = 1.0 if training else None
             return x
         keep = self.rng.random(x.shape) >= self.rate
-        self._drop = keep / (1.0 - self.rate)
-        return x * self._drop
+        self._cache = keep / (1.0 - self.rate)
+        return x * self._cache
 
     def backward(self, dy):
-        if self._drop is None:
-            return dy
-        return dy * self._drop
+        return dy * self._saved()
 
 
 class MaxPool1D(Layer):
@@ -277,7 +266,6 @@ class MaxPool1D(Layer):
                 np.maximum(argj, (cand > best).view(np.int8) * np.int8(j), out=argj)
             np.fmax(best, cand, out=best)
         self._cache = (argj, xp.shape, total // 2, T) if training else None
-        self.mask_out = None  # downstream of pooling all steps are treated valid
         return best
 
     def backward(self, dy):
@@ -293,7 +281,6 @@ class GlobalAveragePool(Layer):
     """Average over valid timesteps: (B, T, C) -> (B, C)."""
 
     def forward(self, x, mask=None, training=False):
-        self.mask_out = None
         m = None if mask is None else mask.astype(np.float64)[:, :, None]
         count = float(x.shape[1]) if m is None else m.sum(axis=1)  # (B, 1)
         self._cache = (m, count, x.shape) if training else None

@@ -24,9 +24,10 @@ class Sequential(Layer):
 
     def forward(self, x, mask=None, training=False):
         for layer in self.layers:
-            x = layer.forward(x, mask=mask, training=training)
-            mask = layer.mask_out
-        self.mask_out = mask
+            y = layer.forward(x, mask=mask, training=training)
+            if y.ndim != 3 or y.shape[1] != x.shape[1]:   # no (batch, T) axes
+                mask = None
+            x = y
         return x
 
     def backward(self, dy):
@@ -61,7 +62,6 @@ class ResidualBlock(Layer):
             x, mask=mask, training=training)
         y = _zero_padded(np.fmax(0.0, sc + h), mask)
         self._cache = y > 0 if training else None
-        self.mask_out = mask
         return y
 
     def backward(self, dy):
@@ -97,17 +97,15 @@ class InceptionModule(Layer):
         outs = [b.forward(z, mask=mask, training=training) for b in self.branches]
         p = self.pool.forward(x, mask=mask, training=training)
         outs.append(self.pool_conv.forward(p, mask=None, training=training))
-        self._splits = np.cumsum([o.shape[-1] for o in outs])[:-1]
+        self._cache = np.cumsum([o.shape[-1] for o in outs])[:-1] if training else None
         cat = np.concatenate(outs, axis=-1)
         s = self.bn.forward(cat, mask=mask, training=training)
-        y = self.relu.forward(s, mask=mask, training=training)
-        self.mask_out = mask
-        return y
+        return self.relu.forward(s, mask=mask, training=training)
 
     def backward(self, dy):
         dy = self.relu.backward(dy)
         dcat = self.bn.backward(dy)
-        parts = np.split(dcat, self._splits, axis=-1)
+        parts = np.split(dcat, self._saved(), axis=-1)
         dz = sum(b.backward(parts[i]) for i, b in enumerate(self.branches))
         dx = self.bottleneck.backward(dz)
         dx = dx + self.pool.backward(self.pool_conv.backward(parts[-1]))
@@ -161,17 +159,6 @@ class Model:
         for _, leaf, key in self.named_params():
             leaf.grads[key].fill(0.0)
 
-    def reg_penalty(self):
-        total = 0.0
-        for _, leaf in iter_leaves(self.root):
-            for key, (l1, l2) in leaf.reg.items():
-                p = leaf.params[key]
-                if l1:
-                    total += l1 * np.abs(p).sum()
-                if l2:
-                    total += l2 * (p * p).sum()
-        return total
-
     def add_reg_grads(self):
         for _, leaf in iter_leaves(self.root):
             for key, (l1, l2) in leaf.reg.items():
@@ -182,7 +169,7 @@ class Model:
                     leaf.grads[key] += 2.0 * l2 * p
 
     def seed_dropout(self, seed):
-        """Deterministically reseed every dropout layer from one root seed."""
+        """Deterministically seed every dropout layer from one root seed."""
         ss = np.random.SeedSequence(seed)
         drops = [leaf for _, leaf in iter_leaves(self.root)
                  if isinstance(leaf, Dropout)]

@@ -78,8 +78,7 @@ def _project(x, W, b):
 
 class GRU(Layer):
     def __init__(self, in_dim, units, rng, return_sequences=False,
-                 kernel_l1=0.0, kernel_l2=0.0,
-                 recurrent_l1=0.0, recurrent_l2=0.0):
+                 kernel_l1=0.0, kernel_l2=0.0, recurrent_l1=0.0):
         super().__init__()
         self.units = units
         self.return_sequences = return_sequences
@@ -90,8 +89,8 @@ class GRU(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         if kernel_l1 or kernel_l2:
             self.reg["W"] = (kernel_l1, kernel_l2)
-        if recurrent_l1 or recurrent_l2:
-            self.reg["U"] = (recurrent_l1, recurrent_l2)
+        if recurrent_l1:
+            self.reg["U"] = (recurrent_l1, 0.0)
 
     def forward(self, x, mask=None, training=False):
         W, U = self.params["W"], self.params["U"]
@@ -125,7 +124,6 @@ class GRU(Layer):
             if pad is not None:
                 np.copyto(h_new, h, where=pad[t])
         self._cache = (xt, H, ZR, HH, HPh, pad) if training else None
-        self.mask_out = mask if self.return_sequences else None
         return H[1:].transpose(1, 0, 2) if self.return_sequences else H[T]
 
     def backward(self, dy):
@@ -178,8 +176,7 @@ class LSTM(Layer):
     initialized to one. Parameter count: 4*(U*(I + U) + U)."""
 
     def __init__(self, in_dim, units, rng, return_sequences=False,
-                 kernel_l1=0.0, kernel_l2=0.0,
-                 recurrent_l1=0.0, recurrent_l2=0.0):
+                 kernel_l1=0.0, kernel_l2=0.0, recurrent_l1=0.0):
         super().__init__()
         self.units = units
         self.return_sequences = return_sequences
@@ -191,8 +188,8 @@ class LSTM(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         if kernel_l1 or kernel_l2:
             self.reg["W"] = (kernel_l1, kernel_l2)
-        if recurrent_l1 or recurrent_l2:
-            self.reg["U"] = (recurrent_l1, recurrent_l2)
+        if recurrent_l1:
+            self.reg["U"] = (recurrent_l1, 0.0)
 
     def forward(self, x, mask=None, training=False):
         W, U = self.params["W"], self.params["U"]
@@ -230,7 +227,6 @@ class LSTM(Layer):
                 np.copyto(H[t + 1], H[t], where=pad[t])
                 np.copyto(c, C[t], where=pad[t])
         self._cache = (xt, H, C, A, TC, pad) if training else None
-        self.mask_out = mask if self.return_sequences else None
         return H[1:].transpose(1, 0, 2) if self.return_sequences else H[T]
 
     def backward(self, dy):
@@ -307,19 +303,19 @@ class Bidirectional(Layer):
         return [("fwd", self.fwd), ("bwd", self.bwd)]
 
     def forward(self, x, mask=None, training=False):
-        self._mask = mask
+        self._cache = (mask,) if training else None
         y_f = self.fwd.forward(x, mask=mask, training=training)
         y_b = self.bwd.forward(reverse_valid(x, mask), mask=mask, training=training)
         if self.return_sequences:
             y_b = reverse_valid(y_b, mask)
-        self.mask_out = mask if self.return_sequences else None
         return np.concatenate([y_f, y_b], axis=-1)
 
     def backward(self, dy):
+        (mask,) = self._saved()
         n = self.fwd.units
         dy_f, dy_b = dy[..., :n], dy[..., n:]
         dx = self.fwd.backward(dy_f)
         if self.return_sequences:
-            dy_b = reverse_valid(dy_b, self._mask)
+            dy_b = reverse_valid(dy_b, mask)
         dx_b = self.bwd.backward(dy_b)
-        return dx + reverse_valid(dx_b, self._mask)
+        return dx + reverse_valid(dx_b, mask)

@@ -158,6 +158,15 @@ def test_exit_code_missing_input(tmp_path):
                  "--output", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["preprocess", "train", "cv", "gridsearch"])
+def test_missing_input_writes_nothing(tmp_path, capsys, command):
+    # the inputs are loaded before the config snapshot is written
+    out = tmp_path / "out"
+    assert main([command, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_exit_code_malformed_catalog(tmp_path, corpus):
     _, photometry = corpus
     bad = tmp_path / "bad.csv"

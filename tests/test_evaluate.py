@@ -380,6 +380,20 @@ def test_grid_search_single_cell_equals_plain_cv():
     assert ranked[0].report.summary == direct.summary
 
 
+def test_grid_search_runs_each_distinct_cell_once(monkeypatch):
+    # an FCN has no dropout, so its two dropout cells are one CV
+    calls = []
+    _patch_train(monkeypatch, lambda config, seed_index: calls.append(seed_index))
+    spec = build_default("fcn", filters=[2, 2, 2], kernels=[3, 3, 3])
+    grid = GridSpec(dropout_rates=(0.1, 0.4), learning_rates=(0.02,),
+                    batch_sizes=(16,))
+    config = replace(TINY_CONFIG, threads=1)
+    ranked, failed = grid_search(spec, toy_dataset(30), np.ones(30), grid, config)
+    assert len(calls) == config.folds * config.repeats
+    assert failed == [] and [c.dropout for c in ranked] == [0.1, 0.4]
+    assert ranked[0].report is ranked[1].report
+
+
 def test_grid_search_records_cell_diverged_in_child_lane(monkeypatch):
     # the second cell's fold 1 diverges in the forked lane; the DivergedLoss
     # crosses to the caller intact, so the cell is recorded as failed

@@ -3,8 +3,10 @@ import pytest
 
 from fehforge.errors import (DegenerateBatch, InvalidRate, ShapeMismatch)
 from fehforge.nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
-                                GlobalAveragePool, MaxPool1D, ReLU,
+                                GlobalAveragePool, Layer, MaxPool1D, ReLU,
                                 glorot_uniform)
+from fehforge.nn.model import Sequential
+from fehforge.nn.recurrent import GRU
 
 
 def layer_grads(layer, x, mask=None, training=True, h=1e-6):
@@ -114,7 +116,8 @@ def test_batchnorm_train_stats_and_grads(rng):
 
 
 def test_batchnorm_inference_uses_running_stats(rng):
-    layer = BatchNorm1D(2, momentum=0.5)
+    layer = BatchNorm1D(2)
+    layer.momentum = 0.5
     x = rng.normal(1.0, 2.0, size=(6, 5, 2))
     for _ in range(200):
         layer.forward(x, training=True)
@@ -143,7 +146,7 @@ def test_relu_forward_backward(rng):
 
 def test_dropout_train_inference_and_scaling(rng):
     layer = Dropout(0.5)
-    layer.reseed(7)
+    layer.rng = np.random.default_rng(7)
     x = np.ones((200, 10))
     out = layer.forward(x, training=True)
     kept = out != 0.0
@@ -161,9 +164,9 @@ def test_dropout_train_inference_and_scaling(rng):
 def test_dropout_reseed_reproducible():
     x = np.ones((50, 4))
     a = Dropout(0.3)
-    a.reseed(3)
+    a.rng = np.random.default_rng(3)
     b = Dropout(0.3)
-    b.reseed(3)
+    b.rng = np.random.default_rng(3)
     np.testing.assert_array_equal(a.forward(x, training=True),
                                   b.forward(x, training=True))
 
@@ -400,18 +403,51 @@ def test_maxpool_skips_nan_and_routes_ties_to_earliest_tap():
             layer.backward(np.ones_like(out))[0, :, 0], grad)
 
 
-@pytest.mark.parametrize("make", [
-    lambda rng: Conv1D(2, 3, 3, rng), lambda rng: Conv1D(8, 3, 3, rng),
-    lambda rng: BatchNorm1D(2), lambda rng: ReLU(), lambda rng: MaxPool1D(2),
-    lambda rng: GlobalAveragePool()], ids=["conv_im2col", "conv_taps", "bn",
-                                           "relu", "maxpool", "gap"])
-def test_backward_needs_training_forward(rng, make):
+# (layer, input shape) of every leaf type but the recurrent ones, which
+# test_recurrent.py holds to the same contract
+@pytest.mark.parametrize("make, shape", [
+    (lambda rng: Conv1D(2, 3, 3, rng), (4, 6, 2)),
+    (lambda rng: Conv1D(8, 3, 3, rng), (4, 6, 8)),
+    (lambda rng: BatchNorm1D(2), (4, 6, 2)), (lambda rng: ReLU(), (4, 6, 2)),
+    (lambda rng: MaxPool1D(2), (4, 6, 2)),
+    (lambda rng: GlobalAveragePool(), (4, 6, 2)),
+    (lambda rng: Dense(2, 3, rng), (4, 2)),
+    (lambda rng: Dropout(0.5), (4, 6, 2)), (lambda rng: Dropout(0.0), (4, 6, 2))],
+    ids=["conv_im2col", "conv_taps", "bn", "relu", "maxpool", "gap", "dense",
+         "dropout", "dropout_rate0"])
+def test_backward_needs_training_forward(rng, make, shape):
     layer = make(rng)
-    cin = layer.params["W"].shape[1] if "W" in layer.params else 2
-    x = rng.normal(size=(4, 6, cin))
+    x = rng.normal(size=shape)
     with pytest.raises(RuntimeError, match="training=True"):
         layer.backward(np.ones_like(layer.forward(x)))
     out = layer.forward(x, training=True)
     layer.forward(x)                     # inference drops the training cache
     with pytest.raises(RuntimeError, match="training=True"):
         layer.backward(np.ones_like(out))
+
+
+class _MaskProbe(Layer):
+    """The identity; records the mask it is given."""
+
+    def forward(self, x, mask=None, training=False):
+        self.seen = mask
+        return x
+
+
+def test_sequential_hands_on_mask_while_time_axis_kept(rng):
+    x = rng.normal(size=(3, 8, 2))
+    mask = np.ones((3, 8), dtype=bool)
+    mask[1, 5:] = False
+    probes = [_MaskProbe() for _ in range(7)]
+    Sequential([Conv1D(2, 4, 3, rng), probes[0], BatchNorm1D(4), probes[1],
+                ReLU(), probes[2], Dropout(0.5), probes[3],
+                MaxPool1D(2, stride=2), probes[4]]).forward(x, mask, training=True)
+    for probe in probes[:4]:
+        assert probe.seen is mask
+    assert probes[4].seen is None
+    # a recurrent layer keeps the mask only when it returns the sequence;
+    # its (batch, units) last state drops it even when units == timesteps
+    Sequential([GRU(2, 3, rng, return_sequences=True), probes[5],
+                GRU(3, 8, rng), probes[6]]).forward(x, mask)
+    assert probes[5].seen is mask
+    assert probes[6].seen is None

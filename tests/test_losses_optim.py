@@ -86,7 +86,7 @@ def test_adam_converges_on_quadratic(rng):
     losses = []
     for _ in range(400):
         model.zero_grads()
-        pred = model.forward(X)
+        pred = model.forward(X, training=True)
         loss, dpred = weighted_mse(pred, y)
         model.backward(dpred.reshape(-1, 1))
         opt.step()
@@ -105,7 +105,7 @@ def test_adam_deterministic(rng):
         y = r.normal(size=8)
         for _ in range(10):
             model.zero_grads()
-            pred = model.forward(X)
+            pred = model.forward(X, training=True)
             _, dpred = weighted_mse(pred, y)
             model.backward(dpred.reshape(-1, 1))
             opt.step()

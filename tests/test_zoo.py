@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fehforge.errors import InvalidConfig
+from fehforge.nn.model import iter_leaves
 from fehforge.zoo import (KINDS, ModelSpec, build, build_default,
                           layer_param_counts)
 
@@ -64,15 +65,19 @@ def test_spec_dropout_override():
 
 
 def test_recurrent_regularization_tags():
-    uni = build(build_default("gru"), (20, 2), seed=0)
-    regs = {key: val for name, leaf, _ in uni.named_params()
-            for key, val in getattr(leaf, "reg", {}).items()}
+    def regs(kind):
+        model = build(build_default(kind), (20, 2), seed=0)
+        return {path: leaf.reg for path, leaf in iter_leaves(model.root)
+                if leaf.reg}
+
     # unidirectional: l2 on the input kernel, l1 on the recurrent kernel
-    assert any(k.startswith("l2") or "l2" in k for k in regs) or uni.reg_penalty() >= 0.0
-    # penalty is positive once weights are nonzero
-    assert uni.reg_penalty() > 0.0
-    fcn = build(build_default("fcn"), (20, 2), seed=0)
-    assert fcn.reg_penalty() == 0.0        # conv stacks carry no penalty
+    uni = {"W": (0.0, 2e-6), "U": (2e-6, 0.0)}
+    assert regs("gru") == {"0": uni, "2": uni, "4": uni}
+    # bidirectional: l1 on both kernels of both directions
+    bi = {"W": (2e-6, 0.0), "U": (2e-6, 0.0)}
+    assert regs("bigru") == {f"{i}/{d}": bi for i in (0, 2, 4)
+                             for d in ("fwd", "bwd")}
+    assert regs("fcn") == {}        # conv stacks carry no penalty
 
 
 def test_state_roundtrip_changes_then_restores():
