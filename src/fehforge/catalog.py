@@ -1,7 +1,8 @@
 """Star catalog ingestion, selection cuts and train/validation splitting.
 
-The catalog is a delimited text table with one RRab star per row; the
-delimiter is sniffed from the header. Each `StarRecord` field is read from
+The catalog is a delimited text table with one RRab star per row, and the
+photometry one with one epoch per row; each file's delimiter is always
+sniffed from its header. Each `StarRecord` field is read from
 the first of its accepted header names (`DEFAULT_COLUMN_MAP`, matched
 case-insensitively), so differently-named exports of the same quantities
 load without editing the file.
@@ -119,18 +120,17 @@ def _parse_value(raw, kind, row_num, name, path):
     raise ParseError(row_num, name, raw, path)
 
 
-def _read_header(fh, path, column_map, mandatory, delimiter, what):
+def _read_header(fh, path, column_map, mandatory, what):
     """Sniff the delimiter and map fields onto column indices through their
     aliases (case-insensitive). Returns (csv reader past the header, indices).
     """
     sample = fh.read(4096)
     fh.seek(0)
-    if not delimiter:
-        try:
-            first = sample.splitlines()[0] if sample else ","
-            delimiter = csv.Sniffer().sniff(first, delimiters=",;\t| ").delimiter
-        except csv.Error:
-            delimiter = ","
+    try:
+        first = sample.splitlines()[0] if sample else ","
+        delimiter = csv.Sniffer().sniff(first, delimiters=",;\t| ").delimiter
+    except csv.Error:
+        delimiter = ","
     reader = csv.reader(fh, delimiter=delimiter)
     try:
         header = next(reader)
@@ -165,7 +165,7 @@ def load_catalog(path):
     """
     with open(path, newline="") as fh:
         reader, indices = _read_header(fh, path, DEFAULT_COLUMN_MAP,
-                                       MANDATORY_FIELDS, None, "file")
+                                       MANDATORY_FIELDS, "file")
         records = []
         for row_num, row in _data_rows(reader, indices):
             get = lambda f: row[indices[f]] if f in indices else ""
@@ -236,7 +236,7 @@ def _photometry_rows(reader, cols, path):
     return np.array(sids, dtype=np.int64), np.array(times), np.array(mags)
 
 
-def load_photometry(path, delimiter=None):
+def load_photometry(path):
     """Read per-star epoch photometry: dict source_id -> `LightCurve`.
 
     Columns: source_id, time_bjd, mag_g or an alias (header required). Keys
@@ -247,7 +247,7 @@ def load_photometry(path, delimiter=None):
     """
     with open(path, newline="") as fh:
         reader, cols = _read_header(fh, path, PHOTOMETRY_COLUMN_MAP,
-                                    PHOTOMETRY_COLUMN_MAP, delimiter, "photometry file")
+                                    PHOTOMETRY_COLUMN_MAP, "photometry file")
         delim = reader.dialect.delimiter
         try:
             with warnings.catch_warnings():

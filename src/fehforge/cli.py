@@ -168,24 +168,23 @@ def _require(path, what):
 def cmd_ingest(cfg):
     catalog_path = _require(cfg.values["paths"]["catalog"], "catalog")
     photometry_path = _require(cfg.values["paths"]["photometry"], "photometry")
-    _write_config_snapshot(cfg)
-
-    records = cat.load_catalog(catalog_path)
-    accepted, rejected = cat.apply_selection(records, cfg.selection)
-    cat.write_rejection_report(_out(cfg, "rejections.csv"), rejected)
-    print(f"accepted {len(accepted)} rejected {len(rejected)}")
+    accepted, rejected = cat.apply_selection(cat.load_catalog(catalog_path),
+                                             cfg.selection)
+    sides = {}
     if accepted:
         pairs = cat.join_photometry(accepted, photometry_path)
-        train_recs, val_recs = cat.split_train_validation(
-            [rec for rec, _ in pairs], cfg.split)
         by_id = {rec.source_id: (rec, lc) for rec, lc in pairs}
-        container.save_curves(_out(cfg, "curves_train.zip"),
-                              [by_id[r.source_id] for r in train_recs],
-                              meta={"side": "train"})
-        container.save_curves(_out(cfg, "curves_validation.zip"),
-                              [by_id[r.source_id] for r in val_recs],
-                              meta={"side": "validation"})
-        print(f"train {len(train_recs)} validation {len(val_recs)}")
+        split = cat.split_train_validation([rec for rec, _ in pairs], cfg.split)
+        sides = {side: [by_id[r.source_id] for r in recs]
+                 for side, recs in zip(("train", "validation"), split)}
+    _write_config_snapshot(cfg)
+    cat.write_rejection_report(_out(cfg, "rejections.csv"), rejected)
+    print(f"accepted {len(accepted)} rejected {len(rejected)}")
+    for side, side_pairs in sides.items():
+        container.save_curves(_out(cfg, f"curves_{side}.zip"), side_pairs,
+                              meta={"side": side})
+    if sides:
+        print(f"train {len(sides['train'])} validation {len(sides['validation'])}")
     manifest = {"accepted": len(accepted), "rejected": len(rejected)}
     with container.atomic_open(_out(cfg, "manifest.json")) as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -257,16 +256,14 @@ def cmd_train(cfg):
     tag = f"{kind}_{variant}"
     container.save_snapshot(_out(cfg, "snapshots", f"{tag}.zip"), result.model,
                             extra_meta={"variant": variant})
-    val_pred = result.val_predictions
     report = evaluate.score_folds(kind, variant, [(
-        0, 0, result,
-        (train_ds.targets, evaluate.predict(result.model, train_ds), train_w),
-        (val_ds.targets, val_pred, val_w))])
+        0, 0, result, (train_ds.targets, train_w), (val_ds.targets, val_w))])
     evaluate.write_metrics_csv(_out(cfg, "reports", f"train_{tag}.csv"), report)
     evaluate.write_loss_curves_csv(_out(cfg, "plots", f"loss_{tag}.csv"),
                                    report.fold_reports)
     evaluate.write_predictions_csv(_out(cfg, "plots", f"pred_vs_true_{tag}.csv"),
-                                   val_ds.source_ids, val_pred, val_ds.targets)
+                                   val_ds.source_ids, result.val_predictions,
+                                   val_ds.targets)
     fr = report.fold_reports[0]
     print(f"{tag}: epochs {result.epochs_run} "
           f"val r2 {fr.val_metrics['r2']:.4f} "
@@ -281,7 +278,7 @@ def cmd_cv(cfg):
     for name in cfg.variants:
         datasets[name], weights[name] = _load_side(cfg, name, "train")
     _write_config_snapshot(cfg)
-    rows, reports = evaluate.run_matrix(datasets, cfg.kinds, cfg.train, weights)
+    reports = evaluate.run_matrix(datasets, cfg.kinds, cfg.train, weights)
     for (variant, kind), report in reports.items():
         tag = f"{kind}_{variant}"
         evaluate.write_metrics_csv(_out(cfg, "reports", f"cv_{tag}.csv"), report)
@@ -291,9 +288,8 @@ def cmd_cv(cfg):
         print(f"cv {tag}: {len(report.fold_reports)} folds, "
               f"val r2 {mean:.4f} +/- {std:.4f}")
     if len(reports) > 1:
-        evaluate.write_matrix_csv(_out(cfg, "reports", "matrix.csv"), rows)
-        print(f"matrix: {len(cfg.kinds)} models x {len(cfg.variants)} variants "
-              f"-> {len(rows)} rows")
+        evaluate.write_matrix_csv(_out(cfg, "reports", "matrix.csv"), reports)
+        print(f"matrix: {len(cfg.kinds)} models x {len(cfg.variants)} variants")
     return 0
 
 

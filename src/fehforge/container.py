@@ -113,6 +113,14 @@ def read_container(path, kind, names=None, manifest_name="manifest.json"):
     return manifest, arrays
 
 
+def _check_rows(path, kind, arrays, aligned):
+    """IntegrityError naming the shape of each of `arrays` unless `aligned`."""
+    if not aligned:
+        raise IntegrityError(
+            f"{path}: {kind} arrays do not line up row for row "
+            + ", ".join(f"{k} {v.shape}" for k, v in arrays.items()))
+
+
 _DATASET_ARRAYS = ("source_ids", "values", "mask", "targets")
 
 
@@ -127,11 +135,9 @@ def save_dataset(path, dataset: ArrayDataset):
 
 def load_dataset(path) -> ArrayDataset:
     manifest, arrays = read_container(path, "dataset", _DATASET_ARRAYS)
-    if (len({arr.shape[:1] for arr in arrays.values()}) != 1
-            or arrays["mask"].shape != arrays["values"].shape[:2]):
-        raise IntegrityError(
-            f"{path}: dataset arrays do not line up row for row "
-            + ", ".join(f"{k} {v.shape}" for k, v in arrays.items()))
+    _check_rows(path, "dataset", arrays,
+                len({arr.shape[:1] for arr in arrays.values()}) == 1
+                and arrays["mask"].shape == arrays["values"].shape[:2])
     return ArrayDataset(**arrays, variant=manifest["variant"],
                         meta=manifest.get("meta", {}))
 
@@ -208,17 +214,25 @@ def save_curves(path, pairs, meta=None):
 
 
 def load_curves(path):
-    """Inverse of `save_curves`; returns (pairs, meta)."""
+    """Inverse of `save_curves`; returns (pairs, meta). IntegrityError unless
+    each field holds one row per star and `offsets` cut `times` and `mags`
+    into one run per star."""
     from .catalog import LightCurve, StarRecord
 
     manifest, data = read_container(
         path, "curves", (*_CURVE_FIELDS, "offsets", "times", "mags"))
+    count, offsets = manifest.get("count"), data["offsets"]
+    _check_rows(path, "curves", data,
+                all(data[name].shape == (count,) for name in _CURVE_FIELDS)
+                and offsets.shape == (count + 1,) and offsets[0] == 0
+                and bool(np.all(np.diff(offsets) >= 0))
+                and data["times"].shape == data["mags"].shape == (offsets[-1],))
     columns = {field: data[name].tolist() for name, field in _CURVE_FIELDS.items()}
     columns["epoch_max"] = [None if np.isnan(em) else em
                             for em in columns["epoch_max"]]
     pairs = []
-    for i in range(manifest["count"]):
-        lo, hi = data["offsets"][i], data["offsets"][i + 1]
+    for i in range(count):
+        lo, hi = offsets[i], offsets[i + 1]
         rec = StarRecord(id=i, **{field: values[i]
                                   for field, values in columns.items()})
         pairs.append((rec, LightCurve(rec.source_id, data["times"][lo:hi],
@@ -234,4 +248,6 @@ def save_weights(path, source_ids, weights):
 
 def load_weights(path):
     _, arrays = read_container(path, "weights", ("source_ids", "weights"))
+    _check_rows(path, "weights", arrays,
+                arrays["source_ids"].shape == arrays["weights"].shape)
     return arrays["source_ids"], arrays["weights"]

@@ -1,5 +1,9 @@
-"""Training, repeated stratified k-fold cross-validation, grid search and
-the metric suite (R^2, RMSE, MAE, wRMSE, wMAE).
+"""Training, repeated stratified k-fold cross-validation, grid search, the
+metric suite (R^2, RMSE, MAE, wRMSE, wMAE) and the report files.
+
+`train` returns its best-epoch model's predictions on both sides, and
+`score_folds` scores them, for each fold of a cross-validation as for the
+CLI's `train`; one row builder writes every summary table.
 
 All randomness derives from a single root seed through named substreams
 (model init, dropout, batch shuffling, fold assignment), so every component
@@ -116,7 +120,7 @@ def r2(y, yhat):
     return 1.0 - ss_res / ss_tot
 
 
-def metric_suite(y, yhat, weights=None):
+def metric_suite(y, yhat, weights):
     """rmse, mae, wrmse, wmae and r2 in one dict.
 
     wrmse = sqrt(sum(w e^2) / sum(w)); wmae = sum(w |e|) / sum(w); the
@@ -124,10 +128,7 @@ def metric_suite(y, yhat, weights=None):
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     yhat = np.asarray(yhat, dtype=np.float64).reshape(-1)
-    if weights is None:
-        weights = np.ones_like(y)
-    else:
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     wsum = weights.sum()
     if wsum <= 0:
         raise NonPositiveWeightSum(f"weight sum {wsum}")
@@ -186,8 +187,9 @@ class TrainResult:
     epochs_run: int
     train_loss_curve: list
     val_loss_curve: list
-    best_val_loss: float
-    val_predictions: np.ndarray   # of the returned (best-epoch) model
+    # of the returned (best-epoch) model, bit-identical to `predict` with it
+    train_predictions: np.ndarray
+    val_predictions: np.ndarray
 
 
 def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
@@ -198,7 +200,7 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
     monitors the validation weighted loss and restores the best-epoch
     parameters. It stops after patience + 1 epochs in a row without a new
     best, one later than Keras' EarlyStopping, which stops after `patience`.
-    The best epoch's validation predictions are returned with the model;
+    The best epoch's predictions on both sides are returned with the model;
     they are bit-identical to predicting with it again. Raises
     `DivergedLoss` on a non-finite loss.
     """
@@ -259,7 +261,8 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
     model.set_state(best_state)
     return TrainResult(model=model, epochs_run=epochs_run,
                        train_loss_curve=train_curve, val_loss_curve=val_curve,
-                       best_val_loss=best_val, val_predictions=best_pred)
+                       train_predictions=_forward_batched(model, Xtr, mtr),
+                       val_predictions=best_pred)
 
 
 def predict(model, dataset: ArrayDataset):
@@ -400,30 +403,32 @@ def summarize_folds(fold_reports):
 
 def score_folds(model_kind, variant, folds) -> MetricsReport:
     """The MetricsReport of trained folds, each (repeat, fold, TrainResult,
-    train side, validation side), where a side is the (targets, predictions,
-    weights) that `metric_suite` scores."""
+    train side, validation side); `metric_suite` scores the TrainResult's
+    predictions of a side against that side's (targets, weights)."""
     fold_reports = [FoldReport(repeat=rep, fold=fold,
-                               train_metrics=metric_suite(*train_side),
-                               val_metrics=metric_suite(*val_side),
+                               train_metrics=metric_suite(
+                                   ytr, result.train_predictions, wtr),
+                               val_metrics=metric_suite(
+                                   yval, result.val_predictions, wval),
                                epochs_run=result.epochs_run,
                                train_loss_curve=result.train_loss_curve,
                                val_loss_curve=result.val_loss_curve)
-                    for rep, fold, result, train_side, val_side in folds]
+                    for rep, fold, result, (ytr, wtr), (yval, wval) in folds]
     return MetricsReport(model_kind=model_kind, variant=variant,
                          fold_reports=fold_reports,
                          summary=summarize_folds(fold_reports))
 
 
 def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
-                   config: TrainConfig, variant=None,
-                   return_models=False) -> MetricsReport:
-    """k x repeats training runs with aggregated mean +/- std metrics.
+                   config: TrainConfig) -> MetricsReport:
+    """k x repeats training runs with aggregated mean +/- std metrics, in a
+    report of `dataset.variant`.
 
     The folds train in `config.threads` lanes (0: see `_lane_count`), one
     in this process and the others in forked children (see `_map_folds`);
     the fold assignment and the scoring stay in this process. Every fold draws
     from its own seed substreams, so the report is bit-identical at any
-    lane count. With `return_models`, also returns each fold's TrainResult.
+    lane count.
     """
     weights = np.asarray(weights, dtype=np.float64)
     assignments = stratified_kfold(dataset.targets, config.folds,
@@ -435,27 +440,17 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
     X, mask, y = dataset.values, dataset.mask, dataset.targets
 
     def fit(job):
-        """The fold's training-side predictions and TrainResult."""
+        """The fold as `score_folds` takes it; its TrainResult has no model."""
         rep, fold = job
         val, tr = assignments[rep] == fold, assignments[rep] != fold
         result = train(spec, (X[tr], mask[tr], y[tr], weights[tr]),
                        (X[val], mask[val], y[val], weights[val]),
                        config, seed_index=rep * config.folds + fold)
-        train_pred = _forward_batched(result.model, X[tr], mask[tr])
-        return train_pred, (result if return_models
-                            else replace(result, model=None))
+        return (rep, fold, replace(result, model=None), (y[tr], weights[tr]),
+                (y[val], weights[val]))
 
-    def sides(rep, fold, train_pred, result):
-        val = assignments[rep] == fold
-        return (rep, fold, result, (y[~val], train_pred, weights[~val]),
-                (y[val], result.val_predictions, weights[val]))
-
-    fitted = _map_folds(fit, jobs, _lane_count(config.threads, len(jobs)))
-    report = score_folds(spec.kind, variant or dataset.variant,
-                         [sides(*job, *out) for job, out in zip(jobs, fitted)])
-    if return_models:
-        return report, [result for _, result in fitted]
-    return report
+    return score_folds(spec.kind, dataset.variant, _map_folds(
+        fit, jobs, _lane_count(config.threads, len(jobs))))
 
 
 # --- grid search ------------------------------------------------------------
@@ -504,24 +499,12 @@ def grid_search(spec: ModelSpec, dataset: ArrayDataset, weights,
 # --- model x variant matrix -------------------------------------------------
 
 def run_matrix(datasets, kinds, config: TrainConfig, weights_by_variant):
-    """Train every model kind on every dataset variant; returns tidy rows
-    (variant, model, metric, phase, mean, std) mirroring the full report
-    matrix, ordered by variant then model."""
-    rows = []
-    reports = {}
-    for variant in sorted(datasets):
-        for kind in kinds:
-            report = cross_validate(build_default(kind), datasets[variant],
-                                    weights_by_variant[variant], config,
-                                    variant=variant)
-            reports[(variant, kind)] = report
-            for metric in METRIC_NAMES:
-                for phase in ("training", "validation"):
-                    mean, std = report.summary[metric][phase]
-                    rows.append({"variant": variant, "model": kind,
-                                 "metric": metric, "phase": phase,
-                                 "mean": mean, "std": std})
-    return rows, reports
+    """Cross-validate every model kind on every dataset variant; returns
+    {(variant, kind): MetricsReport}, ordered by variant then model."""
+    return {(variant, kind): cross_validate(
+                build_default(kind), datasets[variant],
+                weights_by_variant[variant], config)
+            for variant in sorted(datasets) for kind in kinds}
 
 
 # --- report writers ---------------------------------------------------------
@@ -533,20 +516,22 @@ def _write_rows(path, header, rows):
         writer.writerows(rows)
 
 
+def _summary_rows(report: MetricsReport, *lead):
+    """`lead` + (metric, phase, mean, std) for each entry of the summary."""
+    return [[*lead, metric, phase, *map(repr, report.summary[metric][phase])]
+            for metric in METRIC_NAMES for phase in ("training", "validation")]
+
+
 def write_metrics_csv(path, report: MetricsReport):
-    rows = []
-    for metric in METRIC_NAMES:
-        for phase in ("training", "validation"):
-            mean, std = report.summary[metric][phase]
-            rows.append([report.model_kind, report.variant, metric, phase,
-                         repr(mean), repr(std)])
-    _write_rows(path, ["model", "variant", "metric", "phase", "mean", "std"], rows)
+    _write_rows(path, ["model", "variant", "metric", "phase", "mean", "std"],
+                _summary_rows(report, report.model_kind, report.variant))
 
 
-def write_matrix_csv(path, rows):
+def write_matrix_csv(path, reports):
+    """`run_matrix`'s reports in one table, in their order."""
     _write_rows(path, ["variant", "model", "metric", "phase", "mean", "std"],
-                [[r["variant"], r["model"], r["metric"], r["phase"],
-                  repr(r["mean"]), repr(r["std"])] for r in rows])
+                [row for r in reports.values()
+                 for row in _summary_rows(r, r.variant, r.model_kind)])
 
 
 def write_loss_curves_csv(path, fold_reports):

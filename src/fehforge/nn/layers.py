@@ -149,6 +149,8 @@ class BatchNorm1D(Layer):
 
     Training mode normalizes with batch statistics and updates running
     stats; inference mode is one scale and shift from the running stats.
+    Training needs two values per channel (batch x time >= 2), not two
+    rows: like Keras, it normalizes a one-row batch over its steps.
     """
 
     momentum = 0.99
@@ -165,12 +167,13 @@ class BatchNorm1D(Layer):
     def forward(self, x, mask=None, training=False):
         scale, shift = self.params["gamma"], self.params["beta"]
         if training:
-            if x.shape[0] < 2:
-                raise DegenerateBatch("batch norm needs batch >= 2 in training")
+            n = x.size // x.shape[-1]     # values per channel
+            if n < 2:
+                raise DegenerateBatch("batch norm needs batch x time >= 2 in training")
             axes = tuple(range(x.ndim - 1))
             mu = x.mean(axis=axes)
             x = x - mu                    # centred once, scaled in place to xhat
-            var = (x * x).sum(axis=axes) / (x.size // x.shape[-1])
+            var = (x * x).sum(axis=axes) / n
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
             ivar = 1.0 / np.sqrt(var + self.eps)

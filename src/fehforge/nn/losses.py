@@ -6,7 +6,7 @@ import numpy as np
 from ..errors import NonPositiveWeightSum
 
 
-def weighted_mse(pred, target, weights=None):
+def weighted_mse(pred, target, weights):
     """Weighted mean squared error and its gradient w.r.t. predictions.
 
     loss = sum(w * (y - yhat)^2) / sum(w); reduces to plain MSE when all
@@ -14,10 +14,7 @@ def weighted_mse(pred, target, weights=None):
     """
     pred = np.asarray(pred, dtype=np.float64).reshape(-1)
     target = np.asarray(target, dtype=np.float64).reshape(-1)
-    if weights is None:
-        weights = np.ones_like(pred)
-    else:
-        weights = np.asarray(weights, dtype=np.float64).reshape(-1)
+    weights = np.asarray(weights, dtype=np.float64).reshape(-1)
     wsum = weights.sum()
     if wsum <= 0:
         raise NonPositiveWeightSum(f"weight sum {wsum}")

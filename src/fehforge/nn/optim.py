@@ -1,17 +1,17 @@
-"""Bias-corrected Adam."""
+"""Bias-corrected Adam; its moment decays and epsilon are Keras' defaults."""
 from __future__ import annotations
 
 import numpy as np
 
 
 class Adam:
-    def __init__(self, model, learning_rate=0.01, beta1=0.9, beta2=0.999,
-                 epsilon=1e-7):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-7
+
+    def __init__(self, model, learning_rate=0.01):
         self.model = model
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = epsilon
         self.step_count = 0
         self.m = {name: np.zeros_like(leaf.params[key])
                   for name, leaf, key in model.named_params()}

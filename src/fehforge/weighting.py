@@ -32,7 +32,6 @@ class WeightingConfig:
 class DensityModel:
     kde: gaussian_kde
     bandwidth: float       # effective kernel std-dev in dex
-    support: np.ndarray    # sample the KDE was fit on
 
     def density(self, values):
         return self.kde(np.atleast_1d(np.asarray(values, dtype=np.float64)))
@@ -56,7 +55,7 @@ def fit_density(values, bandwidth=None) -> DensityModel:
     else:
         kde = gaussian_kde(values, bw_method=bandwidth / std)
         eff_bw = bandwidth
-    return DensityModel(kde=kde, bandwidth=float(eff_bw), support=values)
+    return DensityModel(kde=kde, bandwidth=float(eff_bw))
 
 
 def compute_weights(model: DensityModel, values, cap=WeightingConfig.cap):

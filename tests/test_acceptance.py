@@ -4,6 +4,7 @@ PASS line on success. Run with `pytest -v -s tests/test_acceptance.py`.
 The end-to-end learnability check (criterion 6) trains a real model on
 2,000 synthetic curves and takes several minutes; everything else is fast.
 """
+import csv
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ from fehforge.container import (ArrayDataset, load_dataset, restore_model,
                                 save_dataset, save_snapshot)
 from fehforge.evaluate import (GridSpec, TrainConfig, cross_validate,
                                grid_search, metric_suite, predict, r2,
-                               run_matrix, stratified_kfold)
+                               run_matrix, stratified_kfold, write_matrix_csv)
 from fehforge.nn.recurrent import GRU, LSTM
 from fehforge.preprocess import (PhasedCurve, PreprocessConfig, Variant,
                                  build_datasets, fit_smoothing_spline,
@@ -288,7 +289,7 @@ def test_09_container_roundtrips(tmp_path):
              "save->load->predict bit-exact")
 
 
-def test_10_matrix_driver_complete():
+def test_10_matrix_driver_complete(tmp_path):
     pairs, _ = make_corpus(60, seed=6)
     kinds = list(__import__("fehforge.zoo", fromlist=["KINDS"]).KINDS)
     datasets, weights = {}, {}
@@ -298,10 +299,13 @@ def test_10_matrix_driver_complete():
                                                  ds.targets)
     config = TrainConfig(batch_size=32, learning_rate=0.01, max_epochs=2,
                          patience=1, folds=2, repeats=1, bins=3, seed=0)
-    rows, reports = run_matrix(datasets, kinds, config, weights)
+    reports = run_matrix(datasets, kinds, config, weights)
+    write_matrix_csv(tmp_path / "matrix.csv", reports)
+    with open(tmp_path / "matrix.csv") as fh:
+        rows = list(csv.DictReader(fh))
     # 3 variants x 9 models x 5 metrics x 2 phases, no missing cells
     assert len(rows) == 3 * 9 * 5 * 2
     assert set(reports) == {(v, k) for v in datasets for k in kinds}
-    assert all(np.isfinite(r["mean"]) for r in rows)
+    assert all(np.isfinite(float(r["mean"])) for r in rows)
     _pass(10, "9-model x 3-variant matrix complete: "
               f"{len(rows)} report rows, no missing cells")

@@ -227,14 +227,14 @@ def reference_photometry(path, delimiter):
             for sid, pts in ((s, sorted(p)) for s, p in by_star.items())}
 
 
-def parse_both(path, delimiter=None):
+def parse_both(path):
     """(fast result, whether it fell back, row-parser result)."""
     spy = mock.patch.object(catalog, "_photometry_rows",
                             wraps=catalog._photometry_rows)
     with spy as rows:
-        fast = load_photometry(path, delimiter)
+        fast = load_photometry(path)
     with mock.patch.object(catalog.np, "loadtxt", side_effect=ValueError):
-        slow = load_photometry(path, delimiter)
+        slow = load_photometry(path)
     return fast, rows.called, slow
 
 
@@ -347,7 +347,7 @@ def test_random_tables_parse_alike(rows, order, delim, eol, blanks, quote):
         path = os.path.join(tmp, "phot.txt")
         with open(path, "w", newline="") as fh:
             fh.write(eol.join(lines) + eol)
-        fast, fell_back, slow = parse_both(path, delim)
+        fast, fell_back, slow = parse_both(path)
         expected = reference_photometry(path, delim)
     assert fell_back == quote
     assert_same_curves(fast, expected)

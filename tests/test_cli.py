@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 from fehforge import errors, preprocess
-from fehforge.catalog import apply_selection
+from fehforge.catalog import apply_selection, load_catalog
 from fehforge.cli import DEFAULT_CONFIG, load_config, main
 from fehforge.container import (load_curves, load_dataset, load_weights,
                                 read_container, save_snapshot, save_weights,
@@ -138,17 +138,19 @@ def test_cv_matrix_writes_each_cell(workspace, tmp_path):
         with open(os.path.join(work, name), "rb") as a, \
                 open(os.path.join(one, name), "rb") as b:
             assert a.read() == b.read()
+    # matrix.csv holds each cell's cv_*.csv rows, in variant order, with
+    # the variant and model columns swapped
     with open(os.path.join(work, "reports", "matrix.csv")) as fh:
-        matrix = list(csv.DictReader(fh))
+        header, *matrix = csv.reader(fh)
+    assert header == ["variant", "model", "metric", "phase", "mean", "std"]
     assert len(matrix) == 3 * 10                # 3 variants x 5 metrics x 2 phases
-    for variant in ("raw_padded", "spline_no_mean", "full"):
+    cells = []
+    for variant in ("full", "raw_padded", "spline_no_mean"):
         with open(os.path.join(work, "reports", f"cv_gru_{variant}.csv")) as fh:
-            report = [(r["metric"], r["phase"], r["mean"], r["std"])
-                      for r in csv.DictReader(fh)]
-        assert report == [(r["metric"], r["phase"], r["mean"], r["std"])
-                          for r in matrix if r["variant"] == variant]
+            cells += [[v, m, *rest] for m, v, *rest in list(csv.reader(fh))[1:]]
         assert os.path.exists(os.path.join(work, "plots",
                                            f"cv_loss_gru_{variant}.csv"))
+    assert matrix == cells
 
 
 def test_exit_code_missing_input(tmp_path):
@@ -173,6 +175,35 @@ def test_exit_code_malformed_catalog(tmp_path, corpus):
     bad.write_text("just,some,columns\n1,2,3\n")
     assert main(["ingest", "--catalog", str(bad), "--photometry", photometry,
                  "--output", str(tmp_path)]) == 3
+
+
+def _drop_rows_of_one_star(catalog, photometry):
+    sid = apply_selection(load_catalog(catalog))[0][0].source_id
+    return "".join(line for line in open(photometry).readlines()
+                   if not line.startswith(f"{sid},"))
+
+
+def _bad_magnitude(catalog, photometry):
+    lines = open(photometry).readlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",x\n"
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("which, edit, code", [
+    ("catalog", lambda catalog, photometry: "just,some,columns\n1,2,3\n", 3),
+    ("photometry", _bad_magnitude, 3),
+    ("photometry", _drop_rows_of_one_star, 4),
+], ids=["malformed_catalog", "malformed_photometry", "orphan_star"])
+def test_ingest_bad_input_writes_nothing(corpus, tmp_path, which, edit, code):
+    # ingest loads, cuts, joins and splits its inputs before it writes
+    paths = dict(zip(("catalog", "photometry"), corpus))
+    bad = tmp_path / f"{which}.csv"
+    bad.write_text(edit(*corpus))
+    paths[which] = str(bad)
+    out = tmp_path / "out"
+    assert main(["ingest", "--catalog", paths["catalog"], "--photometry",
+                 paths["photometry"], "--output", str(out)]) == code
+    assert not out.exists()
 
 
 def test_exit_code_integrity(workspace, tmp_path):
@@ -294,6 +325,14 @@ def test_exit_code_weights_misaligned(workspace, tmp_path, misalign):
         ids, w = load_weights(path)
         ids = misalign(ids)
         save_weights(path, ids, w[:len(ids)])
+    assert _cv_exit_code(workspace, tmp_path, tamper) == 5
+
+
+def test_exit_code_weights_one_row_short(workspace, tmp_path):
+    # the ids still match the dataset's, but a weight is missing
+    def tamper(path):
+        ids, w = load_weights(path)
+        save_weights(path, ids, w[:-1])
     assert _cv_exit_code(workspace, tmp_path, tamper) == 5
 
 

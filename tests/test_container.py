@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fehforge.container import (atomic_open, load_curves, load_dataset,
-                                load_snapshot, load_weights, restore_model,
-                                save_curves, save_dataset, save_snapshot,
-                                save_weights, write_container)
+                                load_snapshot, load_weights, read_container,
+                                restore_model, save_curves, save_dataset,
+                                save_snapshot, save_weights, write_container)
 from fehforge.errors import IntegrityError, MissingInput
 from fehforge.preprocess import Variant, build_datasets
 from fehforge.synthetic import make_corpus
@@ -118,6 +118,32 @@ def test_curves_roundtrip(tmp_path):
         assert rec2.epoch_max == rec.epoch_max
         np.testing.assert_array_equal(lc2.times, lc.times)
         np.testing.assert_array_equal(lc2.mags, lc.mags)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda arrays: arrays.update(offsets=arrays["offsets"][:-1]),
+    lambda arrays: arrays.update(feh=arrays["feh"][:-1]),
+    lambda arrays: arrays.update(mags=arrays["mags"][:-1]),
+    lambda arrays: arrays.update(offsets=arrays["offsets"] + 1),
+    lambda arrays: arrays.update(offsets=arrays["offsets"][[0, 2, 1, 3, 4, 5]]),
+], ids=["short_offsets", "short_feh", "short_mags", "shifted_offsets",
+        "offsets_out_of_order"])
+def test_curves_misaligned_rows_rejected(tmp_path, tamper):
+    pairs, _ = make_corpus(5, seed=2)
+    path = tmp_path / "curves.zip"
+    save_curves(path, pairs)
+    manifest, arrays = read_container(path, "curves")
+    tamper(arrays)
+    write_container(path, "curves", arrays, {"count": manifest["count"]})
+    with pytest.raises(IntegrityError, match="do not line up"):
+        load_curves(path)
+
+
+def test_weights_misaligned_rows_rejected(tmp_path):
+    path = tmp_path / "w.zip"
+    save_weights(path, np.arange(7), np.ones(6))
+    with pytest.raises(IntegrityError, match="do not line up"):
+        load_weights(path)
 
 
 def test_weights_wrong_kind(tmp_path, dataset):

@@ -61,7 +61,7 @@ def test_r2_zero_variance():
 def test_metric_suite_identities(rng):
     y = rng.normal(size=30)
     yhat = y + rng.normal(size=30)
-    m = metric_suite(y, yhat)
+    m = metric_suite(y, yhat, np.ones(30))
     err = y - yhat
     assert m["rmse"] == pytest.approx(np.sqrt(np.mean(err ** 2)), abs=1e-12)
     assert m["mae"] == pytest.approx(np.mean(np.abs(err)), abs=1e-12)
@@ -128,7 +128,7 @@ def test_train_learns_and_early_stops():
     result = train(TINY_SPEC, as_tuple(ds), as_tuple(val), cfg)
     assert result.epochs_run <= 60
     assert len(result.train_loss_curve) == result.epochs_run
-    assert result.val_loss_curve[-1] >= result.best_val_loss
+    assert result.val_loss_curve[-1] >= min(result.val_loss_curve)
     preds = predict(result.model, val)
     assert r2(val.targets, preds) > 0.5
 
@@ -170,26 +170,48 @@ def corpus_datasets():
     return {v: ds for v, (ds, _) in built.items()}
 
 
+def rows_of(ds, rows):
+    return ArrayDataset(ds.source_ids[rows], ds.values[rows], ds.mask[rows],
+                        ds.targets[rows], ds.variant, {})
+
+
 @pytest.mark.parametrize("variant", [Variant.FULL, Variant.RAW_PADDED])
 @pytest.mark.parametrize("kind", ["fcn", "gru"])
 def test_best_epoch_validation_predictions_reused(corpus_datasets, kind, variant):
-    # the CV scores the validation predictions `train` made at the best
-    # epoch; they must be exactly what the restored model predicts, so the
-    # report is the one a second validation forward would give
+    # the CV and `train` score the predictions `train` returns for both
+    # sides; they must be exactly what the restored best-epoch model
+    # predicts, so the report is the one a second forward would give
     ds = corpus_datasets[variant]
     w = np.linspace(0.5, 1.5, len(ds))
     cfg = TrainConfig(batch_size=8, learning_rate=0.01, max_epochs=4,
                       patience=1, folds=2, repeats=1, bins=3, seed=0)
-    report, results = cross_validate(build_default(kind), ds, w, cfg,
-                                     return_models=True)
-    folds = stratified_kfold(ds.targets, cfg.folds, bins=cfg.bins, seed=cfg.seed)[0]
+    val = stratified_kfold(ds.targets, cfg.folds, bins=cfg.bins, seed=cfg.seed)[0] == 0
+    sides = [rows_of(ds, ~val), rows_of(ds, val)]
+    result = train(build_default(kind), as_tuple(sides[0], w[~val]),
+                   as_tuple(sides[1], w[val]), cfg)
+    for side, pred in zip(sides, (result.train_predictions,
+                                  result.val_predictions)):
+        np.testing.assert_array_equal(pred, predict(result.model, side))
+
+
+def test_cross_validate_scores_train_predictions(monkeypatch):
+    # each fold's report is `metric_suite` of the predictions `train`
+    # returned for that fold's two sides
+    results, real_train = [], evaluate.train
+
+    def recording_train(*args, **kwargs):
+        results.append(real_train(*args, **kwargs))
+        return results[-1]
+    monkeypatch.setattr(evaluate, "train", recording_train)
+    ds, w = toy_dataset(45), np.linspace(0.5, 1.5, 45)
+    report = cross_validate(TINY_SPEC, ds, w, replace(TINY_CONFIG, threads=1))
+    folds = stratified_kfold(ds.targets, 3, bins=4, seed=0)[0]
     for fr, res in zip(report.fold_reports, results):
         val = folds == fr.fold
-        again = predict(res.model, ArrayDataset(ds.source_ids[val], ds.values[val],
-                                                ds.mask[val], ds.targets[val],
-                                                ds.variant, {}))
-        np.testing.assert_array_equal(res.val_predictions, again)
-        assert fr.val_metrics == metric_suite(ds.targets[val], again, w[val])
+        assert fr.train_metrics == metric_suite(ds.targets[~val],
+                                                res.train_predictions, w[~val])
+        assert fr.val_metrics == metric_suite(ds.targets[val],
+                                              res.val_predictions, w[val])
 
 
 # --- cross-validation ----------------------------------------------------------
@@ -206,6 +228,17 @@ def test_cross_validate_report_shape():
             assert np.isfinite(mean) and std >= 0.0
 
 
+def test_cross_validate_last_batch_of_one_row():
+    # 3 folds of 45 stars leave 30 training rows, so at batch 29 each epoch
+    # ends on a one-row batch, which the FCN's batch norm normalizes over
+    # its steps
+    spec = build_default("fcn", filters=[4, 4, 4], kernels=[3, 3, 3])
+    report = cross_validate(spec, toy_dataset(45), np.ones(45),
+                            replace(TINY_CONFIG, batch_size=29, max_epochs=2))
+    assert len(report.fold_reports) == 3
+    assert np.isfinite(report.summary["wrmse"]["validation"][0])
+
+
 def test_cross_validate_rerun_identical_single_thread():
     ds = toy_dataset(45)
     a = cross_validate(TINY_SPEC, ds, np.ones(45), TINY_CONFIG)
@@ -216,26 +249,18 @@ def test_cross_validate_rerun_identical_single_thread():
 
 
 def test_cross_validate_threaded_matches_serial():
-    # 6 jobs in 1, 2 and 3 lanes: fold reports (metrics and loss curves),
-    # validation predictions and best-epoch weights are bit-identical
+    # 6 jobs in 1, 2 and 3 lanes: fold reports (metrics of both sides and
+    # loss curves) and the summary are bit-identical
     ds = toy_dataset(45)
     w = np.linspace(0.5, 1.5, 45)
     runs = {threads: cross_validate(
-                TINY_SPEC, ds, w, replace(TINY_CONFIG, repeats=2, threads=threads),
-                return_models=True)
+                TINY_SPEC, ds, w, replace(TINY_CONFIG, repeats=2, threads=threads))
             for threads in (1, 2, 3)}
-    serial, serial_results = runs[1]
+    serial = runs[1]
     assert len(serial.fold_reports) == 6
     for threads in (2, 3):
-        report, results = runs[threads]
-        assert report.fold_reports == serial.fold_reports
-        assert report.summary == serial.summary
-        for ra, rb in zip(serial_results, results):
-            np.testing.assert_array_equal(ra.val_predictions, rb.val_predictions)
-            sa, sb = ra.model.get_state(), rb.model.get_state()
-            assert sa.keys() == sb.keys()
-            for name in sa:
-                np.testing.assert_array_equal(sa[name], sb[name])
+        assert runs[threads].fold_reports == serial.fold_reports
+        assert runs[threads].summary == serial.summary
 
 
 def _patch_train(monkeypatch, hook):
@@ -429,14 +454,16 @@ def test_grid_search_ranking_order():
 
 # --- matrix --------------------------------------------------------------------
 
-def test_run_matrix_rows_complete():
+def test_run_matrix_rows_complete(tmp_path):
     ds = toy_dataset(45)
-    datasets = {"full": ds, "spline_no_mean": ds}
+    datasets = {"full": ds, "spline_no_mean": replace(ds, variant="spline_no_mean")}
     weights = {k: np.ones(45) for k in datasets}
-    rows, reports = run_matrix(datasets, ["fcn"], TINY_CONFIG, weights)
-    # 2 variants x 1 model x 5 metrics x 2 phases
-    assert len(rows) == 20
-    assert set(reports) == {("full", "fcn"), ("spline_no_mean", "fcn")}
+    reports = run_matrix(datasets, ["fcn"], TINY_CONFIG, weights)
+    assert list(reports) == [("full", "fcn"), ("spline_no_mean", "fcn")]
+    assert all(r.variant == v for (v, _), r in reports.items())
+    evaluate.write_matrix_csv(tmp_path / "matrix.csv", reports)
+    # 2 variants x 1 model x 5 metrics x 2 phases, under a header
+    assert len((tmp_path / "matrix.csv").read_text().splitlines()) == 1 + 20
 
 
 @settings(max_examples=20, deadline=None)

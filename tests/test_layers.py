@@ -131,9 +131,22 @@ def test_batchnorm_inference_uses_running_stats(rng):
 
 
 def test_batchnorm_degenerate_batch(rng):
+    # one value per channel cannot be normalized
     layer = BatchNorm1D(2)
     with pytest.raises(DegenerateBatch):
         layer.forward(rng.normal(size=(1, 1, 2)), training=True)
+
+
+def test_batchnorm_one_row_batch_trains(rng):
+    # a one-row batch has T values per channel: its moments are taken over
+    # the row's steps, and its gradients match finite differences
+    layer = BatchNorm1D(3)
+    x = rng.normal(2.0, 3.0, size=(1, 6, 3))
+    out = layer.forward(x, training=True)
+    np.testing.assert_allclose(out[0].mean(axis=0), 0.0, atol=1e-9)
+    np.testing.assert_allclose(out[0].std(axis=0), 1.0, atol=1e-3)
+    p_rel, x_rel = layer_grads(layer, x, training=True)
+    assert p_rel < 1e-6 and x_rel < 1e-6
 
 
 def test_relu_forward_backward(rng):

@@ -11,7 +11,7 @@ from fehforge.nn.optim import Adam
 
 
 def test_mse_unweighted():
-    loss, grad = weighted_mse([1.0, 2.0, 4.0], [1.0, 2.0, 3.0])
+    loss, grad = weighted_mse([1.0, 2.0, 4.0], [1.0, 2.0, 3.0], np.ones(3))
     assert loss == pytest.approx(1.0 / 3.0)
     np.testing.assert_allclose(grad, [0.0, 0.0, 2.0 / 3.0])
 
@@ -87,7 +87,7 @@ def test_adam_converges_on_quadratic(rng):
     for _ in range(400):
         model.zero_grads()
         pred = model.forward(X, training=True)
-        loss, dpred = weighted_mse(pred, y)
+        loss, dpred = weighted_mse(pred, y, np.ones(32))
         model.backward(dpred.reshape(-1, 1))
         opt.step()
         losses.append(loss)
@@ -106,7 +106,7 @@ def test_adam_deterministic(rng):
         for _ in range(10):
             model.zero_grads()
             pred = model.forward(X, training=True)
-            _, dpred = weighted_mse(pred, y)
+            _, dpred = weighted_mse(pred, y, np.ones(8))
             model.backward(dpred.reshape(-1, 1))
             opt.step()
         results.append(model.forward(X).copy())
@@ -116,6 +116,6 @@ def test_adam_deterministic(rng):
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=20))
 def test_mse_zero_at_perfect_prediction(values):
-    loss, grad = weighted_mse(values, values)
+    loss, grad = weighted_mse(values, values, np.ones(len(values)))
     assert loss == 0.0
     np.testing.assert_array_equal(grad, 0.0)
