@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .container import atomic_open
+from .container import write_csv
 from .errors import (DegenerateSplit, DuplicateEpoch, EmptyCatalog,
                      InvalidConfig, MissingColumn, OrphanStar, ParseError)
 
@@ -293,8 +293,5 @@ def join_photometry(records, photometry_path):
 
 def write_rejection_report(path, rejections):
     """Sidecar audit file: (source_id, failed_rule, offending_value)."""
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source_id", "failed_rule", "offending_value"])
-        for rej in rejections:
-            writer.writerow([rej.record.source_id, rej.rule, rej.value])
+    write_csv(path, ["source_id", "failed_rule", "offending_value"],
+              ([rej.record.source_id, rej.rule, rej.value] for rej in rejections))

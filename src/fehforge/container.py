@@ -11,6 +11,7 @@ map each kind's fields onto arrays and manifest entries.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -73,6 +74,14 @@ def atomic_open(path, mode="w", **kwargs):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write `header` and then `rows` as one CSV file, atomically."""
+    with atomic_open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_container(path, kind, arrays, manifest=None,
@@ -138,6 +147,8 @@ def load_dataset(path) -> ArrayDataset:
     _check_rows(path, "dataset", arrays,
                 len({arr.shape[:1] for arr in arrays.values()}) == 1
                 and arrays["mask"].shape == arrays["values"].shape[:2])
+    if "variant" not in manifest:
+        raise IntegrityError(f"{path}: dataset manifest lacks its variant")
     return ArrayDataset(**arrays, variant=manifest["variant"],
                         meta=manifest.get("meta", {}))
 
@@ -215,8 +226,10 @@ def save_curves(path, pairs, meta=None):
 
 def load_curves(path):
     """Inverse of `save_curves`; returns (pairs, meta). IntegrityError unless
-    each field holds one row per star and `offsets` cut `times` and `mags`
-    into one run per star."""
+    each field holds one row per star, `offsets` cut `times` and `mags` into
+    one run of at least one observation per star, every period is finite and
+    positive, every epoch_max finite or NaN (unknown), and every time and
+    magnitude finite."""
     from .catalog import LightCurve, StarRecord
 
     manifest, data = read_container(
@@ -227,6 +240,16 @@ def load_curves(path):
                 and offsets.shape == (count + 1,) and offsets[0] == 0
                 and bool(np.all(np.diff(offsets) >= 0))
                 and data["times"].shape == data["mags"].shape == (offsets[-1],))
+    for bad, what in (
+            (~(data["periods"] > 0) | np.isinf(data["periods"]),
+             "a period that is not finite and > 0"),
+            (np.isinf(data["epoch_max"]), "an infinite epoch_max"),
+            (np.diff(offsets) == 0, "a star with no observations"),
+            (~np.isfinite(data["times"]), "a time that is not finite"),
+            (~np.isfinite(data["mags"]), "a magnitude that is not finite")):
+        if bad.any():
+            raise IntegrityError(f"{path}: curves hold {what} "
+                                 f"(row {int(np.argmax(bad))})")
     columns = {field: data[name].tolist() for name, field in _CURVE_FIELDS.items()}
     columns["epoch_max"] = [None if np.isnan(em) else em
                             for em in columns["epoch_max"]]

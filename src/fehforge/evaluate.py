@@ -12,7 +12,6 @@ bit-identical whatever the number of cross-validation lanes.
 """
 from __future__ import annotations
 
-import csv
 import math
 import os
 import pickle
@@ -24,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from .container import ArrayDataset, atomic_open
+from .container import ArrayDataset, write_csv
 from .errors import (DivergedLoss, FehForgeError, InvalidConfig,
                      NonPositiveWeightSum, TooFewSamples, ZeroVariance)
 from .nn.losses import weighted_mse
@@ -509,13 +508,6 @@ def run_matrix(datasets, kinds, config: TrainConfig, weights_by_variant):
 
 # --- report writers ---------------------------------------------------------
 
-def _write_rows(path, header, rows):
-    with atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _summary_rows(report: MetricsReport, *lead):
     """`lead` + (metric, phase, mean, std) for each entry of the summary."""
     return [[*lead, metric, phase, *map(repr, report.summary[metric][phase])]
@@ -523,43 +515,37 @@ def _summary_rows(report: MetricsReport, *lead):
 
 
 def write_metrics_csv(path, report: MetricsReport):
-    _write_rows(path, ["model", "variant", "metric", "phase", "mean", "std"],
-                _summary_rows(report, report.model_kind, report.variant))
+    write_csv(path, ["model", "variant", "metric", "phase", "mean", "std"],
+              _summary_rows(report, report.model_kind, report.variant))
 
 
 def write_matrix_csv(path, reports):
     """`run_matrix`'s reports in one table, in their order."""
-    _write_rows(path, ["variant", "model", "metric", "phase", "mean", "std"],
-                [row for r in reports.values()
-                 for row in _summary_rows(r, r.variant, r.model_kind)])
+    write_csv(path, ["variant", "model", "metric", "phase", "mean", "std"],
+              [row for r in reports.values()
+               for row in _summary_rows(r, r.variant, r.model_kind)])
 
 
 def write_loss_curves_csv(path, fold_reports):
-    rows = []
-    for fr in fold_reports:
-        for epoch, (tl, vl) in enumerate(zip(fr.train_loss_curve,
-                                             fr.val_loss_curve)):
-            rows.append([fr.repeat, fr.fold, epoch, repr(tl), repr(vl)])
-    _write_rows(path, ["repeat", "fold", "epoch", "train_loss", "val_loss"], rows)
+    write_csv(path, ["repeat", "fold", "epoch", "train_loss", "val_loss"],
+              ([fr.repeat, fr.fold, epoch, repr(tl), repr(vl)] for fr in fold_reports
+               for epoch, (tl, vl) in enumerate(zip(fr.train_loss_curve,
+                                                    fr.val_loss_curve))))
 
 
 def write_predictions_csv(path, source_ids, predictions, truths=None):
-    rows = []
-    for i, sid in enumerate(source_ids):
-        truth = ""
-        if truths is not None and np.isfinite(truths[i]):
-            truth = repr(float(truths[i]))
-        rows.append([int(sid), repr(float(predictions[i])), truth])
-    _write_rows(path, ["source_id", "predicted_feh", "true_feh"], rows)
+    if truths is None:
+        truths = np.full(len(source_ids), np.nan)
+    write_csv(path, ["source_id", "predicted_feh", "true_feh"],
+              ([int(sid), repr(float(p)), repr(float(t)) if np.isfinite(t) else ""]
+               for sid, p, t in zip(source_ids, predictions, truths)))
 
 
 def write_grid_csv(path, ranked, failed):
-    rows = []
-    for rank, cell in enumerate(ranked, start=1):
-        rows.append([rank, cell.dropout, cell.learning_rate, cell.batch_size,
-                     repr(cell.val_wrmse), repr(cell.val_mae), ""])
-    for cell in failed:
-        rows.append(["", cell.dropout, cell.learning_rate, cell.batch_size,
-                     "", "", cell.error])
-    _write_rows(path, ["rank", "dropout", "learning_rate", "batch_size",
-                       "val_wrmse", "val_mae", "error"], rows)
+    rows = [[rank, cell.dropout, cell.learning_rate, cell.batch_size,
+             repr(cell.val_wrmse), repr(cell.val_mae), ""]
+            for rank, cell in enumerate(ranked, start=1)]
+    rows += [["", cell.dropout, cell.learning_rate, cell.batch_size, "", "", cell.error]
+             for cell in failed]
+    write_csv(path, ["rank", "dropout", "learning_rate", "batch_size",
+                     "val_wrmse", "val_mae", "error"], rows)

@@ -6,12 +6,12 @@ no real survey data required.
 """
 from __future__ import annotations
 
-import csv
 import os
 
 import numpy as np
 
 from .catalog import LightCurve, StarRecord
+from .container import write_csv
 
 
 def sawtooth_mag(phase, amplitude, rise_fraction):
@@ -71,23 +71,16 @@ def make_corpus(n, seed=0, target_noise=0.1, phot_noise=0.01,
     return pairs, clean
 
 
-def write_corpus_files(directory, pairs, delimiter=","):
+def write_corpus_files(directory, pairs):
     """Write catalog.csv and photometry.csv in the formats `catalog` reads."""
-    os.makedirs(directory, exist_ok=True)
     catalog_path = os.path.join(directory, "catalog.csv")
     photometry_path = os.path.join(directory, "photometry.csv")
-    with open(catalog_path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["id", "source_id", "period", "amp_g", "n_epochs",
-                         "feh", "feh_sigma", "phi31_sigma", "epoch_max"])
-        for rec, _ in pairs:
-            writer.writerow([rec.id, rec.source_id, rec.period, rec.amp_g,
-                             rec.n_epochs, rec.feh, rec.feh_sigma,
-                             rec.phi31_sigma, rec.epoch_max])
-    with open(photometry_path, "w", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(["source_id", "time_bjd", "mag_g"])
-        for rec, lc in pairs:
-            for t, m in zip(lc.times, lc.mags):
-                writer.writerow([rec.source_id, repr(float(t)), repr(float(m))])
+    write_csv(catalog_path, ["id", "source_id", "period", "amp_g", "n_epochs",
+                             "feh", "feh_sigma", "phi31_sigma", "epoch_max"],
+              ([rec.id, rec.source_id, rec.period, rec.amp_g, rec.n_epochs,
+                rec.feh, rec.feh_sigma, rec.phi31_sigma, rec.epoch_max]
+               for rec, _ in pairs))
+    write_csv(photometry_path, ["source_id", "time_bjd", "mag_g"],
+              ([rec.source_id, repr(float(t)), repr(float(m))]
+               for rec, lc in pairs for t, m in zip(lc.times, lc.mags)))
     return catalog_path, photometry_path

@@ -13,10 +13,11 @@ from fehforge import errors, preprocess
 from fehforge.catalog import apply_selection, load_catalog
 from fehforge.cli import DEFAULT_CONFIG, load_config, main
 from fehforge.container import (load_curves, load_dataset, load_weights,
-                                read_container, save_snapshot, save_weights,
-                                write_container)
+                                read_container, save_curves, save_snapshot,
+                                save_weights, write_container)
 from fehforge.synthetic import make_corpus, write_corpus_files
 from fehforge.zoo import build, build_default
+from tests.test_container import CURVE_TAMPERS, write_tampered_curves
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,20 @@ def test_exit_code_integrity(workspace, tmp_path):
     weights = os.path.join(workspace, "datasets", "weights_full_train.zip")
     assert main(["predict", "--output", str(tmp_path), "--snapshot", str(snap),
                  "--input", weights]) == 5
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_TAMPERS))
+def test_preprocess_exit_code_curves_values(tmp_path, capsys, case):
+    # hand-made training curves holding a value that ingest never writes
+    out = str(tmp_path)
+    write_tampered_curves(os.path.join(out, "curves_train.zip"),
+                          make_corpus(4, seed=2)[0], CURVE_TAMPERS[case][0])
+    save_curves(os.path.join(out, "curves_validation.zip"),
+                make_corpus(4, seed=3)[0])
+    assert main(["preprocess", "--output", out, "--variant", "all"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not os.path.exists(os.path.join(out, "datasets"))
 
 
 def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):

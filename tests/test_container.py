@@ -64,6 +64,15 @@ def test_dataset_broken_members_rejected(tmp_path, dataset, tamper):
         load_dataset(path)
 
 
+def test_dataset_manifest_without_variant_rejected(tmp_path, dataset):
+    arrays = {name: getattr(dataset, name)
+              for name in ("source_ids", "values", "mask", "targets")}
+    path = tmp_path / "ds.zip"
+    write_container(path, "dataset", arrays, {})
+    with pytest.raises(IntegrityError, match="lacks its variant"):
+        load_dataset(path)
+
+
 def test_snapshot_roundtrip_preserves_predictions(tmp_path):
     model = build(build_default("gru"), (20, 2), seed=3)
     x = np.random.default_rng(0).normal(size=(4, 20, 2))
@@ -137,6 +146,58 @@ def test_curves_misaligned_rows_rejected(tmp_path, tamper):
     write_container(path, "curves", arrays, {"count": manifest["count"]})
     with pytest.raises(IntegrityError, match="do not line up"):
         load_curves(path)
+
+
+def _empty_second_curve(arrays):
+    offsets = arrays["offsets"]
+    lo, hi = offsets[1], offsets[2]
+    for name in ("times", "mags"):
+        arrays[name] = np.delete(arrays[name], np.s_[lo:hi])
+    offsets[2:] -= hi - lo
+
+
+def _set(name, row, value):
+    def tamper(arrays):
+        arrays[name][row] = value
+    return tamper
+
+
+# values in a curves container that ingest never writes, and the words of
+# the error that names each
+CURVE_TAMPERS = {
+    "empty_curve": (_empty_second_curve, "a star with no observations"),
+    "zero_period": (_set("periods", 2, 0.0), "a period that"),
+    "infinite_epoch_max": (_set("epoch_max", 0, np.inf), "an infinite epoch_max"),
+    "nan_magnitude": (_set("mags", 3, np.nan), "a magnitude that"),
+    "nan_time": (_set("times", 5, np.nan), "a time that"),
+}
+
+
+def write_tampered_curves(path, pairs, tamper):
+    """Save `pairs` as a curves container at `path`, then rewrite it with
+    `tamper` applied to its arrays."""
+    save_curves(path, pairs)
+    manifest, arrays = read_container(path, "curves")
+    tamper(arrays)
+    write_container(path, "curves", arrays, {"count": manifest["count"]})
+
+
+@pytest.mark.parametrize("case", sorted(CURVE_TAMPERS))
+def test_curves_values_ingest_never_writes_rejected(tmp_path, case):
+    tamper, words = CURVE_TAMPERS[case]
+    path = tmp_path / "curves.zip"
+    write_tampered_curves(path, make_corpus(4, seed=2)[0], tamper)
+    with pytest.raises(IntegrityError, match=words):
+        load_curves(path)
+
+
+def test_curves_unknown_epoch_max_loads(tmp_path):
+    pairs, _ = make_corpus(4, seed=2)
+    path = tmp_path / "curves.zip"
+    write_tampered_curves(path, pairs, _set("epoch_max", 1, np.nan))
+    loaded, _ = load_curves(path)
+    assert loaded[1][0].epoch_max is None
+    assert loaded[0][0].epoch_max == pairs[0][0].epoch_max
 
 
 def test_weights_misaligned_rows_rejected(tmp_path):

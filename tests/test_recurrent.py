@@ -231,6 +231,7 @@ def test_time_loop_matches_per_step_reference(rng, cls, reference,
         mask[0, 7:] = False
         mask[3, 2:] = False
         mask[4, 5:9] = False        # a gap, not only a padded tail
+        mask[2] = False             # a row with no valid step
     out = layer.forward(x, mask=mask if masked else None, training=True)
     dy = rng.normal(size=out.shape)
     dx = layer.backward(dy)
@@ -255,6 +256,13 @@ def test_all_valid_mask_is_bit_identical_to_none(rng, cls, return_sequences):
     dx_mask = layer.backward(np.ones_like(out_mask))
     np.testing.assert_array_equal(out_mask, out_none)
     np.testing.assert_array_equal(dx_mask, dx_none)
+
+
+@pytest.mark.parametrize("cls", [GRU, LSTM])
+def test_cells_define_forward_and_backward_themselves(cls):
+    # the bench tracer wraps only the methods a class defines itself, so a
+    # cell that inherited its time loop would read 0 in the per-layer figures
+    assert "forward" in vars(cls) and "backward" in vars(cls)
 
 
 @pytest.mark.parametrize("cls", [GRU, LSTM])
