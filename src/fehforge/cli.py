@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import collections
 import copy
+import ctypes
 import dataclasses
 import json
 import os
@@ -355,7 +356,32 @@ def _overrides_from_args(args):
     return over
 
 
+# glibc's mallopt(3) parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_memory():
+    """Tell glibc to keep freed memory in the heap for the life of the
+    process: no array below 1 GiB gets its own mmap, and the heap is never
+    trimmed. A training batch then reuses the pages that the last one freed
+    instead of faulting in fresh zeroed ones. Forked lanes inherit it.
+    Setting either threshold turns off glibc's dynamic mmap threshold, so
+    the trim threshold is set only once the mmap threshold is. Does
+    nothing when the C library is not glibc."""
+    try:
+        libc = ctypes.CDLL(None)
+        libc.gnu_get_libc_version       # only glibc has it
+    except (OSError, TypeError, AttributeError):    # TypeError: Windows
+        return
+    mallopt = libc.mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, 1 << 30):
+        mallopt(_M_TRIM_THRESHOLD, 2 ** 31 - 1)
+
+
 def main(argv=None):
+    keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, _overrides_from_args(args),

@@ -100,11 +100,13 @@ def write_container(path, kind, arrays, manifest=None,
             zf.writestr(info, data)
 
 
-def read_container(path, kind, names=None, manifest_name="manifest.json"):
+def read_container(path, kind, dtypes=None, manifest_name="manifest.json"):
     """(manifest, arrays) of the `kind` container at `path`. `arrays` maps
-    each of `names` (default: every .npy member) to its array. MissingInput
-    if there is no file; IntegrityError if it is not a sound zip archive, its
-    manifest names another kind, or a member is missing or unreadable."""
+    each member of `dtypes` (name -> the dtype it must have; default: every
+    .npy member, of any dtype) to its array. MissingInput if there is no
+    file; IntegrityError if it is not a sound zip archive, its manifest
+    names another kind, or a member is missing, unreadable or of another
+    dtype."""
     if not os.path.exists(path):
         raise MissingInput(f"{kind} container not found: {path}")
     try:
@@ -112,13 +114,16 @@ def read_container(path, kind, names=None, manifest_name="manifest.json"):
             manifest = json.loads(zf.read(manifest_name))
             if not isinstance(manifest, dict) or manifest.get("kind") != kind:
                 raise IntegrityError(f"{path} is not a {kind} container")
-            if names is None:
-                names = [m[:-4] for m in zf.namelist() if m.endswith(".npy")]
+            names = dtypes or [m[:-4] for m in zf.namelist() if m.endswith(".npy")]
             arrays = {name: np.load(io.BytesIO(zf.read(f"{name}.npy")),
                                     allow_pickle=False) for name in names}
     except (zipfile.BadZipFile, KeyError, ValueError) as exc:
         raise IntegrityError(f"{path} is not a sound {kind} container: "
                              f"{exc}") from exc
+    for name, dtype in (dtypes or {}).items():
+        if arrays[name].dtype != dtype:
+            raise IntegrityError(f"{path}: {kind} member {name} is "
+                                 f"{arrays[name].dtype}, not {np.dtype(dtype)}")
     return manifest, arrays
 
 
@@ -130,7 +135,8 @@ def _check_rows(path, kind, arrays, aligned):
             + ", ".join(f"{k} {v.shape}" for k, v in arrays.items()))
 
 
-_DATASET_ARRAYS = ("source_ids", "values", "mask", "targets")
+_DATASET_ARRAYS = {"source_ids": np.int64, "values": np.float64,
+                   "mask": np.bool_, "targets": np.float64}
 
 
 def save_dataset(path, dataset: ArrayDataset):
@@ -200,20 +206,24 @@ def restore_model(path):
     return model
 
 
-# curves member -> StarRecord field, in member order: int64 ids and epoch
-# counts, float64 otherwise, with NaN for an unknown epoch_max
+# curves member -> StarRecord field, in member order, with NaN for an
+# unknown epoch_max
 _CURVE_FIELDS = {"source_ids": "source_id", "periods": "period",
                  "amp_g": "amp_g", "n_epochs": "n_epochs", "feh": "feh",
                  "feh_sigma": "feh_sigma", "phi31_sigma": "phi31_sigma",
                  "epoch_max": "epoch_max"}
+# every curves member -> its dtype: int64 ids, epoch counts and offsets,
+# float64 otherwise
+_CURVE_DTYPES = {name: np.int64 if name in ("source_ids", "n_epochs", "offsets")
+                 else np.float64
+                 for name in (*_CURVE_FIELDS, "offsets", "times", "mags")}
 
 
 def save_curves(path, pairs, meta=None):
     """Persist (StarRecord, LightCurve) pairs as a ragged-array container."""
     arrays = {name: np.array(
                   [np.nan if getattr(r, field) is None else getattr(r, field)
-                   for r, _ in pairs],
-                  np.int64 if name in ("source_ids", "n_epochs") else np.float64)
+                   for r, _ in pairs], _CURVE_DTYPES[name])
               for name, field in _CURVE_FIELDS.items()}
     lengths = np.array([len(lc) for _, lc in pairs], dtype=np.int64)
     arrays["offsets"] = np.concatenate([[0], np.cumsum(lengths)])
@@ -232,8 +242,7 @@ def load_curves(path):
     magnitude finite."""
     from .catalog import LightCurve, StarRecord
 
-    manifest, data = read_container(
-        path, "curves", (*_CURVE_FIELDS, "offsets", "times", "mags"))
+    manifest, data = read_container(path, "curves", _CURVE_DTYPES)
     count, offsets = manifest.get("count"), data["offsets"]
     _check_rows(path, "curves", data,
                 all(data[name].shape == (count,) for name in _CURVE_FIELDS)
@@ -270,7 +279,8 @@ def save_weights(path, source_ids, weights):
 
 
 def load_weights(path):
-    _, arrays = read_container(path, "weights", ("source_ids", "weights"))
+    _, arrays = read_container(path, "weights", {"source_ids": np.int64,
+                                                 "weights": np.float64})
     _check_rows(path, "weights", arrays,
                 arrays["source_ids"].shape == arrays["weights"].shape)
     return arrays["source_ids"], arrays["weights"]

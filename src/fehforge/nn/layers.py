@@ -230,8 +230,10 @@ class Dropout(Layer):
         if not training or self.rate == 0.0:
             self._cache = 1.0 if training else None
             return x
+        # the mask is drawn in C order whatever x's layout; the scale and
+        # the output take x's (a recurrent layer hands on a time-major view)
         keep = self.rng.random(x.shape) >= self.rate
-        self._cache = keep / (1.0 - self.rate)
+        self._cache = np.divide(keep, 1.0 - self.rate, out=np.empty_like(x))
         return x * self._cache
 
     def backward(self, dy):

@@ -1,23 +1,29 @@
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import os
 import pickle
+import platform
 import shutil
+import subprocess
+import sys
+import types
 
 import numpy as np
 import pytest
 import yaml
 
+import fehforge
 from fehforge import errors, preprocess
 from fehforge.catalog import apply_selection, load_catalog
-from fehforge.cli import DEFAULT_CONFIG, load_config, main
+from fehforge.cli import DEFAULT_CONFIG, keep_freed_memory, load_config, main
 from fehforge.container import (load_curves, load_dataset, load_weights,
                                 read_container, save_curves, save_snapshot,
                                 save_weights, write_container)
 from fehforge.synthetic import make_corpus, write_corpus_files
 from fehforge.zoo import build, build_default
-from tests.test_container import CURVE_TAMPERS, write_tampered_curves
+from tests.test_container import CURVE_TAMPERS, as_dtype, write_tampered_curves
 
 
 @pytest.fixture(scope="module")
@@ -259,9 +265,11 @@ def _reshape_state(shape):
     _drop_state,
     _reshape_state((3, 3, 3, 3)),
     _reshape_state((1,)),
+    lambda ds, meta, state: as_dtype("source_ids", np.float64)(ds),
+    lambda ds, meta, state: as_dtype("mask", np.int64)(ds),
 ], ids=["no_mask", "short_source_ids", "spec_format_99", "spec_not_json",
         "no_spec", "no_input_shape", "state_dropped", "state_wrong_shape",
-        "state_broadcastable_shape"])
+        "state_broadcastable_shape", "float_source_ids", "int_mask"])
 def test_exit_code_predict_broken_input(workspace, tmp_path, capsys, tamper):
     # `tamper` breaks the dataset's arrays, or the snapshot's manifest or
     # state arrays
@@ -340,6 +348,14 @@ def test_exit_code_weights_misaligned(workspace, tmp_path, misalign):
         ids, w = load_weights(path)
         ids = misalign(ids)
         save_weights(path, ids, w[:len(ids)])
+    assert _cv_exit_code(workspace, tmp_path, tamper) == 5
+
+
+def test_exit_code_weights_float_source_ids(workspace, tmp_path):
+    def tamper(path):
+        ids, w = load_weights(path)
+        write_container(path, "weights", {"source_ids": ids.astype(np.float64),
+                                          "weights": w})
     assert _cv_exit_code(workspace, tmp_path, tamper) == 5
 
 
@@ -559,3 +575,74 @@ def test_exit_code_short_row(corpus, tmp_path, capsys, which):
     err = capsys.readouterr().err
     row = len(text.splitlines()) + 1
     assert err.startswith(f"error: row {row}: ") and "Traceback" not in err
+
+
+def _no_c_library(name):
+    raise OSError("no C library here")
+
+
+def _mallopt_never(param, value):
+    pytest.fail("mallopt called on a C library that is not glibc")
+
+
+@pytest.mark.parametrize("cdll", [
+    _no_c_library,
+    lambda name: types.SimpleNamespace(mallopt=_mallopt_never),   # musl, macOS
+], ids=["no_c_library", "no_gnu_get_libc_version"])
+def test_keep_freed_memory_does_nothing_without_glibc(corpus, tmp_path,
+                                                      monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert keep_freed_memory() is None
+    catalog, photometry = corpus
+    assert main(["ingest", "--catalog", catalog, "--photometry", photometry,
+                 "--output", str(tmp_path)]) == 0
+
+
+# One warm-up step, then five: each a training step of the default GRU at
+# batch 256 and 100 steps, followed by the inference forward of a 128-row
+# validation batch that ends each epoch of `evaluate.train`. It prints the
+# minor page faults that the five took.
+_FAULT_LOOP = """
+import resource
+import numpy as np
+from fehforge.cli import keep_freed_memory
+from fehforge.nn.losses import weighted_mse
+from fehforge.nn.optim import Adam
+from fehforge.zoo import build, build_default
+
+keep_freed_memory()
+rng = np.random.default_rng(0)
+B, T = 256, 100
+X, y, w = rng.normal(size=(B, T, 2)), rng.normal(size=B), np.ones(B)
+mask = np.ones((B, T), dtype=bool)
+model = build(build_default("gru"), (T, 2), seed=0)
+model.seed_dropout(0)
+opt = Adam(model, learning_rate=0.01)
+
+def step():
+    model.zero_grads()
+    pred = model.forward(X, mask=mask, training=True)
+    _, dpred = weighted_mse(pred, y, w)
+    model.backward(dpred.reshape(-1, 1))
+    model.add_reg_grads()
+    opt.step()
+    model.forward(X[:128], mask=mask[:128], training=False)
+
+step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt thresholds are glibc's")
+def test_training_steps_reuse_freed_memory():
+    # without the allocator setting the five steps fault in about 62k pages
+    src = os.path.dirname(os.path.dirname(fehforge.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", _FAULT_LOOP], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert int(run.stdout) < 1000

@@ -49,11 +49,21 @@ def test_dataset_missing_and_wrong_kind(tmp_path, dataset):
         load_dataset(path)
 
 
+def as_dtype(name, dtype):
+    """A tamper that casts member `name` to `dtype`."""
+    def tamper(arrays):
+        arrays[name] = arrays[name].astype(dtype)
+    return tamper
+
+
 @pytest.mark.parametrize("tamper", [
     lambda arrays: arrays.pop("mask"),
     lambda arrays: arrays.update(source_ids=arrays["source_ids"][:-1]),
     lambda arrays: arrays.update(mask=arrays["mask"][:, :-1]),
-], ids=["no_mask", "short_source_ids", "narrow_mask"])
+    as_dtype("source_ids", np.float64), as_dtype("values", np.float32),
+    as_dtype("mask", np.int64), as_dtype("targets", str),
+], ids=["no_mask", "short_source_ids", "narrow_mask", "float_source_ids",
+        "float32_values", "int_mask", "string_targets"])
 def test_dataset_broken_members_rejected(tmp_path, dataset, tamper):
     arrays = {name: getattr(dataset, name)
               for name in ("source_ids", "values", "mask", "targets")}
@@ -170,6 +180,10 @@ CURVE_TAMPERS = {
     "infinite_epoch_max": (_set("epoch_max", 0, np.inf), "an infinite epoch_max"),
     "nan_magnitude": (_set("mags", 3, np.nan), "a magnitude that"),
     "nan_time": (_set("times", 5, np.nan), "a time that"),
+    "string_periods": (as_dtype("periods", str), "member periods is <U"),
+    "float_source_ids": (as_dtype("source_ids", np.float64),
+                         "member source_ids is float64"),
+    "float_offsets": (as_dtype("offsets", np.float64), "member offsets is float64"),
 }
 
 
@@ -204,6 +218,17 @@ def test_weights_misaligned_rows_rejected(tmp_path):
     path = tmp_path / "w.zip"
     save_weights(path, np.arange(7), np.ones(6))
     with pytest.raises(IntegrityError, match="do not line up"):
+        load_weights(path)
+
+
+@pytest.mark.parametrize("name, dtype", [("source_ids", np.float64),
+                                         ("weights", np.float32)])
+def test_weights_of_another_dtype_rejected(tmp_path, name, dtype):
+    arrays = {"source_ids": np.arange(7), "weights": np.ones(7)}
+    arrays[name] = arrays[name].astype(dtype)
+    path = tmp_path / "w.zip"
+    write_container(path, "weights", arrays)
+    with pytest.raises(IntegrityError, match=f"member {name} is"):
         load_weights(path)
 
 

@@ -184,6 +184,21 @@ def test_dropout_reseed_reproducible():
                                   b.forward(x, training=True))
 
 
+def test_dropout_keeps_a_time_major_layout(rng):
+    # a recurrent layer with return_sequences hands on a (B, T, U) view of a
+    # time-major (T, B, U) array; the scale and the output keep that layout,
+    # and the mask is still drawn in C order over (B, T, U)
+    x = rng.normal(size=(7, 5, 3)).transpose(1, 0, 2)
+    dy = rng.normal(size=x.shape)
+    layer = Dropout(0.4)
+    layer.rng = np.random.default_rng(11)
+    out = layer.forward(x, training=True)
+    assert out.strides == layer._cache.strides == x.strides
+    scale = (np.random.default_rng(11).random(x.shape) >= 0.4) / (1.0 - 0.4)
+    np.testing.assert_array_equal(out, x * scale)
+    np.testing.assert_array_equal(layer.backward(dy), dy * scale)
+
+
 def test_dropout_invalid_rate():
     with pytest.raises(InvalidRate):
         Dropout(1.0)
