@@ -173,12 +173,17 @@ def save_snapshot(path, model, extra_meta=None):
 
 
 def load_snapshot(path):
-    """Returns (spec_json, input_shape, state_dict, meta)."""
+    """Returns (spec_json, input_shape, state_dict, meta). IntegrityError
+    unless the state arrays are the manifest's state names, all float64."""
     meta, arrays = read_container(path, "snapshot", manifest_name="meta.json")
     state = {name[len("state/"):]: arr for name, arr in arrays.items()}
     if sorted(state) != meta.get("state_names"):
         raise IntegrityError(f"{path}: snapshot state arrays differ from "
                              f"the state names in its manifest")
+    for name, arr in arrays.items():
+        if arr.dtype != np.float64:
+            raise IntegrityError(f"{path}: snapshot member {name} is "
+                                 f"{arr.dtype}, not float64")
     missing = sorted({"spec", "input_shape"} - meta.keys())
     if missing:
         raise IntegrityError(f"{path}: snapshot manifest lacks {missing}")

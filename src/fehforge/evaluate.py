@@ -533,9 +533,7 @@ def write_loss_curves_csv(path, fold_reports):
                                                     fr.val_loss_curve))))
 
 
-def write_predictions_csv(path, source_ids, predictions, truths=None):
-    if truths is None:
-        truths = np.full(len(source_ids), np.nan)
+def write_predictions_csv(path, source_ids, predictions, truths):
     write_csv(path, ["source_id", "predicted_feh", "true_feh"],
               ([int(sid), repr(float(p)), repr(float(t)) if np.isfinite(t) else ""]
                for sid, p, t in zip(source_ids, predictions, truths)))

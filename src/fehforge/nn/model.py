@@ -40,7 +40,8 @@ class ResidualBlock(Layer):
     """ReLU(shortcut(x) + body(x)), zero at padded steps: the residual block
     of ResNet (body: three conv blocks; shortcut: a 1x1 conv where the
     channel count changes, else the identity) and of InceptionTime (body:
-    inception modules; shortcut: a 1x1 conv and batch norm).
+    inception modules, each a `Concat` in a `Sequential`; shortcut: a 1x1
+    conv and batch norm).
 
     `shortcut` None is the identity.
     """
@@ -72,43 +73,27 @@ class ResidualBlock(Layer):
         return dx + self.shortcut.backward(dy)
 
 
-class InceptionModule(Layer):
-    """Bottleneck conv feeding parallel convolutions of several kernel
-    lengths, plus a maxpool->bottleneck branch; outputs concatenated, then
-    batch norm and ReLU."""
+class Concat(Layer):
+    """Each branch applied to the same input and mask, the outputs joined
+    on the channel axis; backward splits dy and sums the branch gradients."""
 
-    def __init__(self, bottleneck, branches, pool, pool_conv, bn, relu):
+    def __init__(self, branches):
         super().__init__()
-        self.bottleneck = bottleneck
         self.branches = list(branches)
-        self.pool = pool
-        self.pool_conv = pool_conv
-        self.bn = bn
-        self.relu = relu
 
     def children(self):
-        kids = [("bottleneck", self.bottleneck)]
-        kids += [(f"branch{i}", b) for i, b in enumerate(self.branches)]
-        kids += [("pool_conv", self.pool_conv), ("bn", self.bn)]
-        return kids
+        return [(str(i), b) for i, b in enumerate(self.branches)]
 
     def forward(self, x, mask=None, training=False):
-        z = self.bottleneck.forward(x, mask=mask, training=training)
-        outs = [b.forward(z, mask=mask, training=training) for b in self.branches]
-        p = self.pool.forward(x, mask=mask, training=training)
-        outs.append(self.pool_conv.forward(p, mask=None, training=training))
+        outs = [b.forward(x, mask=mask, training=training) for b in self.branches]
         self._cache = np.cumsum([o.shape[-1] for o in outs])[:-1] if training else None
-        cat = np.concatenate(outs, axis=-1)
-        s = self.bn.forward(cat, mask=mask, training=training)
-        return self.relu.forward(s, mask=mask, training=training)
+        return np.concatenate(outs, axis=-1)
 
     def backward(self, dy):
-        dy = self.relu.backward(dy)
-        dcat = self.bn.backward(dy)
-        parts = np.split(dcat, self._saved(), axis=-1)
-        dz = sum(b.backward(parts[i]) for i, b in enumerate(self.branches))
-        dx = self.bottleneck.backward(dz)
-        dx = dx + self.pool.backward(self.pool_conv.backward(parts[-1]))
+        parts = np.split(dy, self._saved(), axis=-1)
+        dx = self.branches[0].backward(parts[0])
+        for branch, part in zip(self.branches[1:], parts[1:]):
+            dx = dx + branch.backward(part)
         return dx
 
 

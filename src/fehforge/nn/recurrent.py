@@ -10,7 +10,11 @@ recurrent bias vectors, so a layer with U units on I input channels holds
     h' = z * h + (1 - z) * hh
 
 Masked timesteps leave the hidden (and cell) state unchanged, so appending
-padded steps never changes the final state or its gradients.
+padded steps never changes the final state or its gradients. Any validity
+mask works, not only valid steps first: a hole is skipped as padding is.
+`Bidirectional` runs its backward layer on the time-reversed sequence and
+mask, as Keras's `go_backwards` does: there the padded steps come first,
+and the carry skips them.
 
 GRU and LSTM share one time-major loop each way, in `_Recurrent`, over T
 steps of a batch of B:
@@ -275,21 +279,9 @@ class LSTM(_Recurrent):
         return dA @ self.params["W"].T
 
 
-def reverse_valid(x, mask):
-    """Reverse each sample's valid prefix along time, leaving padding in
-    place. With mask=None the whole axis is reversed."""
-    if mask is None:
-        return x[:, ::-1]
-    B, T = mask.shape
-    lengths = mask.sum(axis=1).astype(np.int64)
-    t_idx = np.arange(T)[None, :]
-    rev = np.where(t_idx < lengths[:, None], lengths[:, None] - 1 - t_idx, t_idx)
-    return x[np.arange(B)[:, None], rev]
-
-
 class Bidirectional(Layer):
-    """Runs two copies of a recurrent layer, one over the sequence as given
-    and one over the reversed valid region; outputs are concatenated."""
+    """Two copies of a recurrent layer, outputs concatenated: `fwd` reads
+    the sequence as given, `bwd` reads it and its mask reversed in time."""
 
     def __init__(self, forward_layer, backward_layer):
         super().__init__()
@@ -303,19 +295,13 @@ class Bidirectional(Layer):
         return [("fwd", self.fwd), ("bwd", self.bwd)]
 
     def forward(self, x, mask=None, training=False):
-        self._cache = (mask,) if training else None
         y_f = self.fwd.forward(x, mask=mask, training=training)
-        y_b = self.bwd.forward(reverse_valid(x, mask), mask=mask, training=training)
-        if self.return_sequences:
-            y_b = reverse_valid(y_b, mask)
-        return np.concatenate([y_f, y_b], axis=-1)
+        y_b = self.bwd.forward(x[:, ::-1], training=training,
+                               mask=None if mask is None else mask[:, ::-1])
+        return np.concatenate(
+            [y_f, y_b[:, ::-1] if self.return_sequences else y_b], axis=-1)
 
     def backward(self, dy):
-        (mask,) = self._saved()
         n = self.fwd.units
-        dy_f, dy_b = dy[..., :n], dy[..., n:]
-        dx = self.fwd.backward(dy_f)
-        if self.return_sequences:
-            dy_b = reverse_valid(dy_b, mask)
-        dx_b = self.bwd.backward(dy_b)
-        return dx + reverse_valid(dx_b, mask)
+        dy_b = dy[:, ::-1, n:] if self.return_sequences else dy[:, n:]
+        return self.fwd.backward(dy[..., :n]) + self.bwd.backward(dy_b)[:, ::-1]

@@ -14,6 +14,11 @@ from .catalog import LightCurve, StarRecord
 from .container import write_csv
 
 
+PHOT_NOISE = 0.01              # mag, Gaussian photometric noise
+N_EPOCHS_RANGE = (40, 120)     # epochs per curve, inclusive
+BASELINE_DAYS = 800.0          # span of the observation times
+
+
 def sawtooth_mag(phase, amplitude, rise_fraction):
     """Asymmetric sawtooth in magnitudes: brightest (minimum) at phase 0,
     slow decline over 1 - rise_fraction, rapid rise over rise_fraction."""
@@ -33,8 +38,7 @@ def target_function(rise_fraction, amplitude, period):
             + 0.8 * np.tanh(3.0 * (period - 0.55)))
 
 
-def make_corpus(n, seed=0, target_noise=0.1, phot_noise=0.01,
-                n_epochs_range=(40, 120), baseline_days=800.0):
+def make_corpus(n, seed=0, target_noise=0.1):
     """Generate n (StarRecord, LightCurve) pairs plus the noise-free targets.
 
     Returns (pairs, clean_targets). The stored StarRecord.feh carries the
@@ -48,12 +52,12 @@ def make_corpus(n, seed=0, target_noise=0.1, phot_noise=0.01,
         amplitude = rng.uniform(0.3, 1.2)
         rise = rng.uniform(0.12, 0.4)
         mean_mag = rng.uniform(15.0, 19.0)
-        n_epochs = int(rng.integers(n_epochs_range[0], n_epochs_range[1] + 1))
+        n_epochs = int(rng.integers(N_EPOCHS_RANGE[0], N_EPOCHS_RANGE[1] + 1))
         epoch_max = rng.uniform(0.0, 100.0)
-        times = np.sort(epoch_max + rng.uniform(0.0, baseline_days, size=n_epochs))
+        times = np.sort(epoch_max + rng.uniform(0.0, BASELINE_DAYS, size=n_epochs))
         phases = np.mod((times - epoch_max) / period, 1.0)
         mags = (mean_mag + sawtooth_mag(phases, amplitude, rise)
-                + rng.normal(0.0, phot_noise, size=n_epochs))
+                + rng.normal(0.0, PHOT_NOISE, size=n_epochs))
         clean[i] = target_function(rise, amplitude, period)
         feh = clean[i] + rng.normal(0.0, target_noise)
         record = StarRecord(

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidConfig
 from .nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                         GlobalAveragePool, MaxPool1D, ReLU)
-from .nn.model import InceptionModule, Model, ResidualBlock, Sequential
+from .nn.model import Concat, Model, ResidualBlock, Sequential
 from .nn.recurrent import GRU, LSTM, Bidirectional
 
 SPEC_FORMAT_VERSION = 1
@@ -142,8 +142,10 @@ def _build_inception_root(spec, rng, in_ch):
                         for k in opts["branch_kernels"]]
             pool = MaxPool1D(3, stride=1, padding="same")
             pool_conv = Conv1D(ch, bf, 1, rng, use_bias=False)
-            modules.append(InceptionModule(bottleneck, branches, pool,
-                                           pool_conv, BatchNorm1D(out_ch), ReLU()))
+            modules.append(Sequential([
+                Concat([Sequential([bottleneck, Concat(branches)]),
+                        Sequential([pool, pool_conv])]),
+                BatchNorm1D(out_ch), ReLU()]))
             ch = out_ch
         layers.append(ResidualBlock(modules, shortcut=Sequential([
             Conv1D(block_in, out_ch, 1, rng, use_bias=False),

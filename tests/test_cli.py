@@ -254,6 +254,13 @@ def _reshape_state(shape):
     return tamper
 
 
+def _state_as_dtype(dtype):
+    def tamper(ds, meta, state):
+        for name in state:
+            state[name] = state[name].astype(dtype)
+    return tamper
+
+
 @pytest.mark.parametrize("tamper", [
     lambda ds, meta, state: ds.pop("mask"),
     lambda ds, meta, state: ds.update(source_ids=ds["source_ids"][:-1]),
@@ -267,9 +274,11 @@ def _reshape_state(shape):
     _reshape_state((1,)),
     lambda ds, meta, state: as_dtype("source_ids", np.float64)(ds),
     lambda ds, meta, state: as_dtype("mask", np.int64)(ds),
+    _state_as_dtype(np.int64), _state_as_dtype(np.float32), _state_as_dtype(str),
 ], ids=["no_mask", "short_source_ids", "spec_format_99", "spec_not_json",
         "no_spec", "no_input_shape", "state_dropped", "state_wrong_shape",
-        "state_broadcastable_shape", "float_source_ids", "int_mask"])
+        "state_broadcastable_shape", "float_source_ids", "int_mask",
+        "int_state", "float32_state", "string_state"])
 def test_exit_code_predict_broken_input(workspace, tmp_path, capsys, tamper):
     # `tamper` breaks the dataset's arrays, or the snapshot's manifest or
     # state arrays

@@ -97,6 +97,18 @@ def test_snapshot_roundtrip_preserves_predictions(tmp_path):
     assert set(meta["state_names"]) == set(state)
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, str])
+def test_snapshot_state_of_another_dtype_rejected(tmp_path, dtype):
+    path = tmp_path / "snap.zip"
+    save_snapshot(path, build(build_default("gru"), (20, 2), seed=3))
+    meta, arrays = read_container(path, "snapshot", manifest_name="meta.json")
+    write_container(path, "snapshot",
+                    {name: arr.astype(dtype) for name, arr in arrays.items()},
+                    meta, manifest_name="meta.json")
+    with pytest.raises(IntegrityError, match="not float64"):
+        restore_model(path)
+
+
 def test_snapshot_rerun_byte_identical(tmp_path):
     model = build(build_default("fcn"), (16, 2), seed=1)
     a, b = tmp_path / "a.zip", tmp_path / "b.zip"

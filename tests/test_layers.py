@@ -5,28 +5,31 @@ from fehforge.errors import (DegenerateBatch, InvalidRate, ShapeMismatch)
 from fehforge.nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                                 GlobalAveragePool, Layer, MaxPool1D, ReLU,
                                 glorot_uniform)
-from fehforge.nn.model import Sequential
+from fehforge.nn.model import Concat, Sequential, iter_leaves
 from fehforge.nn.recurrent import GRU
 
 
 def layer_grads(layer, x, mask=None, training=True, h=1e-6):
-    """Analytic vs central-difference gradients for a single layer under
-    the probe loss sum(out * R). Returns (worst_param_rel, input_rel)."""
+    """Analytic vs central-difference gradients for a layer, a composite's
+    leaves included, under the probe loss sum(out * R). Returns
+    (worst_param_rel, input_rel)."""
     rng = np.random.default_rng(0)
     out = layer.forward(x, mask=mask, training=training)
     R = rng.normal(size=out.shape)
 
-    for key in layer.grads:
-        layer.grads[key][...] = 0.0
+    leaves = [leaf for _, leaf in iter_leaves(layer)]
+    for leaf in leaves:
+        for g in leaf.grads.values():
+            g[...] = 0.0
     dx = layer.backward(R)
 
     def loss():
         return float((layer.forward(x, mask=mask, training=training) * R).sum())
 
     rels = []
-    for key, p in layer.params.items():
-        flat = p.reshape(-1)
-        g = layer.grads[key].reshape(-1)
+    for leaf, key in [(leaf, key) for leaf in leaves for key in leaf.params]:
+        flat = leaf.params[key].reshape(-1)
+        g = leaf.grads[key].reshape(-1)
         idx = rng.choice(flat.size, size=min(6, flat.size), replace=False)
         for i in idx:
             orig = flat[i]
@@ -431,8 +434,22 @@ def test_maxpool_skips_nan_and_routes_ties_to_earliest_tap():
             layer.backward(np.ones_like(out))[0, :, 0], grad)
 
 
+def test_concat_joins_branches_on_channels_and_grads(rng):
+    # two branches of unequal width, each reading the same input and mask
+    a, b = Conv1D(2, 3, 3, rng), Sequential([Conv1D(2, 5, 1, rng), ReLU()])
+    layer = Concat([a, b])
+    x = rng.normal(size=(3, 7, 2))
+    mask = np.ones((3, 7), dtype=bool)
+    mask[1, 4:] = False
+    out = layer.forward(x, mask=mask)
+    np.testing.assert_array_equal(
+        out, np.concatenate([a.forward(x), b.forward(x)], axis=-1))
+    p_rel, x_rel = layer_grads(layer, x, mask=mask)
+    assert p_rel < 1e-6 and x_rel < 1e-6
+
+
 # (layer, input shape) of every leaf type but the recurrent ones, which
-# test_recurrent.py holds to the same contract
+# test_recurrent.py holds to the same contract, and of `Concat`
 @pytest.mark.parametrize("make, shape", [
     (lambda rng: Conv1D(2, 3, 3, rng), (4, 6, 2)),
     (lambda rng: Conv1D(8, 3, 3, rng), (4, 6, 8)),
@@ -440,9 +457,10 @@ def test_maxpool_skips_nan_and_routes_ties_to_earliest_tap():
     (lambda rng: MaxPool1D(2), (4, 6, 2)),
     (lambda rng: GlobalAveragePool(), (4, 6, 2)),
     (lambda rng: Dense(2, 3, rng), (4, 2)),
-    (lambda rng: Dropout(0.5), (4, 6, 2)), (lambda rng: Dropout(0.0), (4, 6, 2))],
+    (lambda rng: Dropout(0.5), (4, 6, 2)), (lambda rng: Dropout(0.0), (4, 6, 2)),
+    (lambda rng: Concat([Conv1D(2, 3, 3, rng), ReLU()]), (4, 6, 2))],
     ids=["conv_im2col", "conv_taps", "bn", "relu", "maxpool", "gap", "dense",
-         "dropout", "dropout_rate0"])
+         "dropout", "dropout_rate0", "concat"])
 def test_backward_needs_training_forward(rng, make, shape):
     layer = make(rng)
     x = rng.normal(size=shape)

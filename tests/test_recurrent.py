@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fehforge.nn.recurrent import GRU, LSTM, Bidirectional, reverse_valid
+from fehforge.nn.recurrent import GRU, LSTM, Bidirectional
 from tests.test_layers import layer_grads
 
 
@@ -70,28 +70,26 @@ def test_masked_steps_freeze_state(rng, cls):
     np.testing.assert_allclose(out_masked, out_short, atol=1e-12)
 
 
-def test_reverse_valid_only_flips_valid_region():
-    x = np.arange(10, dtype=np.float64).reshape(1, 5, 2)
-    mask = np.array([[True, True, True, False, False]])
-    out = reverse_valid(x, mask)
-    np.testing.assert_array_equal(out[0, :3], x[0, :3][::-1])
-    np.testing.assert_array_equal(out[0, 3:], x[0, 3:])
-    # involution on the valid region
-    np.testing.assert_array_equal(reverse_valid(out, mask), x)
-
-
 def test_bidirectional_equals_manual_concat(rng):
-    fwd = GRU(2, 3, rng, return_sequences=False)
-    bwd = GRU(2, 3, rng, return_sequences=False)
-    bi = Bidirectional(fwd, bwd)
-    x = rng.normal(size=(2, 6, 2))
-    mask = np.ones((2, 6), dtype=bool)
-    mask[1, 4:] = False
-    out = bi.forward(x, mask=mask)
-    expected = np.concatenate(
-        [fwd.forward(x, mask=mask),
-         bwd.forward(reverse_valid(x, mask), mask=mask)], axis=-1)
-    np.testing.assert_allclose(out, expected, atol=1e-12)
+    # reference: each row alone, unpadded, `bwd` reading its valid steps in
+    # reverse; compared at the last state and at every valid step of the
+    # sequence output. The mask has a hole and trailing padding.
+    mask = np.ones((3, 7), dtype=bool)
+    mask[1, 5:] = False
+    mask[2, 2:4] = False
+    x = rng.normal(size=(3, 7, 2))
+    for cls, seq in ((GRU, False), (GRU, True), (LSTM, False), (LSTM, True)):
+        fwd, bwd = (cls(2, 3, rng, return_sequences=seq) for _ in range(2))
+        out = Bidirectional(fwd, bwd).forward(x, mask=mask)
+        for i, valid in enumerate(mask):
+            xi = x[i:i + 1, valid]
+            y_f, y_b = fwd.forward(xi), bwd.forward(xi[:, ::-1])
+            if seq:
+                expected = np.concatenate([y_f, y_b[:, ::-1]], axis=-1)[0]
+                np.testing.assert_allclose(out[i, valid], expected, atol=1e-12)
+            else:
+                expected = np.concatenate([y_f, y_b], axis=-1)[0]
+                np.testing.assert_allclose(out[i], expected, atol=1e-12)
 
 
 def test_bidirectional_grads(rng):

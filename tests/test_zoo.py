@@ -18,6 +18,25 @@ def test_build_forward_shape(kind):
     assert np.all(np.isfinite(out))
 
 
+@pytest.mark.parametrize("kind", ["lstm", "bilstm", "gru", "bigru"])
+def test_recurrent_predictions_ignore_holes_in_the_mask(kind):
+    # rows whose mask has holes predict as the same rows with the holes
+    # squeezed out: valid steps first, then padding
+    B, T = 6, 30
+    rng = np.random.default_rng(4)
+    model = build(build_default(kind), (T, 2), seed=0)
+    x = rng.normal(size=(B, T, 2))
+    mask = rng.random((B, T)) < 0.7
+    mask[:, 0] = True
+    squeezed, squeezed_mask = np.zeros_like(x), np.zeros_like(mask)
+    for i, valid in enumerate(mask):
+        squeezed[i, :valid.sum()] = x[i, valid]
+        squeezed_mask[i, :valid.sum()] = True
+    np.testing.assert_allclose(model.forward(x, mask=mask),
+                               model.forward(squeezed, mask=squeezed_mask),
+                               rtol=0, atol=1e-12)
+
+
 def test_gru_layer_param_counts_match_published_table():
     model = build(build_default("gru"), (100, 2), seed=0)
     assert layer_param_counts(model) == [1440, 1824, 624, 9]
