@@ -239,7 +239,7 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
             bw = wtr[idx].sum()
             loss_num += loss * bw
             loss_den += bw
-        train_curve.append(loss_num / loss_den)
+        train_curve.append(float(loss_num / loss_den))
 
         val_pred = _forward_batched(model, Xval, mval)
         val_loss, _ = weighted_mse(val_pred, yval, wval)

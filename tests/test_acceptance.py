@@ -24,6 +24,7 @@ from fehforge.synthetic import make_corpus
 from fehforge.weighting import compute_weights, fit_density
 from fehforge.zoo import build, build_default, layer_param_counts
 from tests.conftest import check_model_gradients
+from tests.test_preprocess import line_rss, wrapped
 
 
 # one small model of each kind, shared by the gradient and padding checks
@@ -108,6 +109,9 @@ def test_04_preprocessing_invariants():
         lambda_strategy="fixed", lam=1e9))
     grid = np.linspace(0.1, 0.9, 40)
     assert np.max(np.abs(np.diff(line.spline(grid), 2))) < 1e-6
+    # the least-squares line through the fitted, wrapped points
+    xw, yw = wrapped(curve)
+    assert np.sum((yw - line.spline(xw)) ** 2) <= (1 + 1e-9) * line_rss(xw, yw)
 
     star = StarRecord(0, 1, period, 0.8, 60, -1.3, 0.2, epoch_max=epoch_max)
     ds, _ = build_datasets([(star, lc)], [Variant.FULL])[Variant.FULL]
@@ -124,7 +128,7 @@ def test_04_preprocessing_invariants():
         mask[0, 7:] = False
         assert np.max(np.abs(layer.forward(padded, mask=mask) - short)) < 1e-9
     _pass(4, "folding periodicity, phase range, lambda=0 interpolation, "
-             "lambda->inf line limit, mean-centering, mask invariance")
+             "lambda->inf least-squares line, mean-centering, mask invariance")
 
 
 @pytest.mark.parametrize("kind", list(TINY_SPECS))

@@ -160,6 +160,22 @@ def test_cv_matrix_writes_each_cell(workspace, tmp_path):
     assert matrix == cells
 
 
+def test_loss_curve_csvs_hold_numbers(workspace, tmp_path):
+    # every cell of a cv and a train loss-curve CSV parses as a number
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    args = ["--output", work, "--model", "gru", "--variant", "full",
+            "--epochs", "2", "--batch-size", "16"]
+    assert main(["cv", *args, "--folds", "2", "--repeats", "1"]) == 0
+    assert main(["train", *args]) == 0
+    for name in ("cv_loss_gru_full.csv", "loss_gru_full.csv"):
+        with open(os.path.join(work, "plots", name)) as fh:
+            header, *rows = csv.reader(fh)
+        assert header[-2:] == ["train_loss", "val_loss"] and rows
+        for row in rows:
+            assert all(np.isfinite(float(cell)) for cell in row)
+
+
 def test_exit_code_missing_input(tmp_path):
     assert main(["preprocess", "--output", str(tmp_path / "empty")]) == 2
     assert main(["ingest", "--catalog", str(tmp_path / "no.csv"),
