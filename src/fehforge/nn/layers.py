@@ -5,11 +5,17 @@ Conventions:
   - masks are boolean (batch, timesteps); True marks a valid step
   - a layer instance must not be used concurrently from multiple threads
 
-The mask rule: a layer reads the mask it is given and sets none.
-`Sequential` hands a layer's mask on to the next layer while the layer's
-output keeps the (batch, timesteps) axes of its input, and hands on None
-once it does not (a pool that changes T, a global pool, a recurrent layer
-that returns its last state, a dense layer).
+The mask rule: a layer reads the mask it is given and sets none, and it
+may take its input to be 0 at padded steps. `Sequential` owns the rest.
+While a layer's output keeps the (batch, timesteps) axes of its input,
+`Sequential` hands the layer's mask on to the next layer; after a pool
+that shortens T it hands on the pool's `valid_windows(mask)`; once the
+output has no time axis (a global pool, a recurrent layer that returns its
+last state, a dense layer) it hands on None. Where the mask has padded
+steps, it sets them to 0 in each layer's output and in the gradient going
+back into the layer, so a conv bias or a batch-norm shift written there
+reaches no other step. `Model` zeroes its input and turns a mask with no
+padded step into None, the unmasked path.
 
 The cache rule, for every layer: a training=True forward keeps its backward
 cache in `_cache`, and backward() reads it through `_saved()`; a
@@ -150,7 +156,8 @@ class BatchNorm1D(Layer):
     Training mode normalizes with batch statistics and updates running
     stats; inference mode is one scale and shift from the running stats.
     Training needs two values per channel (batch x time >= 2), not two
-    rows: like Keras, it normalizes a one-row batch over its steps.
+    rows: like Keras, it normalizes a one-row batch over its steps. With a
+    mask, the batch moments are taken over the valid steps only.
     """
 
     momentum = 0.99
@@ -167,18 +174,21 @@ class BatchNorm1D(Layer):
     def forward(self, x, mask=None, training=False):
         scale, shift = self.params["gamma"], self.params["beta"]
         if training:
-            n = x.size // x.shape[-1]     # values per channel
+            # values per channel; padded steps hold 0, so add nothing to sums
+            n = x.size // x.shape[-1] if mask is None else int(mask.sum())
             if n < 2:
                 raise DegenerateBatch("batch norm needs batch x time >= 2 in training")
             axes = tuple(range(x.ndim - 1))
-            mu = x.mean(axis=axes)
+            mu = x.sum(axis=axes) / n
             x = x - mu                    # centred once, scaled in place to xhat
+            if mask is not None:
+                x[~mask] = 0.0
             var = (x * x).sum(axis=axes) / n
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
             ivar = 1.0 / np.sqrt(var + self.eps)
             x *= ivar
-            self._cache = (x, ivar)
+            self._cache = (x, ivar, n)
         else:
             self._cache = None
             scale = scale / np.sqrt(self.running_var + self.eps)
@@ -188,9 +198,8 @@ class BatchNorm1D(Layer):
         return y
 
     def backward(self, dy):
-        xhat, ivar = self._saved()
+        xhat, ivar, n = self._saved()
         axes = tuple(range(dy.ndim - 1))
-        n = dy.size // dy.shape[-1]
         sum_dy, sum_dy_xhat = dy.sum(axis=axes), (dy * xhat).sum(axis=axes)
         self.grads["gamma"] += sum_dy_xhat
         self.grads["beta"] += sum_dy
@@ -243,7 +252,8 @@ class Dropout(Layer):
 class MaxPool1D(Layer):
     """Temporal max pooling. `padding="valid"` (default) or `"same"`
     (output length equals ceil(T / stride)). NaN is never selected; a window
-    with no number gives -inf. Ties send the gradient to the earliest tap."""
+    with no number gives -inf. Ties send the gradient to the earliest tap.
+    Padded steps are read as -inf, as the taps of "same" padding are."""
 
     def __init__(self, pool_size=2, stride=None, padding="valid"):
         super().__init__()
@@ -253,15 +263,32 @@ class MaxPool1D(Layer):
         self.stride = stride if stride is not None else pool_size
         self.padding = padding
 
-    def forward(self, x, mask=None, training=False):
-        B, T, C = x.shape
-        w, s, same = self.pool_size, self.stride, self.padding == "same"
-        t_out = -(-T // s) if same else (T - w) // s + 1
-        total = max((t_out - 1) * s + w - T, 0) if same else 0
+    def _windows(self, T):
+        """Output length and the left and right padding for T steps."""
+        w, s = self.pool_size, self.stride
+        t_out = -(-T // s) if self.padding == "same" else (T - w) // s + 1
         if t_out < 1:
             raise ShapeMismatch(f"pooling window {w} larger than length {T}")
-        xp = np.pad(x, ((0, 0), (total // 2, total - total // 2), (0, 0)),
-                    constant_values=-np.inf) if total else x
+        total = max((t_out - 1) * s + w - T, 0) if self.padding == "same" else 0
+        return t_out, total // 2, total - total // 2
+
+    def valid_windows(self, mask):
+        """The output mask: a window is valid when all its taps are; taps
+        of "same" padding count as valid."""
+        _, pl, pr = self._windows(mask.shape[1])
+        taps = np.pad(mask, ((0, 0), (pl, pr)), constant_values=True)
+        return sliding_window_view(taps, self.pool_size, axis=1)[:, ::self.stride].all(axis=2)
+
+    def forward(self, x, mask=None, training=False):
+        B, T, C = x.shape
+        w, s = self.pool_size, self.stride
+        t_out, pl, pr = self._windows(T)
+        xp = x
+        if pl + pr or mask is not None:
+            xp = np.full((B, pl + T + pr, C), -np.inf)
+            xp[:, pl:pl + T] = x
+            if mask is not None:
+                xp[:, pl:pl + T][~mask] = -np.inf
         best = np.full((B, t_out, C), -np.inf)
         argj = np.zeros((B, t_out, C), dtype=np.int8) if training else None
         for j in range(w):
@@ -270,7 +297,7 @@ class MaxPool1D(Layer):
                 # the last tap to beat the running max is the first to attain it
                 np.maximum(argj, (cand > best).view(np.int8) * np.int8(j), out=argj)
             np.fmax(best, cand, out=best)
-        self._cache = (argj, xp.shape, total // 2, T) if training else None
+        self._cache = (argj, xp.shape, pl, T) if training else None
         return best
 
     def backward(self, dy):

@@ -7,14 +7,15 @@ from .layers import Dropout, Layer
 
 
 def _zero_padded(x, mask):
-    """`x` with its padded steps (mask False) set to 0; `x` itself when no
-    step is padded."""
-    if mask is None or mask.all():
-        return x
-    return np.where(mask[..., None], x, 0.0)
+    """`x` with its padded steps (mask False) set to 0; `x` itself if no mask."""
+    return x if mask is None else np.where(mask[..., None], x, 0.0)
 
 
 class Sequential(Layer):
+    """The layers in turn, under the mask rule of `nn.layers`: it hands the
+    mask on, and zeroes padded steps in place in each layer's output and in
+    the gradient going back into it, `dy` included."""
+
     def __init__(self, layers):
         super().__init__()
         self.layers = list(layers)
@@ -23,25 +24,33 @@ class Sequential(Layer):
         return [(str(i), l) for i, l in enumerate(self.layers)]
 
     def forward(self, x, mask=None, training=False):
+        masks = []
         for layer in self.layers:
             y = layer.forward(x, mask=mask, training=training)
-            if y.ndim != 3 or y.shape[1] != x.shape[1]:   # no (batch, T) axes
+            if y.ndim != 3:                        # no (batch, T) axes
                 mask = None
+            elif mask is not None and y.shape[1] != x.shape[1]:
+                mask = layer.valid_windows(mask)
+            if mask is not None and y is not x:    # an x handed back is zeroed
+                y[~mask] = 0.0
+            masks.append(mask)
             x = y
+        self._cache = masks if training else None
         return x
 
     def backward(self, dy):
-        for layer in reversed(self.layers):
+        for layer, mask in zip(reversed(self.layers), reversed(self._saved())):
+            if mask is not None:
+                dy[~mask] = 0.0
             dy = layer.backward(dy)
         return dy
 
 
 class ResidualBlock(Layer):
-    """ReLU(shortcut(x) + body(x)), zero at padded steps: the residual block
-    of ResNet (body: three conv blocks; shortcut: a 1x1 conv where the
-    channel count changes, else the identity) and of InceptionTime (body:
-    inception modules, each a `Concat` in a `Sequential`; shortcut: a 1x1
-    conv and batch norm).
+    """ReLU(shortcut(x) + body(x)): the residual block of ResNet (body: three
+    conv blocks; shortcut: a 1x1 conv where the channel count changes, else
+    the identity) and of InceptionTime (body: inception modules, each a
+    `Concat` in a `Sequential`; shortcut: a 1x1 conv and batch norm).
 
     `shortcut` None is the identity.
     """
@@ -61,7 +70,7 @@ class ResidualBlock(Layer):
         h = self.body.forward(x, mask=mask, training=training)
         sc = x if self.shortcut is None else self.shortcut.forward(
             x, mask=mask, training=training)
-        y = _zero_padded(np.fmax(0.0, sc + h), mask)
+        y = np.fmax(0.0, sc + h)
         self._cache = y > 0 if training else None
         return y
 
@@ -119,9 +128,10 @@ class Model:
 
     def forward(self, x, mask=None, training=False):
         """The root layer's output. Padded steps (mask False) are zeroed
-        first, so no layer reads the padding value: the recurrent layers
-        skip padded steps, but the conv, batch-norm and pooling layers
-        compute over them."""
+        first, so no layer reads the padding value; a mask with no padded
+        step is dropped, so the unpadded path does no masked work."""
+        if mask is not None and mask.all():
+            mask = None
         self._mask = mask if training else None
         return self.root.forward(
             _zero_padded(np.asarray(x, dtype=np.float64), mask),

@@ -120,7 +120,8 @@ class _Recurrent(Layer):
             if pad is not None:
                 np.copyto(S[:, t + 1], S[:, t], where=pad[t])
         self._cache = (xt, S, work, pad) if training else None
-        return S[0, 1:].transpose(1, 0, 2) if self.return_sequences else S[0, T]
+        y = S[0, 1:].transpose(1, 0, 2) if self.return_sequences else S[0, T]
+        return y if pad is None else y.copy()   # S is cached; Sequential zeroes y
 
     def _loop_back(self, dy):
         xt, S, work, pad = self._saved()

@@ -49,8 +49,9 @@ from .errors import (InsufficientPoints, InvalidConfig, NonFinitePhase,
                      SingularFit)
 
 
-# The value of RAW_PADDED's padded steps; no prediction depends on it, since
-# the model zeroes padded steps at its input.
+# The value of RAW_PADDED's padded steps; no prediction depends on it, nor on
+# how many a row has: the model zeroes padded steps at its input and in every
+# layer's output (`nn.model.Sequential`).
 PAD_VALUE = -1.0
 
 

@@ -160,6 +160,23 @@ def test_04c_input_gradient_zero_at_padded_steps(kind):
     _pass(4, f"{kind}: input gradient 0 at padded steps")
 
 
+@pytest.mark.parametrize("kind", list(TINY_SPECS))
+def test_04d_padding_length_never_reaches_a_prediction(kind):
+    # row 0 fills the short container; in the long one every row is padded
+    model = build(TINY_SPECS[kind], (16, 2), seed=0)
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(4, 16, 2))
+    mask = np.arange(16) < np.array([16, 9, 13, 11])[:, None]
+    X[~mask] = -1.0
+    X_long = np.concatenate([X, np.full((4, 7, 2), -1.0)], axis=1)
+    mask_long = np.pad(mask, ((0, 0), (0, 7)))
+    for training in (False, True):
+        np.testing.assert_array_equal(
+            model.forward(X, mask=mask, training=training),
+            model.forward(X_long, mask=mask_long, training=training))
+    _pass(4, f"{kind}: predictions equal with 0 and 7 padded steps appended")
+
+
 def test_05_weighting_properties():
     rng = np.random.default_rng(2)
     sample = np.concatenate([rng.normal(-1.5, 0.15, 800),

@@ -118,6 +118,34 @@ def test_train_and_predict_flow(workspace, tmp_path):
     assert rows and all(np.isfinite(float(r["predicted_feh"])) for r in rows)
 
 
+def test_predictions_do_not_depend_on_padding_length(workspace, tmp_path):
+    # the raw_padded validation container, and a copy of it with 17 more
+    # padded steps on every row: each snapshot predicts the same bytes
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    assert main(["preprocess", "--output", work, "--variant", "raw_padded"]) == 0
+    short = os.path.join(work, "datasets", "raw_padded_validation.zip")
+    manifest, arrays = read_container(short, "dataset")
+    arrays["values"] = np.pad(arrays["values"], ((0, 0), (0, 17), (0, 0)),
+                              constant_values=preprocess.PAD_VALUE)
+    arrays["mask"] = np.pad(arrays["mask"], ((0, 0), (0, 17)))
+    long = str(tmp_path / "long.zip")
+    write_container(long, "dataset", arrays, manifest)
+    for kind in ("fcn", "convgru", "inception"):
+        snap = str(tmp_path / f"{kind}.zip")
+        model = build(build_default(kind), (manifest["length"], 2), seed=0)
+        for _, leaf, key in model.named_params():      # biases and shifts off 0
+            leaf.params[key] += 0.1
+        save_snapshot(snap, model)
+        preds = []
+        for name, path in (("short", short), ("long", long)):
+            out = str(tmp_path / f"{kind}_{name}.csv")
+            assert main(["predict", "--output", work, "--snapshot", snap,
+                         "--input", path, "--predictions-out", out]) == 0
+            preds.append(open(out, "rb").read())
+        assert preds[0] == preds[1], kind
+
+
 def test_cv_writes_report(workspace):
     assert main(["cv", "--output", workspace, "--model", "fcn",
                  "--variant", "full", "--epochs", "2", "--patience", "1",

@@ -225,6 +225,48 @@ def test_maxpool_same_stride1_shape(rng):
     assert layer.forward(x).shape == x.shape
 
 
+def test_maxpool_reads_padded_steps_as_minus_inf():
+    # valid values all negative beside zeroed padding: the pool returns the
+    # valid maximum, as for the row alone, where "same" padding is -inf
+    x = np.array([[[-3.0], [-1.0], [-2.0], [0.0], [0.0]]])
+    mask = np.array([[True, True, True, False, False]])
+    out = MaxPool1D(3, stride=1, padding="same").forward(x, mask=mask)
+    np.testing.assert_array_equal(out[0, :3, 0], [-1.0, -1.0, -1.0])
+    np.testing.assert_array_equal(
+        MaxPool1D(3, stride=1, padding="same").forward(x[:, :3])[0, :, 0],
+        out[0, :3, 0])
+
+
+def test_maxpool_valid_windows_need_every_tap_valid():
+    # pool 2 / stride 2: a row of 5 valid steps in 8 keeps 2 windows, as the
+    # row alone does; "same" padding taps count as valid
+    mask = np.arange(8) < np.array([8, 5, 3])[:, None]
+    np.testing.assert_array_equal(MaxPool1D(2, stride=2).valid_windows(mask),
+                                  [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
+    np.testing.assert_array_equal(
+        MaxPool1D(3, stride=2, padding="same").valid_windows(mask[:, :7]),
+        [[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]])
+
+
+def test_batchnorm_moments_over_valid_steps(rng):
+    # inside a Sequential, which zeroes padded steps and their gradients
+    mask = np.ones((4, 7), dtype=bool)
+    mask[1, 3:] = mask[2, 5:] = False
+    x = rng.normal(2.0, 3.0, size=(4, 7, 3)) * mask[..., None]
+    bn = BatchNorm1D(3)
+    layer = Sequential([bn])
+    out = layer.forward(x, mask=mask, training=True)
+    np.testing.assert_allclose(out[mask].mean(axis=0), 0.0, atol=1e-9)
+    np.testing.assert_allclose(out[mask].std(axis=0), 1.0, atol=1e-3)
+    assert (out[~mask] == 0).all()
+    valid = x[mask]
+    np.testing.assert_allclose(bn.running_mean, 0.01 * valid.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(bn.running_var, 0.99 + 0.01 * valid.var(axis=0),
+                               rtol=1e-12)
+    p_rel, x_rel = layer_grads(layer, x, mask=mask)
+    assert p_rel < 1e-6 and x_rel < 1e-6
+
+
 def test_global_average_pool_masked(rng):
     layer = GlobalAveragePool()
     x = rng.normal(size=(2, 5, 3))
@@ -442,8 +484,9 @@ def test_concat_joins_branches_on_channels_and_grads(rng):
     mask = np.ones((3, 7), dtype=bool)
     mask[1, 4:] = False
     out = layer.forward(x, mask=mask)
-    np.testing.assert_array_equal(
-        out, np.concatenate([a.forward(x), b.forward(x)], axis=-1))
+    np.testing.assert_array_equal(out, np.concatenate(
+        [a.forward(x, mask=mask), b.forward(x, mask=mask)], axis=-1))
+    assert (out[~mask][:, 3:] == 0).all()    # the Sequential branch zeroes
     p_rel, x_rel = layer_grads(layer, x, mask=mask)
     assert p_rel < 1e-6 and x_rel < 1e-6
 
@@ -490,7 +533,8 @@ def test_sequential_hands_on_mask_while_time_axis_kept(rng):
                 MaxPool1D(2, stride=2), probes[4]]).forward(x, mask, training=True)
     for probe in probes[:4]:
         assert probe.seen is mask
-    assert probes[4].seen is None
+    # a pool that shortens T hands on the windows whose taps are all valid
+    np.testing.assert_array_equal(probes[4].seen, mask[:, ::2] & mask[:, 1::2])
     # a recurrent layer keeps the mask only when it returns the sequence;
     # its (batch, units) last state drops it even when units == timesteps
     Sequential([GRU(2, 3, rng, return_sequences=True), probes[5],
