@@ -207,7 +207,8 @@ def apply_selection(records, criteria=SelectionCriteria()):
 
 
 def split_train_validation(records, spec=SplitSpec()):
-    """Seeded uniform shuffle followed by a prefix cut.
+    """Seeded uniform shuffle of `records`, any sequence (the CLI splits
+    (record, curve) pairs), followed by a prefix cut.
 
     Deterministic for a fixed seed; |train| = round(train_fraction * N).
     """

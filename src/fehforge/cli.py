@@ -23,7 +23,8 @@ Exit codes: an error exits with its class's `exit_code` (see `errors`):
     4  degenerate data (`DegenerateData`: bad split, too few points,
        diverged loss, ...)
     5  integrity mismatch (`IntegrityError`: snapshot/spec hash, wrong
-       container kind, misaligned rows)
+       container kind, misaligned rows, a `predict` input of another
+       variant than the snapshot was trained on)
 """
 from __future__ import annotations
 
@@ -173,11 +174,9 @@ def cmd_ingest(cfg):
                                              cfg.selection)
     sides = {}
     if accepted:
-        pairs = cat.join_photometry(accepted, photometry_path)
-        by_id = {rec.source_id: (rec, lc) for rec, lc in pairs}
-        split = cat.split_train_validation([rec for rec, _ in pairs], cfg.split)
-        sides = {side: [by_id[r.source_id] for r in recs]
-                 for side, recs in zip(("train", "validation"), split)}
+        split = cat.split_train_validation(
+            cat.join_photometry(accepted, photometry_path), cfg.split)
+        sides = dict(zip(("train", "validation"), split))
     _write_config_snapshot(cfg)
     cat.write_rejection_report(_out(cfg, "rejections.csv"), rejected)
     print(f"accepted {len(accepted)} rejected {len(rejected)}")
@@ -312,8 +311,14 @@ def cmd_gridsearch(cfg):
 
 
 def cmd_predict(cfg, snapshot_path, input_path, output_path=None):
-    model = container.restore_model(_require(snapshot_path, "snapshot"))
+    snapshot = container.load_snapshot(_require(snapshot_path, "snapshot"))
+    model = container.model_from_snapshot(snapshot_path, *snapshot)
     ds = container.load_dataset(_require(input_path, "input container"))
+    # the variant `train` recorded; a snapshot that records none predicts any
+    trained_on = snapshot[3].get("meta", {}).get("variant")
+    if trained_on not in (None, ds.variant):
+        raise IntegrityError(f"{snapshot_path} was trained on {trained_on}, "
+                             f"{input_path} holds {ds.variant}")
     preds = evaluate.predict(model, ds)
     out = output_path or _out(cfg, "reports", "predictions.csv")
     evaluate.write_predictions_csv(out, ds.source_ids, preds, ds.targets)

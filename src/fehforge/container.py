@@ -194,9 +194,13 @@ def restore_model(path):
     """Rebuild a model from a snapshot, verifying the spec hash.
     IntegrityError when the spec does not parse or the state arrays do not
     fit the model it builds."""
+    return model_from_snapshot(path, *load_snapshot(path))
+
+
+def model_from_snapshot(path, spec_json, input_shape, state, meta):
+    """`restore_model` on what `load_snapshot` returned for `path`."""
     from .zoo import ModelSpec, build
 
-    spec_json, input_shape, state, meta = load_snapshot(path)
     if spec_json is None:
         raise IntegrityError(f"{path}: snapshot carries no model spec")
     try:

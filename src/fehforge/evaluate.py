@@ -157,16 +157,12 @@ def stratified_kfold(targets, k, bins=10, repeats=1, seed=0):
         raise TooFewSamples(f"{n} samples for {k} folds")
     edges = np.quantile(targets, np.linspace(0, 1, bins + 1)[1:-1])
     bin_ids = np.searchsorted(edges, targets, side="right")
+    members = [np.flatnonzero(bin_ids == b) for b in np.unique(bin_ids)]
     assignments = np.empty((repeats, n), dtype=np.int64)
     for rep in range(repeats):
         rng = np.random.default_rng(_substream(seed, _STREAM_FOLD, rep))
-        counter = 0
-        for b in np.unique(bin_ids):
-            idx = np.flatnonzero(bin_ids == b)
-            rng.shuffle(idx)
-            for i in idx:
-                assignments[rep, i] = counter % k
-                counter += 1
+        order = np.concatenate([rng.permutation(idx) for idx in members])
+        assignments[rep, order] = np.arange(n) % k
     return assignments
 
 

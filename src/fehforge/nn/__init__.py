@@ -6,13 +6,13 @@ verified against central finite differences in the test suite.
 from .layers import (BatchNorm1D, Conv1D, Dense, Dropout, GlobalAveragePool,
                      Layer, MaxPool1D, ReLU)
 from .recurrent import GRU, LSTM, Bidirectional
-from .model import Concat, Model, ResidualBlock, Sequential, iter_leaves
+from .model import Add, Concat, Model, Sequential, iter_leaves
 from .losses import weighted_mse
 from .optim import Adam
 
 __all__ = [
     "Layer", "Dense", "Conv1D", "BatchNorm1D", "ReLU", "Dropout",
     "MaxPool1D", "GlobalAveragePool", "GRU", "LSTM", "Bidirectional",
-    "Sequential", "ResidualBlock", "Concat", "Model", "iter_leaves",
+    "Sequential", "Concat", "Add", "Model", "iter_leaves",
     "weighted_mse", "Adam",
 ]

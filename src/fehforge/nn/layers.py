@@ -226,7 +226,8 @@ class ReLU(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: scales kept activations by 1/(1-rate) in training,
-    identity at inference."""
+    identity at inference. With a mask, padded steps are dropped and only
+    valid steps draw; Keras's `Dropout` draws over every step."""
 
     def __init__(self, rate):
         super().__init__()
@@ -241,7 +242,11 @@ class Dropout(Layer):
             return x
         # the mask is drawn in C order whatever x's layout; the scale and
         # the output take x's (a recurrent layer hands on a time-major view)
-        keep = self.rng.random(x.shape) >= self.rate
+        if mask is None:
+            keep = self.rng.random(x.shape) >= self.rate
+        else:
+            keep = np.zeros(x.shape, dtype=bool)
+            keep[mask] = self.rng.random((int(mask.sum()), x.shape[-1])) >= self.rate
         self._cache = np.divide(keep, 1.0 - self.rate, out=np.empty_like(x))
         return x * self._cache
 

@@ -1,4 +1,7 @@
-"""Composite blocks and the trainable model wrapper."""
+"""Composite blocks and the trainable model wrapper: `Sequential`, and
+`Concat` and `Add`, which join branches as Keras's `concatenate` and `add`
+do. A residual connection is an `Add` of a body and a shortcut (an empty
+`Sequential`: the identity), then a ReLU."""
 from __future__ import annotations
 
 import numpy as np
@@ -46,45 +49,10 @@ class Sequential(Layer):
         return dy
 
 
-class ResidualBlock(Layer):
-    """ReLU(shortcut(x) + body(x)): the residual block of ResNet (body: three
-    conv blocks; shortcut: a 1x1 conv where the channel count changes, else
-    the identity) and of InceptionTime (body: inception modules, each a
-    `Concat` in a `Sequential`; shortcut: a 1x1 conv and batch norm).
-
-    `shortcut` None is the identity.
-    """
-
-    def __init__(self, body_layers, shortcut=None):
-        super().__init__()
-        self.body = Sequential(body_layers)
-        self.shortcut = shortcut
-
-    def children(self):
-        kids = [("body", self.body)]
-        if self.shortcut is not None:
-            kids.append(("proj", self.shortcut))
-        return kids
-
-    def forward(self, x, mask=None, training=False):
-        h = self.body.forward(x, mask=mask, training=training)
-        sc = x if self.shortcut is None else self.shortcut.forward(
-            x, mask=mask, training=training)
-        y = np.fmax(0.0, sc + h)
-        self._cache = y > 0 if training else None
-        return y
-
-    def backward(self, dy):
-        dy = dy * self._saved()
-        dx = self.body.backward(dy)
-        if self.shortcut is None:
-            return dx + dy
-        return dx + self.shortcut.backward(dy)
-
-
-class Concat(Layer):
-    """Each branch applied to the same input and mask, the outputs joined
-    on the channel axis; backward splits dy and sums the branch gradients."""
+class _Branches(Layer):
+    """Each branch applied to the same input and mask, the outputs joined;
+    backward hands each branch its part of dy and sums the branch
+    gradients."""
 
     def __init__(self, branches):
         super().__init__()
@@ -95,15 +63,37 @@ class Concat(Layer):
 
     def forward(self, x, mask=None, training=False):
         outs = [b.forward(x, mask=mask, training=training) for b in self.branches]
+        # the channel offsets of the outputs after the first
         self._cache = np.cumsum([o.shape[-1] for o in outs])[:-1] if training else None
-        return np.concatenate(outs, axis=-1)
+        return self._join(outs)
 
     def backward(self, dy):
-        parts = np.split(dy, self._saved(), axis=-1)
+        parts = self._parts(dy, self._saved())
         dx = self.branches[0].backward(parts[0])
         for branch, part in zip(self.branches[1:], parts[1:]):
             dx = dx + branch.backward(part)
         return dx
+
+
+class Concat(_Branches):
+    """The outputs joined on the channel axis; each branch's part of dy is
+    its channels."""
+
+    def _join(self, outs):
+        return np.concatenate(outs, axis=-1)
+
+    def _parts(self, dy, offsets):
+        return np.split(dy, offsets, axis=-1)
+
+
+class Add(_Branches):
+    """The outputs summed; each branch's part of dy is all of it."""
+
+    def _join(self, outs):
+        return sum(outs[1:], outs[0])
+
+    def _parts(self, dy, offsets):
+        return [dy] * len(self.branches)
 
 
 def iter_leaves(layer, prefix=""):

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InvalidConfig
 from .nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                         GlobalAveragePool, MaxPool1D, ReLU)
-from .nn.model import Concat, Model, ResidualBlock, Sequential
+from .nn.model import Add, Concat, Model, Sequential
 from .nn.recurrent import GRU, LSTM, Bidirectional
 
 SPEC_FORMAT_VERSION = 1
@@ -93,18 +93,20 @@ def build_default(kind, **options):
     return ModelSpec(kind, opts)
 
 
-def _conv_block(rng, in_ch, filters, kernel):
-    return [Conv1D(in_ch, filters, kernel, rng),
-            BatchNorm1D(filters), ReLU()]
-
-
-def _conv_stack(opts, rng, ch):
-    """Conv blocks of the `filters` and `kernels` options, and their width."""
+def _conv_stack(filters, kernels, rng, ch):
+    """Conv, batch-norm and ReLU blocks of the given widths and kernels, and
+    their output width."""
     layers = []
-    for f, k in zip(opts["filters"], opts["kernels"]):
-        layers += _conv_block(rng, ch, f, k)
+    for f, k in zip(filters, kernels):
+        layers += [Conv1D(ch, f, k, rng), BatchNorm1D(f), ReLU()]
         ch = f
     return layers, ch
+
+
+def _residual(body, shortcut):
+    """A residual connection as Keras writes it, `add([...])` then a ReLU;
+    an empty shortcut is the identity."""
+    return [Add([Sequential(body), Sequential(shortcut)]), ReLU()]
 
 
 def _recurrent_head(kind, opts, rng, ch):
@@ -127,18 +129,31 @@ def _recurrent_head(kind, opts, rng, ch):
     return layers + [Dense(ch, 1, rng)]
 
 
-def _build_inception_root(spec, rng, in_ch):
-    opts = spec.options
-    bf = opts["branch_filters"]
+def _resnet(opts, rng, ch):
+    """Residual blocks of conv blocks; the shortcut is a 1x1 conv where the
+    channel count changes, else the identity."""
+    f, kernels = opts["filters"], opts["kernels"]
+    layers = []
+    for _ in range(opts["blocks"]):
+        body, _ = _conv_stack([f] * len(kernels), kernels, rng, ch)
+        layers += _residual(body, [Conv1D(ch, f, 1, rng)] if ch != f else [])
+        ch = f
+    return layers, ch
+
+
+def _inception(opts, rng, ch):
+    """Residual blocks of inception modules, each a `Concat` of a bottleneck
+    feeding the wide convolutions and of a max pool feeding a 1x1 conv, then
+    batch norm and ReLU; the shortcut is a 1x1 conv and batch norm."""
+    bf, neck = opts["branch_filters"], opts["bottleneck_filters"]
     out_ch = bf * (len(opts["branch_kernels"]) + 1)
     layers = []
-    ch = in_ch
     for _ in range(opts["blocks"]):
         modules = []
         block_in = ch
         for _ in range(opts["modules_per_block"]):
-            bottleneck = Conv1D(ch, opts["bottleneck_filters"], 1, rng, use_bias=False)
-            branches = [Conv1D(opts["bottleneck_filters"], bf, k, rng, use_bias=False)
+            bottleneck = Conv1D(ch, neck, 1, rng, use_bias=False)
+            branches = [Conv1D(neck, bf, k, rng, use_bias=False)
                         for k in opts["branch_kernels"]]
             pool = MaxPool1D(3, stride=1, padding="same")
             pool_conv = Conv1D(ch, bf, 1, rng, use_bias=False)
@@ -147,54 +162,34 @@ def _build_inception_root(spec, rng, in_ch):
                         Sequential([pool, pool_conv])]),
                 BatchNorm1D(out_ch), ReLU()]))
             ch = out_ch
-        layers.append(ResidualBlock(modules, shortcut=Sequential([
-            Conv1D(block_in, out_ch, 1, rng, use_bias=False),
-            BatchNorm1D(out_ch)])))
-    layers += [GlobalAveragePool(), Dense(ch, 1, rng)]
-    return Sequential(layers)
+        layers += _residual(modules, [
+            Conv1D(block_in, out_ch, 1, rng, use_bias=False), BatchNorm1D(out_ch)])
+    return layers, ch
+
+
+# each conv kind's layers before its global pool and dense output
+_CONV = {"fcn": lambda opts, rng, ch: _conv_stack(opts["filters"],
+                                                  opts["kernels"], rng, ch),
+         "resnet": _resnet, "inception": _inception}
 
 
 def build(spec: ModelSpec, input_shape, seed=0) -> Model:
     """Materialize a spec into a model; deterministic for a fixed seed."""
-    _, in_ch = input_shape
+    _, ch = input_shape
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0x1417]))
-    kind = spec.kind
-    opts = spec.options
-
-    if kind == "fcn":
-        layers, ch = _conv_stack(opts, rng, in_ch)
-        root = Sequential(layers + [GlobalAveragePool(), Dense(ch, 1, rng)])
-
-    elif kind == "resnet":
-        layers = []
-        ch = in_ch
-        f = opts["filters"]
-        for _ in range(opts["blocks"]):
-            body = []
-            body_in = ch
-            for k in opts["kernels"]:
-                body += _conv_block(rng, ch, f, k)
-                ch = f
-            proj = Conv1D(body_in, f, 1, rng) if body_in != f else None
-            layers.append(ResidualBlock(body, shortcut=proj))
+    kind, opts = spec.kind, spec.options
+    if kind in _CONV:
+        layers, ch = _CONV[kind](opts, rng, ch)
         layers += [GlobalAveragePool(), Dense(ch, 1, rng)]
-        root = Sequential(layers)
-
-    elif kind == "inception":
-        root = _build_inception_root(spec, rng, in_ch)
-
     elif kind in _RECURRENT:
-        root = Sequential(_recurrent_head(kind, opts, rng, in_ch))
-
+        layers = _recurrent_head(kind, opts, rng, ch)
     elif kind in _HYBRID:
-        layers, ch = _conv_stack(opts, rng, in_ch)
+        layers, ch = _CONV["fcn"](opts, rng, ch)
         layers.append(MaxPool1D(opts["pool_size"], stride=opts["pool_size"]))
-        root = Sequential(layers + _recurrent_head(kind, opts, rng, ch))
-
+        layers += _recurrent_head(kind, opts, rng, ch)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-
-    model = Model(root, input_shape=tuple(input_shape), spec=spec)
+    model = Model(Sequential(layers), input_shape=tuple(input_shape), spec=spec)
     model.seed_dropout(seed)
     return model
 

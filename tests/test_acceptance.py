@@ -163,17 +163,25 @@ def test_04c_input_gradient_zero_at_padded_steps(kind):
 @pytest.mark.parametrize("kind", list(TINY_SPECS))
 def test_04d_padding_length_never_reaches_a_prediction(kind):
     # row 0 fills the short container; in the long one every row is padded
-    model = build(TINY_SPECS[kind], (16, 2), seed=0)
     rng = np.random.default_rng(7)
     X = rng.normal(size=(4, 16, 2))
     mask = np.arange(16) < np.array([16, 9, 13, 11])[:, None]
     X[~mask] = -1.0
     X_long = np.concatenate([X, np.full((4, 7, 2), -1.0)], axis=1)
     mask_long = np.pad(mask, ((0, 0), (0, 7)))
-    for training in (False, True):
-        np.testing.assert_array_equal(
-            model.forward(X, mask=mask, training=training),
-            model.forward(X_long, mask=mask_long, training=training))
+    specs = [TINY_SPECS[kind]]
+    if "dropout" in specs[0].options:
+        # a training forward with dropout on, reseeded alike on both sides:
+        # only valid steps draw
+        specs.append(specs[0].with_overrides(0.2))
+    for spec in specs:
+        model = build(spec, (16, 2), seed=0)
+        for training in (False, True):
+            preds = []
+            for x, m in ((X, mask), (X_long, mask_long)):
+                model.seed_dropout(3)
+                preds.append(model.forward(x, mask=m, training=training))
+            np.testing.assert_array_equal(*preds)
     _pass(4, f"{kind}: predictions equal with 0 and 7 padded steps appended")
 
 

@@ -280,6 +280,21 @@ def test_preprocess_exit_code_curves_values(tmp_path, capsys, case):
     assert not os.path.exists(os.path.join(out, "datasets"))
 
 
+def test_predict_refuses_a_container_of_another_variant(workspace, tmp_path,
+                                                         capsys):
+    # `train` records the variant in the snapshot; predict exits 5 on an
+    # input container of another variant and writes no predictions
+    val = os.path.join(workspace, "datasets", "full_validation.zip")
+    model = build(build_default("gru"), (100, 2), seed=0)
+    for variant, code in (("raw_padded", 5), ("full", 0)):
+        snap, out = tmp_path / f"{variant}.zip", tmp_path / f"{variant}.csv"
+        save_snapshot(snap, model, extra_meta={"variant": variant})
+        assert main(["predict", "--output", str(tmp_path), "--snapshot", str(snap),
+                     "--input", val, "--predictions-out", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert "trained on raw_padded" in capsys.readouterr().err
+
+
 def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):
     snap = tmp_path / "snapshot.zip"
     snap.write_text("this is not a zip archive\n")

@@ -5,7 +5,7 @@ from fehforge.errors import (DegenerateBatch, InvalidRate, ShapeMismatch)
 from fehforge.nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                                 GlobalAveragePool, Layer, MaxPool1D, ReLU,
                                 glorot_uniform)
-from fehforge.nn.model import Concat, Sequential, iter_leaves
+from fehforge.nn.model import Add, Concat, Sequential, iter_leaves
 from fehforge.nn.recurrent import GRU
 
 
@@ -477,22 +477,27 @@ def test_maxpool_skips_nan_and_routes_ties_to_earliest_tap():
 
 
 def test_concat_joins_branches_on_channels_and_grads(rng):
-    # two branches of unequal width, each reading the same input and mask
-    a, b = Conv1D(2, 3, 3, rng), Sequential([Conv1D(2, 5, 1, rng), ReLU()])
-    layer = Concat([a, b])
+    # each branch reads the same input and mask; Concat joins the outputs on
+    # channels, Add sums them (a residual connection: a body and the
+    # identity, an empty Sequential)
     x = rng.normal(size=(3, 7, 2))
     mask = np.ones((3, 7), dtype=bool)
     mask[1, 4:] = False
-    out = layer.forward(x, mask=mask)
-    np.testing.assert_array_equal(out, np.concatenate(
-        [a.forward(x, mask=mask), b.forward(x, mask=mask)], axis=-1))
-    assert (out[~mask][:, 3:] == 0).all()    # the Sequential branch zeroes
-    p_rel, x_rel = layer_grads(layer, x, mask=mask)
-    assert p_rel < 1e-6 and x_rel < 1e-6
+    a, b = Conv1D(2, 3, 3, rng), Sequential([Conv1D(2, 5, 1, rng), ReLU()])
+    body, identity = Sequential([Conv1D(2, 2, 3, rng), ReLU()]), Sequential([])
+    for layer, expect in [
+            (Concat([a, b]), lambda: np.concatenate(
+                [a.forward(x, mask=mask), b.forward(x, mask=mask)], axis=-1)),
+            (Add([body, identity]), lambda: body.forward(x, mask=mask) + x)]:
+        out = layer.forward(x, mask=mask)
+        np.testing.assert_array_equal(out, expect())
+        p_rel, x_rel = layer_grads(layer, x, mask=mask)
+        assert p_rel < 1e-6 and x_rel < 1e-6
+    assert (b.forward(x, mask=mask)[~mask] == 0).all()    # a Sequential zeroes
 
 
 # (layer, input shape) of every leaf type but the recurrent ones, which
-# test_recurrent.py holds to the same contract, and of `Concat`
+# test_recurrent.py holds to the same contract, and of `Concat` and `Add`
 @pytest.mark.parametrize("make, shape", [
     (lambda rng: Conv1D(2, 3, 3, rng), (4, 6, 2)),
     (lambda rng: Conv1D(8, 3, 3, rng), (4, 6, 8)),
@@ -501,9 +506,11 @@ def test_concat_joins_branches_on_channels_and_grads(rng):
     (lambda rng: GlobalAveragePool(), (4, 6, 2)),
     (lambda rng: Dense(2, 3, rng), (4, 2)),
     (lambda rng: Dropout(0.5), (4, 6, 2)), (lambda rng: Dropout(0.0), (4, 6, 2)),
-    (lambda rng: Concat([Conv1D(2, 3, 3, rng), ReLU()]), (4, 6, 2))],
+    (lambda rng: Concat([Conv1D(2, 3, 3, rng), ReLU()]), (4, 6, 2)),
+    (lambda rng: Add([Sequential([Conv1D(2, 2, 3, rng)]), Sequential([])]),
+     (4, 6, 2))],
     ids=["conv_im2col", "conv_taps", "bn", "relu", "maxpool", "gap", "dense",
-         "dropout", "dropout_rate0", "concat"])
+         "dropout", "dropout_rate0", "concat", "add"])
 def test_backward_needs_training_forward(rng, make, shape):
     layer = make(rng)
     x = rng.normal(size=shape)
