@@ -9,9 +9,8 @@ from .catalog import (LightCurve, SelectionCriteria, SplitSpec, StarRecord,
                       apply_selection, join_photometry, load_catalog,
                       load_photometry, split_train_validation)
 from .container import (ArrayDataset, load_curves, load_dataset,
-                        load_snapshot, load_weights, restore_model,
-                        save_curves, save_dataset, save_snapshot,
-                        save_weights)
+                        load_snapshot, load_weights, save_curves,
+                        save_dataset, save_snapshot, save_weights)
 from .errors import FehForgeError
 from .evaluate import (GridSpec, MetricsReport, TrainConfig, cross_validate,
                        grid_search, metric_suite, predict, r2, run_matrix,

@@ -23,8 +23,9 @@ Exit codes: an error exits with its class's `exit_code` (see `errors`):
     4  degenerate data (`DegenerateData`: bad split, too few points,
        diverged loss, ...)
     5  integrity mismatch (`IntegrityError`: snapshot/spec hash, wrong
-       container kind, misaligned rows, a `predict` input of another
-       variant than the snapshot was trained on)
+       container kind, misaligned rows, snapshot state that is not
+       exactly its model's, a `predict` input of another variant than the
+       snapshot was trained on)
 """
 from __future__ import annotations
 
@@ -63,9 +64,11 @@ DEFAULT_CONFIG = {
     "model": "gru",
     **{key: getattr(evaluate.TrainConfig, key) for key in _SHARED},
 }
-# The type of each value whose default is None; null stays allowed.
+# The type of each value that may be null: each whose default is None, and
+# the weight cap (null = uncapped).
 _NULLABLE_TYPES = {"paths.catalog": str, "paths.photometry": str,
-                  "paths.output_dir": str, "weighting.bandwidth": float}
+                  "paths.output_dir": str, "weighting.bandwidth": float,
+                  "weighting.cap": float}
 
 VARIANTS = {v.value: v for v in Variant}
 
@@ -85,8 +88,9 @@ _FLAG_HELP = {"model": f"one of {', '.join(KINDS)} or 'all'",
 
 def _merge(base, override, name="config"):
     """`base` updated from `override`, each value read as the type of the
-    one it replaces (of `_NULLABLE_TYPES` where that is None); InvalidConfig
-    for a key that `base` lacks or a value that cannot be read so."""
+    one it replaces (of `_NULLABLE_TYPES` where that is None), and null kept
+    for a key of `_NULLABLE_TYPES`; InvalidConfig for a key that `base`
+    lacks or a value that cannot be read so."""
     if isinstance(base, dict):
         if not isinstance(override, dict):
             raise InvalidConfig(f"{name} must be a mapping, got {override!r}")
@@ -96,10 +100,10 @@ def _merge(base, override, name="config"):
         return {key: _merge(val, override[key], f"{name}.{key}")
                 if key in override else copy.deepcopy(val)
                 for key, val in base.items()}
-    if base is None and override is None:
+    key = name.partition(".")[2]
+    if override is None and key in _NULLABLE_TYPES:
         return None
-    kind = (_NULLABLE_TYPES[name.partition(".")[2]] if base is None
-            else type(base))
+    kind = _NULLABLE_TYPES[key] if base is None else type(base)
     try:        # from its text form, as a flag's value is read: 1.5 is no int
         if isinstance(base, tuple):       # a YAML list
             if not isinstance(override, list):
@@ -205,8 +209,6 @@ def cmd_preprocess(cfg):
 
     # the containers also record the value their padded steps hold
     recorded = dict(cfg.values["preprocess"], pad_value=preprocess.PAD_VALUE)
-    meta_base = {"preprocess": recorded,
-                 "config_hash": container.config_hash(recorded)}
     built = {side: preprocess.build_datasets(
                  pairs, [VARIANTS[name] for name in cfg.variants],
                  cfg.preprocess)
@@ -216,7 +218,8 @@ def cmd_preprocess(cfg):
         datasets = {}
         for side in sides:
             ds, failures = built[side][variant]
-            ds.meta = dict(meta_base, side=side, failures=len(failures))
+            ds.meta = {"preprocess": recorded, "side": side,
+                       "failures": len(failures)}
             container.save_dataset(_dataset_path(cfg, name, side), ds)
             datasets[side] = ds
             print(f"{name} {side}: {len(ds)} series of length {ds.length} "
@@ -255,7 +258,7 @@ def cmd_train(cfg):
         cfg.train)
     tag = f"{kind}_{variant}"
     container.save_snapshot(_out(cfg, "snapshots", f"{tag}.zip"), result.model,
-                            extra_meta={"variant": variant})
+                            {"variant": variant})
     report = evaluate.score_folds(kind, variant, [(
         0, 0, result, (train_ds.targets, train_w), (val_ds.targets, val_w))])
     evaluate.write_metrics_csv(_out(cfg, "reports", f"train_{tag}.csv"), report)
@@ -311,11 +314,10 @@ def cmd_gridsearch(cfg):
 
 
 def cmd_predict(cfg, snapshot_path, input_path, output_path=None):
-    snapshot = container.load_snapshot(_require(snapshot_path, "snapshot"))
-    model = container.model_from_snapshot(snapshot_path, *snapshot)
+    model, meta = container.load_snapshot(_require(snapshot_path, "snapshot"))
     ds = container.load_dataset(_require(input_path, "input container"))
     # the variant `train` recorded; a snapshot that records none predicts any
-    trained_on = snapshot[3].get("meta", {}).get("variant")
+    trained_on = meta.get("variant")
     if trained_on not in (None, ds.variant):
         raise IntegrityError(f"{snapshot_path} was trained on {trained_on}, "
                              f"{input_path} holds {ds.variant}")

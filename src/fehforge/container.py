@@ -1,10 +1,11 @@
 """Deterministic on-disk containers for curves, datasets, weights and model
 snapshots.
 
-Every container is a zip archive of .npy members plus a JSON manifest that
-names its kind, written and read by one codec (`write_container`,
-`read_container`) with fixed member timestamps and no compression, so a
-rerun with identical content produces byte-identical files. All writes go
+Every container is a zip archive of .npy members plus a JSON manifest,
+`manifest.json`, that names its kind, written and read by one codec
+(`write_container`, `read_container`) with fixed member timestamps and no
+compression, so a rerun with identical content produces byte-identical
+files. All writes go
 through a temp file and an atomic rename. The `save_*`/`load_*` pairs only
 map each kind's fields onto arrays and manifest entries.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import os
@@ -44,11 +44,6 @@ class ArrayDataset:
     @property
     def length(self):
         return self.values.shape[1]
-
-
-def config_hash(obj):
-    return hashlib.sha256(
-        json.dumps(obj, sort_keys=True, default=str).encode()).hexdigest()
 
 
 def _npy_bytes(arr):
@@ -84,13 +79,12 @@ def write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def write_container(path, kind, arrays, manifest=None,
-                    manifest_name="manifest.json"):
+def write_container(path, kind, arrays, manifest=None):
     """Write a `kind` container: the JSON manifest (format version, kind and
-    `manifest`) as `manifest_name`, then each of `arrays` (name -> array) as
+    `manifest`) as `manifest.json`, then each of `arrays` (name -> array) as
     `<name>.npy`, in order. Deterministic bytes, atomic rename."""
     head = dict(manifest or {}, format_version=FORMAT_VERSION, kind=kind)
-    members = [(manifest_name, json.dumps(head, sort_keys=True, indent=1).encode())]
+    members = [("manifest.json", json.dumps(head, sort_keys=True, indent=1).encode())]
     members += [(f"{name}.npy", _npy_bytes(arr)) for name, arr in arrays.items()]
     with atomic_open(path, "wb") as fh, \
             zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
@@ -100,7 +94,7 @@ def write_container(path, kind, arrays, manifest=None,
             zf.writestr(info, data)
 
 
-def read_container(path, kind, dtypes=None, manifest_name="manifest.json"):
+def read_container(path, kind, dtypes=None):
     """(manifest, arrays) of the `kind` container at `path`. `arrays` maps
     each member of `dtypes` (name -> the dtype it must have; default: every
     .npy member, of any dtype) to its array. MissingInput if there is no
@@ -111,7 +105,7 @@ def read_container(path, kind, dtypes=None, manifest_name="manifest.json"):
         raise MissingInput(f"{kind} container not found: {path}")
     try:
         with zipfile.ZipFile(path) as zf:
-            manifest = json.loads(zf.read(manifest_name))
+            manifest = json.loads(zf.read("manifest.json"))
             if not isinstance(manifest, dict) or manifest.get("kind") != kind:
                 raise IntegrityError(f"{path} is not a {kind} container")
             names = dtypes or [m[:-4] for m in zf.namelist() if m.endswith(".npy")]
@@ -145,7 +139,7 @@ def save_dataset(path, dataset: ArrayDataset):
         {name: getattr(dataset, name) for name in _DATASET_ARRAYS},
         {"variant": dataset.variant, "count": len(dataset),
          "length": int(dataset.values.shape[1]) if dataset.values.size else 0,
-         "meta": dataset.meta, "config_hash": config_hash(dataset.meta)})
+         "meta": dataset.meta})
 
 
 def load_dataset(path) -> ArrayDataset:
@@ -159,60 +153,41 @@ def load_dataset(path) -> ArrayDataset:
                         meta=manifest.get("meta", {}))
 
 
-def save_snapshot(path, model, extra_meta=None):
-    """Persist a trained model: spec JSON plus every state array."""
+def save_snapshot(path, model, meta=None):
+    """Persist a trained model: its spec, the spec's hash, its input shape
+    and `meta` in the manifest, and each state array as `state/<name>`."""
     state = model.get_state()
     write_container(
         path, "snapshot",
         {f"state/{name}": state[name] for name in sorted(state)},
-        {"spec": model.spec.to_json() if model.spec is not None else None,
-         "spec_hash": model.spec.spec_hash() if model.spec is not None else None,
-         "input_shape": list(model.input_shape) if model.input_shape else None,
-         "state_names": sorted(state), "meta": dict(extra_meta or {})},
-        manifest_name="meta.json")
+        {"spec": model.spec.to_json(), "spec_hash": model.spec.spec_hash(),
+         "input_shape": list(model.input_shape), "meta": dict(meta or {})})
 
 
 def load_snapshot(path):
-    """Returns (spec_json, input_shape, state_dict, meta). IntegrityError
-    unless the state arrays are the manifest's state names, all float64."""
-    meta, arrays = read_container(path, "snapshot", manifest_name="meta.json")
-    state = {name[len("state/"):]: arr for name, arr in arrays.items()}
-    if sorted(state) != meta.get("state_names"):
-        raise IntegrityError(f"{path}: snapshot state arrays differ from "
-                             f"the state names in its manifest")
+    """(model, meta) of the snapshot at `path`: the model its spec builds,
+    holding its state arrays, and the `meta` it was saved with.
+    IntegrityError unless every member is float64, the spec parses and
+    matches its hash, and the state arrays are exactly the model's state
+    names and shapes."""
+    from .zoo import ModelSpec, build
+
+    manifest, arrays = read_container(path, "snapshot")
     for name, arr in arrays.items():
         if arr.dtype != np.float64:
             raise IntegrityError(f"{path}: snapshot member {name} is "
                                  f"{arr.dtype}, not float64")
-    missing = sorted({"spec", "input_shape"} - meta.keys())
-    if missing:
-        raise IntegrityError(f"{path}: snapshot manifest lacks {missing}")
-    return meta["spec"], meta["input_shape"], state, meta
-
-
-def restore_model(path):
-    """Rebuild a model from a snapshot, verifying the spec hash.
-    IntegrityError when the spec does not parse or the state arrays do not
-    fit the model it builds."""
-    return model_from_snapshot(path, *load_snapshot(path))
-
-
-def model_from_snapshot(path, spec_json, input_shape, state, meta):
-    """`restore_model` on what `load_snapshot` returned for `path`."""
-    from .zoo import ModelSpec, build
-
-    if spec_json is None:
-        raise IntegrityError(f"{path}: snapshot carries no model spec")
     try:
-        spec = ModelSpec.from_json(spec_json)
-        if spec.spec_hash() != meta.get("spec_hash"):
+        spec = ModelSpec.from_json(manifest["spec"])
+        if spec.spec_hash() != manifest["spec_hash"]:
             raise IntegrityError(f"{path}: spec hash mismatch")
-        model = build(spec, tuple(input_shape), seed=0)
-        model.set_state(state)
+        model = build(spec, tuple(manifest["input_shape"]), seed=0)
+        model.set_state({name.removeprefix("state/"): arr
+                         for name, arr in arrays.items()})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"{path}: snapshot does not restore its model: "
                              f"{exc!r}") from exc
-    return model
+    return model, manifest.get("meta", {})
 
 
 # curves member -> StarRecord field, in member order, with NaN for an

@@ -161,28 +161,31 @@ class Model:
         for leaf, child_ss in zip(drops, ss.spawn(max(len(drops), 1))):
             leaf.rng = np.random.default_rng(child_ss)
 
-    def get_state(self):
-        """Copy of all parameters and batch-norm running statistics."""
-        state = {}
-        for path, leaf in iter_leaves(self.root):
-            for key, p in leaf.params.items():
-                state[f"{path}.{key}"] = p.copy()
-            if hasattr(leaf, "running_mean"):
-                state[f"{path}.running_mean"] = leaf.running_mean.copy()
-                state[f"{path}.running_var"] = leaf.running_var.copy()
-        return state
-
-    def set_state(self, state):
-        """Copy in the arrays `get_state` names: KeyError for one missing,
-        ValueError for one of another shape."""
+    def _state(self):
+        """(name, live array) of every parameter and batch-norm running
+        statistic."""
         for path, leaf in iter_leaves(self.root):
             arrays = dict(leaf.params)
             if hasattr(leaf, "running_mean"):
                 arrays.update(running_mean=leaf.running_mean,
                               running_var=leaf.running_var)
             for key, arr in arrays.items():
-                value = state[f"{path}.{key}"]
-                if np.shape(value) != arr.shape:
-                    raise ValueError(f"state {path}.{key} has shape "
-                                     f"{np.shape(value)}, not {arr.shape}")
-                arr[...] = value
+                yield f"{path}.{key}", arr
+
+    def get_state(self):
+        """Copy of all parameters and batch-norm running statistics."""
+        return {name: arr.copy() for name, arr in self._state()}
+
+    def set_state(self, state):
+        """Copy in the arrays `get_state` names: KeyError for one missing,
+        ValueError for one of another shape or a name the model does not
+        use."""
+        live = dict(self._state())
+        unknown = sorted(state.keys() - live.keys())
+        if unknown:
+            raise ValueError(f"state {unknown} is not the model's")
+        for name, arr in live.items():
+            if np.shape(state[name]) != arr.shape:
+                raise ValueError(f"state {name} has shape "
+                                 f"{np.shape(state[name])}, not {arr.shape}")
+            arr[...] = state[name]

@@ -292,8 +292,10 @@ def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig(
     """The dataset of each of `variants` from (StarRecord, LightCurve) pairs:
     {variant: (ArrayDataset, failures)}, rows in input order, `meta` empty.
 
-    Each curve is folded (at the brightest observation when `epoch_max` is
-    unknown) and aligned once, and each star's spline is fitted at most once.
+    Each curve is folded at `epoch_max` (at the brightest observation when
+    that is unknown), then aligned, which folds it again at the brightest
+    observation: so `epoch_max` changes the arrays by rounding only. Each
+    star's spline is fitted at most once.
     The channels are (magnitude, phase times period) per step. RAW_PADDED:
     the observations, magnitude minus the curve mean, padded to the longest
     curve with PAD_VALUE and mask False. SPLINE_NO_MEAN: the spline on

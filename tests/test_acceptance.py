@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from fehforge.container import (ArrayDataset, load_dataset, restore_model,
+from fehforge.container import (ArrayDataset, load_dataset, load_snapshot,
                                 save_dataset, save_snapshot)
 from fehforge.evaluate import (GridSpec, TrainConfig, cross_validate,
                                grid_search, metric_suite, predict, r2,
@@ -312,7 +312,7 @@ def test_09_container_roundtrips(tmp_path):
     before = predict(model, ds)
     snap = tmp_path / "snap.zip"
     save_snapshot(snap, model)
-    after = predict(restore_model(snap), ds)
+    after = predict(load_snapshot(snap)[0], ds)
     np.testing.assert_array_equal(before, after)  # bit-exact predictions
     _pass(9, "dataset container byte-identical on rerun; snapshot "
              "save->load->predict bit-exact")

@@ -2,6 +2,7 @@ import csv
 import ctypes
 import dataclasses
 import hashlib
+import json
 import os
 import pickle
 import platform
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import types
+import zipfile
 
 import numpy as np
 import pytest
@@ -288,11 +290,35 @@ def test_predict_refuses_a_container_of_another_variant(workspace, tmp_path,
     model = build(build_default("gru"), (100, 2), seed=0)
     for variant, code in (("raw_padded", 5), ("full", 0)):
         snap, out = tmp_path / f"{variant}.zip", tmp_path / f"{variant}.csv"
-        save_snapshot(snap, model, extra_meta={"variant": variant})
+        save_snapshot(snap, model, {"variant": variant})
         assert main(["predict", "--output", str(tmp_path), "--snapshot", str(snap),
                      "--input", val, "--predictions-out", str(out)]) == code
         assert out.exists() == (code == 0)
     assert "trained on raw_padded" in capsys.readouterr().err
+
+
+def test_predict_refuses_a_snapshot_in_the_older_format(workspace, tmp_path,
+                                                        capsys):
+    # a snapshot in the older format, whose manifest is meta.json and lists
+    # the state names, with no manifest.json: predict exits 5 and writes no
+    # predictions
+    val = os.path.join(workspace, "datasets", "full_validation.zip")
+    snap, older = tmp_path / "snap.zip", tmp_path / "older.zip"
+    save_snapshot(snap, build(build_default("gru"), (100, 2), seed=0))
+    with zipfile.ZipFile(snap) as zf, zipfile.ZipFile(older, "w") as out:
+        names = [name for name in zf.namelist() if name != "manifest.json"]
+        meta = json.loads(zf.read("manifest.json"))
+        meta["state_names"] = [name[len("state/"):-4] for name in names]
+        out.writestr("meta.json", json.dumps(meta))
+        for name in names:
+            out.writestr(name, zf.read(name))
+    for path, code in ((snap, 0), (older, 5)):
+        preds = tmp_path / f"{path.stem}.csv"
+        assert main(["predict", "--output", str(tmp_path), "--snapshot",
+                     str(path), "--input", val,
+                     "--predictions-out", str(preds)]) == code
+        assert preds.exists() == (code == 0)
+    assert "not a sound snapshot container" in capsys.readouterr().err
 
 
 def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):
@@ -304,13 +330,17 @@ def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):
 
 
 def _drop_state(ds, meta, state):
-    del state[f"state/{meta['state_names'].pop(0)}"]
+    del state[min(state)]
 
 
 def _reshape_state(shape):
     def tamper(ds, meta, state):
-        state[f"state/{meta['state_names'][0]}"] = np.zeros(shape)
+        state[min(state)] = np.zeros(shape)
     return tamper
+
+
+def _extra_state(ds, meta, state):
+    state["state/extra.W"] = np.zeros(3)
 
 
 def _state_as_dtype(dtype):
@@ -328,14 +358,15 @@ def _state_as_dtype(dtype):
     lambda ds, meta, state: meta.update(spec="{not json"),
     lambda ds, meta, state: meta.pop("spec"),
     lambda ds, meta, state: meta.pop("input_shape"),
-    _drop_state,
+    _drop_state, _extra_state,
     _reshape_state((3, 3, 3, 3)),
     _reshape_state((1,)),
     lambda ds, meta, state: as_dtype("source_ids", np.float64)(ds),
     lambda ds, meta, state: as_dtype("mask", np.int64)(ds),
     _state_as_dtype(np.int64), _state_as_dtype(np.float32), _state_as_dtype(str),
 ], ids=["no_mask", "short_source_ids", "spec_format_99", "spec_not_json",
-        "no_spec", "no_input_shape", "state_dropped", "state_wrong_shape",
+        "no_spec", "no_input_shape", "state_dropped", "state_extra",
+        "state_wrong_shape",
         "state_broadcastable_shape", "float_source_ids", "int_mask",
         "int_state", "float32_state", "string_state"])
 def test_exit_code_predict_broken_input(workspace, tmp_path, capsys, tamper):
@@ -346,11 +377,11 @@ def test_exit_code_predict_broken_input(workspace, tmp_path, capsys, tamper):
               for name in ("source_ids", "values", "mask", "targets")}
     snap = tmp_path / "snap.zip"
     save_snapshot(snap, build(build_default("fcn"), (ds.length, 2), seed=0))
-    meta, state = read_container(snap, "snapshot", manifest_name="meta.json")
+    meta, state = read_container(snap, "snapshot")
     tamper(arrays, meta, state)
     broken = tmp_path / "broken.zip"
     write_container(broken, "dataset", arrays, {"variant": ds.variant})
-    write_container(snap, "snapshot", state, meta, manifest_name="meta.json")
+    write_container(snap, "snapshot", state, meta)
     out = tmp_path / "pred.csv"
     assert main(["predict", "--output", str(tmp_path), "--snapshot", str(snap),
                  "--input", str(broken), "--predictions-out", str(out)]) == 5
@@ -526,6 +557,20 @@ def test_preprocess_checks_weighting_before_writing(corpus, tmp_path):
     assert main(["preprocess", "--output", out, "--variant", "all",
                  "--config", str(config)]) == 3
     assert not os.path.exists(os.path.join(out, "datasets"))
+
+
+def test_weighting_cap_null_is_uncapped(workspace, tmp_path):
+    # null reaches WeightingConfig as None, and the config snapshot keeps it
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    config = tmp_path / "uncapped.yaml"
+    config.write_text("weighting: {cap: null}\n")
+    assert load_config(str(config)).weighting.cap is None
+    assert main(["preprocess", "--output", work, "--variant", "full",
+                 "--config", str(config)]) == 0
+    snapshot = os.path.join(work, "config.snapshot.yaml")
+    assert yaml.safe_load(open(snapshot))["weighting"]["cap"] is None
+    assert load_config(snapshot).weighting.cap is None
 
 
 @pytest.mark.parametrize("command, flags, section", [

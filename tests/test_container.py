@@ -5,8 +5,8 @@ import pytest
 
 from fehforge.container import (atomic_open, load_curves, load_dataset,
                                 load_snapshot, load_weights, read_container,
-                                restore_model, save_curves, save_dataset,
-                                save_snapshot, save_weights, write_container)
+                                save_curves, save_dataset, save_snapshot,
+                                save_weights, write_container)
 from fehforge.errors import IntegrityError, MissingInput
 from fehforge.preprocess import Variant, build_datasets
 from fehforge.synthetic import make_corpus
@@ -88,25 +88,25 @@ def test_snapshot_roundtrip_preserves_predictions(tmp_path):
     x = np.random.default_rng(0).normal(size=(4, 20, 2))
     before = model.forward(x, training=False).copy()
     path = tmp_path / "snap.zip"
-    save_snapshot(path, model, extra_meta={"variant": "full"})
-    restored = restore_model(path)
+    save_snapshot(path, model, {"variant": "full"})
+    restored, meta = load_snapshot(path)
     np.testing.assert_array_equal(restored.forward(x, training=False), before)
-    _, input_shape, state, meta = load_snapshot(path)
-    assert tuple(input_shape) == (20, 2)
-    assert meta["meta"]["variant"] == "full"
-    assert set(meta["state_names"]) == set(state)
+    assert restored.input_shape == (20, 2)
+    assert meta == {"variant": "full"}
+    _, arrays = read_container(path, "snapshot")
+    assert set(arrays) == {f"state/{name}" for name in model.get_state()}
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32, str])
 def test_snapshot_state_of_another_dtype_rejected(tmp_path, dtype):
     path = tmp_path / "snap.zip"
     save_snapshot(path, build(build_default("gru"), (20, 2), seed=3))
-    meta, arrays = read_container(path, "snapshot", manifest_name="meta.json")
+    meta, arrays = read_container(path, "snapshot")
     write_container(path, "snapshot",
                     {name: arr.astype(dtype) for name, arr in arrays.items()},
-                    meta, manifest_name="meta.json")
+                    meta)
     with pytest.raises(IntegrityError, match="not float64"):
-        restore_model(path)
+        load_snapshot(path)
 
 
 def test_snapshot_rerun_byte_identical(tmp_path):
@@ -121,18 +121,18 @@ def test_snapshot_tampered_spec_rejected(tmp_path):
     model = build(build_default("fcn"), (16, 2), seed=1)
     path = tmp_path / "snap.zip"
     save_snapshot(path, model)
-    # rewrite meta.json with a different spec but the stale hash
+    # rewrite manifest.json with a different spec but the stale hash
     import json
     with zipfile.ZipFile(path) as zf:
-        meta = json.loads(zf.read("meta.json"))
-        members = {n: zf.read(n) for n in zf.namelist() if n != "meta.json"}
+        meta = json.loads(zf.read("manifest.json"))
+        members = {n: zf.read(n) for n in zf.namelist() if n != "manifest.json"}
     meta["spec"] = meta["spec"].replace("fcn", "resnet")
     with zipfile.ZipFile(path, "w") as zf:
-        zf.writestr("meta.json", json.dumps(meta))
+        zf.writestr("manifest.json", json.dumps(meta))
         for name, data in members.items():
             zf.writestr(name, data)
-    with pytest.raises(IntegrityError):
-        restore_model(path)
+    with pytest.raises(IntegrityError, match="spec hash mismatch"):
+        load_snapshot(path)
 
 
 def test_curves_roundtrip(tmp_path):
@@ -249,11 +249,11 @@ def test_weights_wrong_kind(tmp_path, dataset):
     save_dataset(path, dataset)
     with pytest.raises(IntegrityError):
         load_weights(path)
-    snap = tmp_path / "snap.zip"          # meta.json, no manifest.json
+    snap = tmp_path / "snap.zip"          # a manifest.json of kind snapshot
     save_snapshot(snap, build(build_default("fcn"), (20, 2), seed=0))
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="not a weights container"):
         load_weights(snap)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="not a dataset container"):
         load_dataset(snap)
 
 

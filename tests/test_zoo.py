@@ -109,6 +109,13 @@ def test_state_roundtrip_changes_then_restores():
     assert not np.allclose(model.forward(x, training=False), before)
     model.set_state(state)
     np.testing.assert_array_equal(model.forward(x, training=False), before)
+    # a state array that the model does not use, one missing, one misshapen
+    with pytest.raises(ValueError, match="not the model's"):
+        model.set_state(dict(state, **{"extra.W": np.zeros(3)}))
+    with pytest.raises(KeyError):
+        model.set_state({k: v for k, v in state.items() if k != "0/0/0.W"})
+    with pytest.raises(ValueError, match="has shape"):
+        model.set_state(dict(state, **{"0/0/0.W": np.zeros(3)}))
 
 
 def test_unknown_kind_rejected():
