@@ -213,17 +213,21 @@ def cmd_preprocess(cfg):
                  pairs, [VARIANTS[name] for name in cfg.variants],
                  cfg.preprocess)
              for side, pairs in sides.items()}
+    for side, (_, fits) in built.items():
+        if fits:   # one row per star, when a spline variant was built
+            container.write_csv(_out(cfg, "datasets", f"spline_fits_{side}.csv"),
+                                preprocess.FitRecord._fields, fits)
     for name in cfg.variants:
         variant = VARIANTS[name]
         datasets = {}
-        for side in sides:
-            ds, failures = built[side][variant]
-            ds.meta = {"preprocess": recorded, "side": side,
-                       "failures": len(failures)}
+        for side, pairs in sides.items():
+            ds = built[side][0][variant]
+            failures = len(pairs) - len(ds)   # stars whose spline fit failed
+            ds.meta = {"preprocess": recorded, "side": side, "failures": failures}
             container.save_dataset(_dataset_path(cfg, name, side), ds)
             datasets[side] = ds
             print(f"{name} {side}: {len(ds)} series of length {ds.length} "
-                  f"({len(failures)} failures)")
+                  f"({failures} failures)")
         density = weighting.fit_density(datasets["train"].targets,
                                         bandwidth=cfg.weighting.bandwidth)
         for side, ds in datasets.items():

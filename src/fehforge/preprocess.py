@@ -1,7 +1,8 @@
 """Light-curve preprocessing: phase folding, alignment to maximum light,
-smoothing-spline resampling, and `build_datasets`, which folds each curve
-once, fits each star's spline at most once and writes the arrays of the
-three dataset variants directly:
+smoothing-spline resampling, and `build_datasets`, which folds and aligns
+each curve, fits each star's spline at most once, records each fit's lambda,
+residual or error (`FitRecord`) and writes the arrays of the three dataset
+variants directly:
   RAW_PADDED      phase-folded/aligned observations, padded to the corpus
                   maximum length with PAD_VALUE and a validity mask.
   SPLINE_NO_MEAN  spline-resampled magnitudes on a uniform phase grid,
@@ -12,16 +13,20 @@ The second channel is phase times period in every variant.
 Smoothing splines are solved in Reinsch's form (Reinsch 1967; Green &
 Silverman 1994, sec. 2.3): with Q the n x (n - 2) second-difference matrix of
 the knots and R the tridiagonal matrix of their gaps (`_second_differences`),
-(R + lambda Q^T Q) gamma = Q^T y gives the fitted values g = y - lambda Q gamma,
-and the spline is the natural cubic through them. Q^T Q is positive definite,
-so the solve keeps its digits at every lambda, and a large lambda gives the
+(R + lambda Q^T Q) gamma = Q^T y gives the fitted values g = y - lambda Q gamma
+and, in gamma, the spline's second derivatives at the interior knots. The
+spline is the piecewise cubic with values g and second derivatives
+m = [0, gamma, 0] at the knots, built from them without a second solve: the
+natural cubic through g, up to rounding. Q^T Q is positive definite, so the
+solve keeps its digits at every lambda, and a large lambda gives the
 least-squares line. At small lambda a fit is within 1e-6 mag of
 `make_smoothing_spline`'s on the resample grid, not bit for bit.
 
 Under GCV (Craven & Wahba 1979) lambda comes from the eigenbasis of the
-penalty K = Q R^-1 Q^T: one symmetric eigensolve K = U diag(kappa) U^T turns
+penalty K = Q R^-1 Q^T: one symmetric eigensolve K = U diag(kappa) U^T, by
+LAPACK's divide and conquer (`syevd`, through `np.linalg.eigh`), turns
 the hat matrix (I + lambda K)^-1 into U diag(1 / (1 + lambda kappa)) U^T, so
-with z = U^T y
+with z = U^T r, r the data less its least-squares line (which K leaves free)
 
     GCV(lambda) = n sum(a^2 z^2) / (sum a)^2,   a = lambda kappa / (1 + lambda kappa).
 
@@ -37,10 +42,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, eigh, solveh_banded
+from scipy.interpolate import PPoly
+from scipy.linalg import LinAlgError, solveh_banded
 from scipy.optimize import minimize_scalar
 
 from .catalog import LightCurve
@@ -75,9 +81,20 @@ class PhasedCurve:
 
 @dataclass
 class SplineFit:
-    spline: CubicSpline    # natural cubic through the fitted values, on [0, 1)
+    spline: PPoly          # piecewise cubic with the solve's own second
+                           # derivatives: the natural cubic through the
+                           # fitted values, on [0, 1)
     lam: float             # smoothing parameter used, also when GCV chose it
     residual_rms: float
+
+
+class FitRecord(NamedTuple):
+    """One star's spline fit in `build_datasets`: lambda and residual_rms
+    are None, and error holds the message, when the fit failed."""
+    source_id: int
+    lam: Optional[float]
+    residual_rms: Optional[float]
+    error: str
 
 
 @dataclass(frozen=True)
@@ -184,7 +201,11 @@ def _q_times(q, g):
 
 def _solve_spline(x, q, R, y, lam):
     """The smoothing spline at `lam` in Reinsch's form: (R + lam Q^T Q) gamma
-    = Q^T y, fitted values g = y - lam Q gamma, natural cubic through g."""
+    = Q^T y, fitted values g = y - lam Q gamma. gamma holds the second
+    derivatives at the interior knots, so with m = [0, gamma, 0] each gap
+    [x[i], x[i + 1]] of width h has the cubic with coefficients
+    (m[i + 1] - m[i]) / 6h, m[i] / 2, (g[i + 1] - g[i]) / h
+    - h (2 m[i] + m[i + 1]) / 6 and g[i]. Returns (spline, g)."""
     a, b, c = q
     ab = np.zeros((3, len(a)))
     ab[2] = R[1] + lam * (a * a + b * b + c * c)
@@ -192,19 +213,40 @@ def _solve_spline(x, q, R, y, lam):
     ab[0, 2:] = lam * c[:-2] * a[2:]
     gamma = solveh_banded(ab, a * y[:-2] + b * y[1:-1] + c * y[2:],
                           check_finite=False)
-    return CubicSpline(x, y - lam * _q_times(q, gamma), bc_type="natural")
+    g = y - lam * _q_times(q, gamma)
+    m = np.concatenate([[0.0], gamma, [0.0]])
+    h = np.diff(x)
+    coeffs = np.empty((4, len(h)))
+    coeffs[0] = np.diff(m) / (6.0 * h)
+    coeffs[1] = m[:-1] / 2.0
+    coeffs[2] = np.diff(g) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0
+    coeffs[3] = g[:-1]
+    return PPoly.construct_fast(coeffs, x), g
 
 
-def _gcv_lambda(q, R, y):
+def _detrend(x, y):
+    """y minus its least-squares line in x, which the penalty leaves free."""
+    xc, yc = x - x.mean(), y - y.mean()
+    return yc - xc * ((xc @ yc) / (xc @ xc))
+
+
+def _gcv_lambda(q, R, r):
     """The lambda that minimizes GCV, from the eigenbasis of the penalty
     K = Q R^-1 Q^T (see the module docstring), and the residual sum of
-    squares that the eigenbasis predicts for the fit at that lambda."""
-    n = len(y)
+    squares that the eigenbasis predicts for the fit at that lambda.
+
+    r is the data less its least-squares line (`_detrend`). The line lies in
+    K's null space, so this changes no exact score; but z = U^T y would carry
+    the data's mean level of some 16 mag, through the rounding of U, into the
+    components that GCV weighs. At near-duplicate phases, where K's largest
+    eigenvalues reach 1e18, that leak made one curve's score 130 times too
+    large at lambda = 1e-5, and moved its GCV lambda by 0.7 dex."""
+    n = len(r)
     Qt = _q_times(q, np.eye(n - 2)).T
-    kappa, U = eigh(_q_times(q, solveh_banded(R, Qt, check_finite=False)),
-                    check_finite=False)
+    kappa, U = np.linalg.eigh(_q_times(q, solveh_banded(R, Qt,
+                                                        check_finite=False)))
     kappa = np.maximum(kappa, 0.0)   # the penalty is positive semi-definite
-    z2 = (U.T @ y) ** 2
+    z2 = (U.T @ r) ** 2
 
     def shrinkage(log_lam):
         a = np.multiply.outer(10.0 ** np.asarray(log_lam), kappa)
@@ -224,13 +266,13 @@ def _gcv_lambda(q, R, y):
     return float(10.0 ** log_lam), float(shrinkage(log_lam) ** 2 @ z2)
 
 
-def _check_gcv_fit(x, y, spline, lam, rss_predicted):
+def _check_gcv_fit(y, g, r, lam, rss_predicted):
     """Raise LinAlgError unless the fit at the GCV lambda is one the exact
     smoothing spline could be: no worse than the least-squares line, which
-    the penalty leaves free, and in agreement with the eigenbasis."""
-    rss = float(np.sum((y - spline(x)) ** 2))
-    xc, yc = x - x.mean(), y - y.mean()
-    rss_line = float(yc @ yc - (xc @ yc) ** 2 / (xc @ xc))
+    the penalty leaves free (r is y less that line), and in agreement with
+    the eigenbasis. The spline takes the fitted values g at the knots."""
+    rss = float(np.sum((y - g) ** 2))
+    rss_line = float(r @ r)
     if not (rss <= (1.0 + _GCV_RSS_RTOL) * rss_line
             and abs(rss - rss_predicted) <= _GCV_RSS_RTOL * rss_predicted):
         raise LinAlgError(
@@ -267,15 +309,16 @@ def fit_smoothing_spline(curve: PhasedCurve, config: PreprocessConfig = Preproce
     try:
         q, R = _second_differences(xe)
         if config.lambda_strategy == "gcv":
-            lam, rss_predicted = _gcv_lambda(q, R, ye)
-            spline = _solve_spline(xe, q, R, ye, lam)
-            _check_gcv_fit(xe, ye, spline, lam, rss_predicted)
+            r = _detrend(xe, ye)
+            lam, rss_predicted = _gcv_lambda(q, R, r)
+            spline, g = _solve_spline(xe, q, R, ye, lam)
+            _check_gcv_fit(ye, g, r, lam, rss_predicted)
         else:
             lam = config.lam
-            spline = _solve_spline(xe, q, R, ye, lam)
+            spline, g = _solve_spline(xe, q, R, ye, lam)
     except LinAlgError as exc:
         raise SingularFit(f"curve {curve.source_id}: {exc}") from exc
-    resid = y - spline(x)
+    resid = y - g[n_wrap:n_wrap + len(x)]   # the spline takes g at its knots
     return SplineFit(spline=spline, lam=lam,
                      residual_rms=float(np.sqrt(np.mean(resid ** 2))))
 
@@ -289,8 +332,9 @@ def resample(fit: SplineFit, length: int):
 
 
 def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig()):
-    """The dataset of each of `variants` from (StarRecord, LightCurve) pairs:
-    {variant: (ArrayDataset, failures)}, rows in input order, `meta` empty.
+    """The dataset of each of `variants` from (StarRecord, LightCurve) pairs,
+    and the spline fit of each star: ({variant: ArrayDataset}, fits), rows
+    in input order, `meta` empty.
 
     Each curve is folded at `epoch_max` (at the brightest observation when
     that is unknown), then aligned, which folds it again at the brightest
@@ -300,8 +344,9 @@ def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig(
     the observations, magnitude minus the curve mean, padded to the longest
     curve with PAD_VALUE and mask False. SPLINE_NO_MEAN: the spline on
     `resample_length` uniform phases. FULL: that minus its mean magnitude.
-    A star whose fit fails is left out of both spline variants and listed
-    in their failures as (source_id, message).
+    `fits` holds one `FitRecord` per star when a spline variant is asked
+    for, and is empty otherwise. A star whose fit fails is left out of both
+    spline variants; its record has no lambda or residual, and the error.
     """
     curves = []
     for star, lc in pairs:
@@ -319,21 +364,22 @@ def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig(
             values[row, :n, 0] = pc.mags - pc.mean_mag
             values[row, :n, 1] = pc.phases * pc.period
             mask[row, :n] = True
-        built[Variant.RAW_PADDED] = (
-            _dataset(Variant.RAW_PADDED, stars, values, mask), [])
+        built[Variant.RAW_PADDED] = _dataset(Variant.RAW_PADDED, stars, values, mask)
 
     spline_variants = [v for v in (Variant.SPLINE_NO_MEAN, Variant.FULL)
                        if v in variants]
+    fits = []
     if spline_variants:
         length = config.resample_length
         values = {v: np.empty((len(curves), length, 2)) for v in spline_variants}
-        fitted, failures = [], []
+        fitted = []
         for star, pc in zip(stars, curves):
             try:
                 fit = fit_smoothing_spline(pc, config)
             except (InsufficientPoints, SingularFit) as exc:
-                failures.append((star.source_id, str(exc)))
+                fits.append(FitRecord(star.source_id, None, None, str(exc)))
                 continue
+            fits.append(FitRecord(star.source_id, fit.lam, fit.residual_rms, ""))
             grid, mags = resample(fit, length)
             for variant, rows in values.items():
                 rows[len(fitted), :, 0] = (mags - np.mean(mags)
@@ -342,9 +388,8 @@ def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig(
             fitted.append(star)
         for variant, rows in values.items():
             mask = np.ones((len(fitted), length), dtype=bool)
-            built[variant] = (_dataset(variant, fitted, rows[:len(fitted)], mask),
-                              list(failures))
-    return built
+            built[variant] = _dataset(variant, fitted, rows[:len(fitted)], mask)
+    return built, fits
 
 
 def _dataset(variant, stars, values, mask):

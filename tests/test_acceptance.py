@@ -114,7 +114,7 @@ def test_04_preprocessing_invariants():
     assert np.sum((yw - line.spline(xw)) ** 2) <= (1 + 1e-9) * line_rss(xw, yw)
 
     star = StarRecord(0, 1, period, 0.8, 60, -1.3, 0.2, epoch_max=epoch_max)
-    ds, _ = build_datasets([(star, lc)], [Variant.FULL])[Variant.FULL]
+    ds = build_datasets([(star, lc)], [Variant.FULL])[0][Variant.FULL]
     assert abs(ds.values[0, :, 0].mean()) < 1e-9
 
     # padded timesteps must not leak into recurrent outputs
@@ -210,8 +210,9 @@ def test_06_synthetic_end_to_end_learnability():
     t0 = time.time()
     noise = 0.1
     pairs, _ = make_corpus(2000, seed=0, target_noise=noise)
-    ds, failures = build_datasets(pairs, [Variant.FULL])[Variant.FULL]
-    assert failures == [] and len(ds) == 2000
+    built, fits = build_datasets(pairs, [Variant.FULL])
+    ds = built[Variant.FULL]
+    assert not any(fit.error for fit in fits) and len(ds) == 2000
     weights = compute_weights(fit_density(ds.targets), ds.targets)
     # published training scheme with the epoch budget reduced to fit the
     # 15-minute allowance; early stopping still governs
@@ -299,7 +300,7 @@ def test_08_grid_search_correctness():
 
 def test_09_container_roundtrips(tmp_path):
     pairs, _ = make_corpus(6, seed=5)
-    ds, _ = build_datasets(pairs, [Variant.FULL])[Variant.FULL]
+    ds = build_datasets(pairs, [Variant.FULL])[0][Variant.FULL]
     p1, p2 = tmp_path / "d1.zip", tmp_path / "d2.zip"
     save_dataset(p1, ds)
     save_dataset(p2, ds)
@@ -322,7 +323,7 @@ def test_10_matrix_driver_complete(tmp_path):
     pairs, _ = make_corpus(60, seed=6)
     kinds = list(__import__("fehforge.zoo", fromlist=["KINDS"]).KINDS)
     datasets, weights = {}, {}
-    for variant, (ds, _) in build_datasets(pairs, list(Variant)).items():
+    for variant, ds in build_datasets(pairs, list(Variant))[0].items():
         datasets[variant.value] = ds
         weights[variant.value] = compute_weights(fit_density(ds.targets),
                                                  ds.targets)

@@ -96,6 +96,48 @@ def test_preprocess_outputs(workspace):
     assert w.mean() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_preprocess_writes_spline_fits(workspace, tmp_path, monkeypatch):
+    # one row per star of each side, in input order, with the lambda and the
+    # residual that build_datasets computed; a failed fit leaves both empty
+    # and records its message, and the dataset meta counts it
+    for side in ("train", "validation"):
+        pairs, _ = load_curves(os.path.join(workspace, f"curves_{side}.zip"))
+        _, fits = preprocess.build_datasets(pairs, [preprocess.Variant.FULL])
+        with open(os.path.join(workspace, "datasets",
+                               f"spline_fits_{side}.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["source_id"]) for r in rows] == [r.source_id for r, _ in pairs]
+        assert [(float(r["lam"]), float(r["residual_rms"]), r["error"])
+                for r in rows] == [(f.lam, f.residual_rms, "") for f in fits]
+
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    shutil.rmtree(os.path.join(work, "datasets"))
+    assert main(["preprocess", "--output", work, "--variant", "raw_padded"]) == 0
+    assert sorted(os.listdir(os.path.join(work, "datasets"))) == [
+        "raw_padded_train.zip", "raw_padded_validation.zip",
+        "weights_raw_padded_train.zip", "weights_raw_padded_validation.zip"]
+
+    pairs, _ = load_curves(os.path.join(work, "curves_train.zip"))
+    broken = pairs[1][0].source_id
+    fit = preprocess.fit_smoothing_spline
+
+    def failing_fit(curve, config):
+        if curve.source_id == broken:
+            raise errors.SingularFit(f"curve {broken}: made to fail")
+        return fit(curve, config)
+
+    monkeypatch.setattr(preprocess, "fit_smoothing_spline", failing_fit)
+    assert main(["preprocess", "--output", work, "--variant", "full"]) == 0
+    with open(os.path.join(work, "datasets", "spline_fits_train.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[1] == {"source_id": str(broken), "lam": "", "residual_rms": "",
+                       "error": f"curve {broken}: made to fail"}
+    assert all(r["error"] == "" for i, r in enumerate(rows) if i != 1)
+    ds = load_dataset(os.path.join(work, "datasets", "full_train.zip"))
+    assert ds.meta["failures"] == 1 and broken not in ds.source_ids
+
+
 def test_preprocess_rerun_byte_identical(workspace):
     path = os.path.join(workspace, "datasets", "full_train.zip")
     before = open(path, "rb").read()

@@ -16,7 +16,7 @@ from fehforge.zoo import build, build_default
 @pytest.fixture(scope="module")
 def dataset():
     pairs, _ = make_corpus(8, seed=0)
-    ds, _ = build_datasets(pairs, [Variant.FULL])[Variant.FULL]
+    ds = build_datasets(pairs, [Variant.FULL])[0][Variant.FULL]
     ds.meta = {"note": "t"}
     return ds
 

@@ -165,9 +165,9 @@ def test_train_seed_index_changes_outcome():
 @pytest.fixture(scope="module")
 def corpus_datasets():
     pairs, _ = make_corpus(24, seed=3)
-    built = build_datasets(pairs, [Variant.FULL, Variant.RAW_PADDED],
-                           PreprocessConfig(lambda_strategy="fixed"))
-    return {v: ds for v, (ds, _) in built.items()}
+    built, _ = build_datasets(pairs, [Variant.FULL, Variant.RAW_PADDED],
+                              PreprocessConfig(lambda_strategy="fixed"))
+    return built
 
 
 def rows_of(ds, rows):
