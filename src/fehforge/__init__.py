@@ -1,7 +1,7 @@
 """fehforge: photometric metallicity regression for RRab light curves.
 
 From sparse G-band time series to [Fe/H]: catalog selection, phase
-folding and alignment, smoothing-spline resampling, inverse-density
+folding, smoothing-spline resampling, inverse-density
 sample weighting, and a zoo of nine from-scratch neural regressors
 trained under repeated stratified k-fold cross-validation.
 """
@@ -16,8 +16,8 @@ from .evaluate import (GridSpec, MetricsReport, TrainConfig, cross_validate,
                        grid_search, metric_suite, predict, r2, run_matrix,
                        stratified_kfold, train)
 from .preprocess import (PhasedCurve, PreprocessConfig, SplineFit, Variant,
-                         align_to_maximum, build_datasets,
-                         fit_smoothing_spline, phase_fold, resample)
+                         build_datasets, fit_smoothing_spline, phase_fold,
+                         resample)
 from .weighting import DensityModel, compute_weights, fit_density
 from .zoo import KINDS, ModelSpec, build, build_default, layer_param_counts
 

@@ -32,7 +32,6 @@ DEFAULT_COLUMN_MAP = {
     "feh": ("feh", "[fe/h]", "met", "metallicity"),
     "feh_sigma": ("feh_sigma", "sigma_feh", "feh_error", "sigma[fe/h]"),
     "phi31_sigma": ("phi31_sigma", "sigma_phi31", "phi31_error"),
-    "epoch_max": ("epoch_max", "epoch_g", "epoch_max_bjd"),
 }
 
 MANDATORY_FIELDS = ("source_id", "period", "amp_g", "n_epochs", "feh", "feh_sigma")
@@ -56,7 +55,8 @@ class StarRecord:
     feh: float             # dex
     feh_sigma: float       # dex
     phi31_sigma: float = 0.0
-    epoch_max: Optional[float] = None  # BJD of maximum light
+    # BJD of maximum light: set by the generator; the pipeline does not read it
+    epoch_max: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,11 @@ def load_catalog(path):
             get = lambda f: row[indices[f]] if f in indices else ""
             value = lambda f, kind=float: _parse_value(get(f), kind, row_num, f, path)
             rid = value("id", int) if get("id") else row_num - 2
-            epoch_max = (value("epoch_max") if get("epoch_max").strip()
-                         not in ("", "nan", "NaN") else None)
             phi31_sigma = value("phi31_sigma") if get("phi31_sigma") else 0.0
             records.append(StarRecord(
                 id=rid, source_id=value("source_id", int), period=value("period"),
                 amp_g=value("amp_g"), n_epochs=value("n_epochs", int), feh=value("feh"),
-                feh_sigma=value("feh_sigma"), phi31_sigma=phi31_sigma, epoch_max=epoch_max))
+                feh_sigma=value("feh_sigma"), phi31_sigma=phi31_sigma))
     if not records:
         raise EmptyCatalog(f"{path}: header only, no data rows")
     return records

@@ -190,12 +190,10 @@ def load_snapshot(path):
     return model, manifest.get("meta", {})
 
 
-# curves member -> StarRecord field, in member order, with NaN for an
-# unknown epoch_max
+# curves member -> StarRecord field, in member order
 _CURVE_FIELDS = {"source_ids": "source_id", "periods": "period",
                  "amp_g": "amp_g", "n_epochs": "n_epochs", "feh": "feh",
-                 "feh_sigma": "feh_sigma", "phi31_sigma": "phi31_sigma",
-                 "epoch_max": "epoch_max"}
+                 "feh_sigma": "feh_sigma", "phi31_sigma": "phi31_sigma"}
 # every curves member -> its dtype: int64 ids, epoch counts and offsets,
 # float64 otherwise
 _CURVE_DTYPES = {name: np.int64 if name in ("source_ids", "n_epochs", "offsets")
@@ -205,9 +203,8 @@ _CURVE_DTYPES = {name: np.int64 if name in ("source_ids", "n_epochs", "offsets")
 
 def save_curves(path, pairs, meta=None):
     """Persist (StarRecord, LightCurve) pairs as a ragged-array container."""
-    arrays = {name: np.array(
-                  [np.nan if getattr(r, field) is None else getattr(r, field)
-                   for r, _ in pairs], _CURVE_DTYPES[name])
+    arrays = {name: np.array([getattr(r, field) for r, _ in pairs],
+                             _CURVE_DTYPES[name])
               for name, field in _CURVE_FIELDS.items()}
     lengths = np.array([len(lc) for _, lc in pairs], dtype=np.int64)
     arrays["offsets"] = np.concatenate([[0], np.cumsum(lengths)])
@@ -222,8 +219,8 @@ def load_curves(path):
     """Inverse of `save_curves`; returns (pairs, meta). IntegrityError unless
     each field holds one row per star, `offsets` cut `times` and `mags` into
     one run of at least one observation per star, every period is finite and
-    positive, every epoch_max finite or NaN (unknown), and every time and
-    magnitude finite."""
+    positive, and every time and magnitude finite. A member that no field
+    names, such as the `epoch_max` of older containers, is not read."""
     from .catalog import LightCurve, StarRecord
 
     manifest, data = read_container(path, "curves", _CURVE_DTYPES)
@@ -236,7 +233,6 @@ def load_curves(path):
     for bad, what in (
             (~(data["periods"] > 0) | np.isinf(data["periods"]),
              "a period that is not finite and > 0"),
-            (np.isinf(data["epoch_max"]), "an infinite epoch_max"),
             (np.diff(offsets) == 0, "a star with no observations"),
             (~np.isfinite(data["times"]), "a time that is not finite"),
             (~np.isfinite(data["mags"]), "a magnitude that is not finite")):
@@ -244,8 +240,6 @@ def load_curves(path):
             raise IntegrityError(f"{path}: curves hold {what} "
                                  f"(row {int(np.argmax(bad))})")
     columns = {field: data[name].tolist() for name, field in _CURVE_FIELDS.items()}
-    columns["epoch_max"] = [None if np.isnan(em) else em
-                            for em in columns["epoch_max"]]
     pairs = []
     for i in range(count):
         lo, hi = offsets[i], offsets[i + 1]

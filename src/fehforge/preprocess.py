@@ -1,41 +1,48 @@
-"""Light-curve preprocessing: phase folding, alignment to maximum light,
-smoothing-spline resampling, and `build_datasets`, which folds and aligns
-each curve, fits each star's spline at most once, records each fit's lambda,
-residual or error (`FitRecord`) and writes the arrays of the three dataset
-variants directly:
-  RAW_PADDED      phase-folded/aligned observations, padded to the corpus
-                  maximum length with PAD_VALUE and a validity mask.
+"""Light-curve preprocessing: phase folding, smoothing-spline resampling, and
+`build_datasets`, which folds each curve once, at its brightest observation,
+fits each star's spline at most once, records each fit's lambda, residual or
+error (`FitRecord`) and writes the arrays of the three dataset variants
+directly:
+  RAW_PADDED      phase-folded observations, brightest at phase 0, padded to
+                  the corpus maximum length with PAD_VALUE and a validity mask.
   SPLINE_NO_MEAN  spline-resampled magnitudes on a uniform phase grid,
                   without mean-magnitude centering.
   FULL            spline-resampled, mean-centered magnitudes.
 The second channel is phase times period in every variant.
 
 Smoothing splines are solved in Reinsch's form (Reinsch 1967; Green &
-Silverman 1994, sec. 2.3): with Q the n x (n - 2) second-difference matrix of
-the knots and R the tridiagonal matrix of their gaps (`_second_differences`),
-(R + lambda Q^T Q) gamma = Q^T y gives the fitted values g = y - lambda Q gamma
-and, in gamma, the spline's second derivatives at the interior knots. The
-spline is the piecewise cubic with values g and second derivatives
-m = [0, gamma, 0] at the knots, built from them without a second solve: the
-natural cubic through g, up to rounding. Q^T Q is positive definite, so the
-solve keeps its digits at every lambda, and a large lambda gives the
-least-squares line. At small lambda a fit is within 1e-6 mag of
-`make_smoothing_spline`'s on the resample grid, not bit for bit.
+Silverman 1994, sec. 2.3), on knots that weigh tied phases: each run of
+phases closer than _MERGE_GAP is one knot, weighted by its count
+(`_merge_knots`). With Q the m x (m - 2) second-difference matrix of the m
+knots, R the tridiagonal matrix of their gaps (`_second_differences`) and
+W = diag(w), (R + lambda Q^T W^-1 Q) gamma = Q^T y gives the fitted values
+g = y - lambda W^-1 Q gamma and, in gamma, the spline's second derivatives at
+the interior knots; y holds the knots' mean magnitudes. The spline is the
+piecewise cubic with values g and second derivatives m = [0, gamma, 0] at the
+knots, built from them without a second solve: the natural cubic through g,
+up to rounding. Q^T W^-1 Q is positive definite, so the solve keeps its
+digits at every lambda, and a large lambda gives the weighted least-squares
+line. At small lambda a fit is within 1e-6 mag of `make_smoothing_spline`'s
+on the resample grid, not bit for bit. With every weight 1 each product and
+quotient by w is exact, so an unmerged curve is fitted as if W were absent.
 
 Under GCV (Craven & Wahba 1979) lambda comes from the eigenbasis of the
-penalty K = Q R^-1 Q^T: one symmetric eigensolve K = U diag(kappa) U^T, by
-LAPACK's divide and conquer (`syevd`, through `np.linalg.eigh`), turns
-the hat matrix (I + lambda K)^-1 into U diag(1 / (1 + lambda kappa)) U^T, so
-with z = U^T r, r the data less its least-squares line (which K leaves free)
+weighted penalty K~ = W^-1/2 K W^-1/2, K = Q R^-1 Q^T: one symmetric
+eigensolve K~ = U diag(kappa) U^T, by LAPACK's divide and conquer (`syevd`,
+through `np.linalg.eigh`), turns the hat matrix of the n observations
+(wrapped copies included, n = sum w) into closed form. With
+z = U^T W^1/2 r, r the knot means less their weighted least-squares line
+(which K leaves free), and S the sum of squares within the merged runs,
+counted once more for each wrapped copy,
 
-    GCV(lambda) = n sum(a^2 z^2) / (sum a)^2,   a = lambda kappa / (1 + lambda kappa).
+    GCV(lambda) = n (S + sum(a^2 z^2)) / (n - m + sum a)^2,
+    a = lambda kappa / (1 + lambda kappa).
 
 It is scored on the log grid lambda = n 10^k, k = -12, -11.875, ..., 3, and
 refined by bounded Brent in log10 lambda between the best grid point's two
 neighbours. The fit then ends in the same fixed-lambda solve, and
 `SplineFit.lam` records the lambda used. A GCV fit whose residual disagrees
-with the closed form, as near-duplicate phases make it do, raises
-`SingularFit`.
+with the closed form raises `SingularFit`.
 """
 from __future__ import annotations
 
@@ -112,19 +119,19 @@ class PreprocessConfig:
             raise InvalidConfig(f"lam must be >= 0, got {self.lam}")
 
 
-def phase_fold(curve: LightCurve, period: float, epoch_max: float) -> PhasedCurve:
+def phase_fold(curve: LightCurve, period: float, epoch: float) -> PhasedCurve:
     """Fold observation times onto pulsation phase in [0, 1).
 
-    phase(t) = frac((t - epoch_max) / period), with negative offsets wrapped
+    phase(t) = frac((t - epoch) / period), with negative offsets wrapped
     into [0, 1). Output is sorted by phase.
     """
     if not (period > 0 and math.isfinite(period)):
         raise ValueError(f"period must be positive and finite, got {period}")
-    if not math.isfinite(epoch_max):
-        raise ValueError(f"epoch_max must be finite, got {epoch_max}")
+    if not math.isfinite(epoch):
+        raise ValueError(f"epoch must be finite, got {epoch}")
     if not np.all(np.isfinite(curve.times)):
         raise NonFinitePhase(f"non-finite time in curve {curve.source_id}")
-    cycles = (curve.times - epoch_max) / period
+    cycles = (curve.times - epoch) / period
     phases = np.mod(cycles, 1.0)
     phases[phases >= 1.0] = 0.0  # guard against mod returning exactly 1.0
     order = np.argsort(phases, kind="stable")
@@ -137,41 +144,37 @@ def phase_fold(curve: LightCurve, period: float, epoch_max: float) -> PhasedCurv
     )
 
 
-def align_to_maximum(curve: PhasedCurve) -> PhasedCurve:
-    """Rotate phases so the brightest point (minimum magnitude) sits at 0.
-
-    Identity when the curve is already brightest at phase 0; ties broken by
-    lowest phase. Idempotent.
-    """
-    if len(curve) == 0:
-        raise ValueError("empty curve")
-    brightest = int(np.argmin(curve.mags))  # argmin returns first on ties
-    shift = curve.phases[brightest]
-    if shift == 0.0:
-        return curve
-    phases = np.mod(curve.phases - shift, 1.0)
-    phases[phases >= 1.0] = 0.0
-    order = np.argsort(phases, kind="stable")
-    return PhasedCurve(curve.source_id, phases[order], curve.mags[order],
-                       curve.period, curve.mean_mag)
+# phases closer than this merge into one knot: about 0.04 s at P = 0.5 d
+_MERGE_GAP = 1e-6
 
 
-def _dedupe(x, y):
-    """Average y over duplicate x values; x must be sorted."""
-    ux, inverse = np.unique(x, return_inverse=True)
-    if len(ux) == len(x):
-        return x, y
-    sums = np.zeros(len(ux))
-    counts = np.zeros(len(ux))
-    np.add.at(sums, inverse, y)
-    np.add.at(counts, inverse, 1.0)
-    return ux, sums / counts
+def _merge_knots(x, y):
+    """The knots of the sorted phases x with magnitudes y: each run of gaps
+    below _MERGE_GAP, the seam from x[-1] to x[0] + 1 included, is one knot
+    at its mean phase (members near 1 taken less one across the seam) with
+    its mean magnitude. Returns (knots, mean magnitudes, weights: the runs'
+    counts, each run's sum of squares about its mean magnitude)."""
+    new = np.diff(x) >= _MERGE_GAP      # a run starts after each True
+    if len(x) == 0 or x[0] + 1.0 - x[-1] >= _MERGE_GAP:
+        if new.all():   # the common case: no two phases merge
+            return x, y, np.ones(len(x)), np.zeros(len(x))
+    elif new.any():
+        k = len(new) - int(np.argmax(new[::-1]))   # the last run's start
+        x = np.concatenate([x[k:] - 1.0, x[:k]])
+        y = np.concatenate([y[k:], y[:k]])
+        new = np.concatenate([new[k:], [False], new[:k - 1]])
+    starts = np.flatnonzero(np.concatenate([[True], new]))
+    counts = np.diff(np.append(starts, len(x)))
+    mean_y = np.add.reduceat(y, starts) / counts
+    scatter = np.add.reduceat((y - np.repeat(mean_y, counts)) ** 2, starts)
+    return (np.add.reduceat(x, starts) / counts, mean_y,
+            counts.astype(np.float64), scatter)
 
 
 # log10(lambda / n) of the GCV grid: -12 to 3 in steps of 1/8
 _LOG_LAMBDA_GRID = np.linspace(-12.0, 3.0, 121)
 # a GCV fit whose residual sum of squares strays further than this from the
-# closed form's prediction has lost its digits to near-duplicate phases
+# closed form's prediction has lost its digits
 _GCV_RSS_RTOL = 0.1
 
 
@@ -199,21 +202,23 @@ def _q_times(q, g):
     return out
 
 
-def _solve_spline(x, q, R, y, lam):
-    """The smoothing spline at `lam` in Reinsch's form: (R + lam Q^T Q) gamma
-    = Q^T y, fitted values g = y - lam Q gamma. gamma holds the second
-    derivatives at the interior knots, so with m = [0, gamma, 0] each gap
-    [x[i], x[i + 1]] of width h has the cubic with coefficients
-    (m[i + 1] - m[i]) / 6h, m[i] / 2, (g[i + 1] - g[i]) / h
-    - h (2 m[i] + m[i + 1]) / 6 and g[i]. Returns (spline, g)."""
+def _solve_spline(x, q, R, y, w, lam):
+    """The smoothing spline at `lam` of the knots x with means y and weights
+    w, in Reinsch's form: (R + lam Q^T W^-1 Q) gamma = Q^T y, fitted values
+    g = y - lam W^-1 Q gamma. gamma holds the second derivatives at the
+    interior knots, so with m = [0, gamma, 0] each gap [x[i], x[i + 1]] of
+    width h has the cubic with coefficients (m[i + 1] - m[i]) / 6h, m[i] / 2,
+    (g[i + 1] - g[i]) / h - h (2 m[i] + m[i + 1]) / 6 and g[i]. Returns
+    (spline, g)."""
     a, b, c = q
+    qw = aw, bw, cw = a / w[:-2], b / w[1:-1], c / w[2:]   # W^-1 Q
     ab = np.zeros((3, len(a)))
-    ab[2] = R[1] + lam * (a * a + b * b + c * c)
-    ab[1, 1:] = R[0, 1:] + lam * (b[:-1] * a[1:] + c[:-1] * b[1:])
-    ab[0, 2:] = lam * c[:-2] * a[2:]
+    ab[2] = R[1] + lam * (a * aw + b * bw + c * cw)
+    ab[1, 1:] = R[0, 1:] + lam * (b[:-1] * aw[1:] + c[:-1] * bw[1:])
+    ab[0, 2:] = lam * c[:-2] * aw[2:]
     gamma = solveh_banded(ab, a * y[:-2] + b * y[1:-1] + c * y[2:],
                           check_finite=False)
-    g = y - lam * _q_times(q, gamma)
+    g = y - lam * _q_times(qw, gamma)
     m = np.concatenate([[0.0], gamma, [0.0]])
     h = np.diff(x)
     coeffs = np.empty((4, len(h)))
@@ -224,29 +229,32 @@ def _solve_spline(x, q, R, y, lam):
     return PPoly.construct_fast(coeffs, x), g
 
 
-def _detrend(x, y):
-    """y minus its least-squares line in x, which the penalty leaves free."""
-    xc, yc = x - x.mean(), y - y.mean()
-    return yc - xc * ((xc @ yc) / (xc @ xc))
+def _detrend(x, y, w):
+    """y minus its least-squares line in x, weighted by w, which the penalty
+    leaves free."""
+    xc, yc = (v - np.sum(w * v) / np.sum(w) for v in (x, y))
+    wxc = w * xc
+    return yc - xc * ((wxc @ yc) / (wxc @ xc))
 
 
-def _gcv_lambda(q, R, r):
-    """The lambda that minimizes GCV, from the eigenbasis of the penalty
-    K = Q R^-1 Q^T (see the module docstring), and the residual sum of
-    squares that the eigenbasis predicts for the fit at that lambda.
+def _gcv_scores(q, R, r, w, scatter):
+    """GCV as a function of log10 lambda, and the weighted residual sum of
+    squares at the knots that the eigenbasis predicts, from one eigensolve
+    of the weighted penalty K~ (see the module docstring): w holds the
+    knots' weights and `scatter` the sum of squares within them.
 
-    r is the data less its least-squares line (`_detrend`). The line lies in
-    K's null space, so this changes no exact score; but z = U^T y would carry
-    the data's mean level of some 16 mag, through the rounding of U, into the
-    components that GCV weighs. At near-duplicate phases, where K's largest
-    eigenvalues reach 1e18, that leak made one curve's score 130 times too
-    large at lambda = 1e-5, and moved its GCV lambda by 0.7 dex."""
-    n = len(r)
-    Qt = _q_times(q, np.eye(n - 2)).T
-    kappa, U = np.linalg.eigh(_q_times(q, solveh_banded(R, Qt,
-                                                        check_finite=False)))
+    r is the knot means less their weighted least-squares line (`_detrend`),
+    which lies in K's null space: scored on y itself, the mean level of some
+    16 mag leaked through the rounding of U into the components GCV weighs."""
+    n, m = np.sum(w), len(w)
+    sw = np.sqrt(w)
+    a, b, c = q
+    qs = (a / sw[:-2], b / sw[1:-1], c / sw[2:])   # W^-1/2 Q
+    Qt = _q_times(qs, np.eye(m - 2)).T
+    kappa, U = np.linalg.eigh(_q_times(qs, solveh_banded(R, Qt,
+                                                         check_finite=False)))
     kappa = np.maximum(kappa, 0.0)   # the penalty is positive semi-definite
-    z2 = (U.T @ r) ** 2
+    z2 = (U.T @ (sw * r)) ** 2
 
     def shrinkage(log_lam):
         a = np.multiply.outer(10.0 ** np.asarray(log_lam), kappa)
@@ -254,25 +262,32 @@ def _gcv_lambda(q, R, r):
 
     def gcv(log_lam):
         a = shrinkage(log_lam)
-        return n * ((a * a) @ z2) / a.sum(axis=-1) ** 2
+        return n * (scatter + (a * a) @ z2) / (n - m + a.sum(axis=-1)) ** 2
 
-    grid = _LOG_LAMBDA_GRID + math.log10(n)
+    return gcv, lambda log_lam: shrinkage(log_lam) ** 2 @ z2
+
+
+def _gcv_lambda(q, R, r, w, scatter):
+    """The lambda minimizing `_gcv_scores`' GCV, and its fit's predicted rss."""
+    gcv, rss = _gcv_scores(q, R, r, w, scatter)
+    grid = _LOG_LAMBDA_GRID + math.log10(np.sum(w))
     scores = gcv(grid)
     k = int(np.argmin(scores))
     best = minimize_scalar(gcv, bounds=(grid[max(k - 1, 0)],
                                         grid[min(k + 1, len(grid) - 1)]),
                            method="bounded")
     log_lam = best.x if best.fun < scores[k] else grid[k]
-    return float(10.0 ** log_lam), float(shrinkage(log_lam) ** 2 @ z2)
+    return float(10.0 ** log_lam), float(rss(log_lam))
 
 
-def _check_gcv_fit(y, g, r, lam, rss_predicted):
+def _check_gcv_fit(y, g, r, w, lam, rss_predicted):
     """Raise LinAlgError unless the fit at the GCV lambda is one the exact
-    smoothing spline could be: no worse than the least-squares line, which
-    the penalty leaves free (r is y less that line), and in agreement with
-    the eigenbasis. The spline takes the fitted values g at the knots."""
-    rss = float(np.sum((y - g) ** 2))
-    rss_line = float(r @ r)
+    smoothing spline could be: no worse than the weighted least-squares
+    line, which the penalty leaves free (r is y less that line), and in
+    agreement with the eigenbasis. The spline takes the fitted values g at
+    the knots, whose means are y and weights w."""
+    rss = float(np.sum(w * (y - g) ** 2))
+    rss_line = float((w * r) @ r)
     if not (rss <= (1.0 + _GCV_RSS_RTOL) * rss_line
             and abs(rss - rss_predicted) <= _GCV_RSS_RTOL * rss_predicted):
         raise LinAlgError(
@@ -285,42 +300,39 @@ def fit_smoothing_spline(curve: PhasedCurve, config: PreprocessConfig = Preproce
     """Fit a cubic smoothing spline minimizing squared residuals plus a
     curvature penalty weighted by lambda.
 
-    The first and last phase points are duplicated at phase +/- 1 so the fit
-    behaves sensibly at the period boundary. lambda is either fixed or chosen
-    per curve by generalized cross-validation, and either way the fit is
-    solved in Reinsch's form (see the module docstring). At small lambda it
-    agrees with `make_smoothing_spline` to within 1e-6 mag, and at large
-    lambda it tends to the least-squares line. A GCV fit is checked, and
-    near-duplicate phases that leave its eigenbasis numerically unreliable
-    raise `SingularFit`.
+    Phases closer than _MERGE_GAP make one weighted knot (`_merge_knots`),
+    and three knots are wrapped in from each end by one period so the fit
+    behaves sensibly at the period boundary. lambda is either fixed or
+    chosen per curve by generalized cross-validation, and either way the fit
+    is solved in Reinsch's form (see the module docstring). A GCV fit is
+    checked, and one that its eigenbasis leaves numerically unreliable
+    raises `SingularFit`. `residual_rms` is taken over the observations.
     """
-    x, y = _dedupe(curve.phases, curve.mags)
+    x, y, w, scatter = _merge_knots(curve.phases, curve.mags)
     if len(x) < 4:
         raise InsufficientPoints(
             f"curve {curve.source_id}: {len(x)} distinct phases, a cubic "
             f"spline needs >= 4")
-    # wrap boundary points for a roughly periodic fit
-    n_wrap = min(3, len(x))
-    xe = np.concatenate([x[-n_wrap:] - 1.0, x, x[:n_wrap] + 1.0])
-    ye = np.concatenate([y[-n_wrap:], y, y[:n_wrap]])
-    if not np.all(np.diff(xe) > 0):
-        raise SingularFit(f"curve {curve.source_id}: distinct phases "
-                          f"collapse when wrapped by one period")
+    # wrap boundary knots for a roughly periodic fit
+    xe = np.concatenate([x[-3:] - 1.0, x, x[:3] + 1.0])
+    ye, we, se = (np.concatenate([v[-3:], v, v[:3]]) for v in (y, w, scatter))
     try:
         q, R = _second_differences(xe)
         if config.lambda_strategy == "gcv":
-            r = _detrend(xe, ye)
-            lam, rss_predicted = _gcv_lambda(q, R, r)
-            spline, g = _solve_spline(xe, q, R, ye, lam)
-            _check_gcv_fit(ye, g, r, lam, rss_predicted)
+            r = _detrend(xe, ye, we)
+            lam, rss_predicted = _gcv_lambda(q, R, r, we, np.sum(se))
+            spline, g = _solve_spline(xe, q, R, ye, we, lam)
+            _check_gcv_fit(ye, g, r, we, lam, rss_predicted)
         else:
             lam = config.lam
-            spline, g = _solve_spline(xe, q, R, ye, lam)
+            spline, g = _solve_spline(xe, q, R, ye, we, lam)
     except LinAlgError as exc:
         raise SingularFit(f"curve {curve.source_id}: {exc}") from exc
-    resid = y - g[n_wrap:n_wrap + len(x)]   # the spline takes g at its knots
+    # each observation's residual: about its knot's mean, and that mean
+    # about the spline, which takes g at its knots
+    rss = np.sum(scatter) + np.sum(w * (y - g[3:-3]) ** 2)
     return SplineFit(spline=spline, lam=lam,
-                     residual_rms=float(np.sqrt(np.mean(resid ** 2))))
+                     residual_rms=float(np.sqrt(rss / len(curve))))
 
 
 def resample(fit: SplineFit, length: int):
@@ -336,10 +348,9 @@ def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig(
     and the spline fit of each star: ({variant: ArrayDataset}, fits), rows
     in input order, `meta` empty.
 
-    Each curve is folded at `epoch_max` (at the brightest observation when
-    that is unknown), then aligned, which folds it again at the brightest
-    observation: so `epoch_max` changes the arrays by rounding only. Each
-    star's spline is fitted at most once.
+    Each curve is folded once, at its brightest observation (the first in
+    time order on ties), which so sits at phase 0; `epoch_max` is not read.
+    Each star's spline is fitted at most once.
     The channels are (magnitude, phase times period) per step. RAW_PADDED:
     the observations, magnitude minus the curve mean, padded to the longest
     curve with PAD_VALUE and mask False. SPLINE_NO_MEAN: the spline on
@@ -348,11 +359,8 @@ def build_datasets(pairs, variants, config: PreprocessConfig = PreprocessConfig(
     for, and is empty otherwise. A star whose fit fails is left out of both
     spline variants; its record has no lambda or residual, and the error.
     """
-    curves = []
-    for star, lc in pairs:
-        epoch_max = star.epoch_max if star.epoch_max is not None else (
-            lc.times[int(np.argmin(lc.mags))] if len(lc) else 0.0)
-        curves.append(align_to_maximum(phase_fold(lc, star.period, epoch_max)))
+    curves = [phase_fold(lc, star.period, lc.times[int(np.argmin(lc.mags))])
+              for star, lc in pairs]
     stars = [star for star, _ in pairs]
     built = {}
     if Variant.RAW_PADDED in variants:

@@ -113,7 +113,7 @@ def test_04_preprocessing_invariants():
     xw, yw = wrapped(curve)
     assert np.sum((yw - line.spline(xw)) ** 2) <= (1 + 1e-9) * line_rss(xw, yw)
 
-    star = StarRecord(0, 1, period, 0.8, 60, -1.3, 0.2, epoch_max=epoch_max)
+    star = StarRecord(0, 1, period, 0.8, 60, -1.3, 0.2)
     ds = build_datasets([(star, lc)], [Variant.FULL])[0][Variant.FULL]
     assert abs(ds.values[0, :, 0].mean()) < 1e-9
 

@@ -146,7 +146,7 @@ def test_curves_roundtrip(tmp_path):
         assert rec2.source_id == rec.source_id
         assert rec2.period == rec.period
         assert rec2.feh == rec.feh
-        assert rec2.epoch_max == rec.epoch_max
+        assert rec2.epoch_max is None   # set by the generator, not stored
         np.testing.assert_array_equal(lc2.times, lc.times)
         np.testing.assert_array_equal(lc2.mags, lc.mags)
 
@@ -189,7 +189,6 @@ def _set(name, row, value):
 CURVE_TAMPERS = {
     "empty_curve": (_empty_second_curve, "a star with no observations"),
     "zero_period": (_set("periods", 2, 0.0), "a period that"),
-    "infinite_epoch_max": (_set("epoch_max", 0, np.inf), "an infinite epoch_max"),
     "nan_magnitude": (_set("mags", 3, np.nan), "a magnitude that"),
     "nan_time": (_set("times", 5, np.nan), "a time that"),
     "string_periods": (as_dtype("periods", str), "member periods is <U"),
@@ -218,12 +217,16 @@ def test_curves_values_ingest_never_writes_rejected(tmp_path, case):
 
 
 def test_curves_unknown_epoch_max_loads(tmp_path):
+    # the older format also stored each star's epoch_max, NaN when unknown:
+    # such a container loads as the same container without that member
+    # does, whatever the member holds
     pairs, _ = make_corpus(4, seed=2)
-    path = tmp_path / "curves.zip"
-    write_tampered_curves(path, pairs, _set("epoch_max", 1, np.nan))
-    loaded, _ = load_curves(path)
-    assert loaded[1][0].epoch_max is None
-    assert loaded[0][0].epoch_max == pairs[0][0].epoch_max
+    write_tampered_curves(tmp_path / "old.zip", pairs, lambda arrays: arrays.update(
+        epoch_max=np.array([1.5, np.nan, np.inf, -np.inf])))
+    save_curves(tmp_path / "new.zip", pairs)
+    old, new = (load_curves(tmp_path / name)[0] for name in ("old.zip", "new.zip"))
+    assert [rec for rec, _ in old] == [rec for rec, _ in new]
+    assert all(rec.epoch_max is None for rec, _ in old)
 
 
 def test_weights_misaligned_rows_rejected(tmp_path):
