@@ -165,23 +165,25 @@ def save_snapshot(path, model, meta=None):
 
 
 def load_snapshot(path):
-    """(model, meta) of the snapshot at `path`: the model its spec builds,
-    holding its state arrays, and the `meta` it was saved with.
-    IntegrityError unless every member is float64, the spec parses and
-    matches its hash, and the state arrays are exactly the model's state
-    names and shapes."""
+    """(model, meta) of the snapshot at `path`: the model its spec builds in
+    the dtype of its state, holding its state arrays, and the `meta` it was
+    saved with. IntegrityError unless the members are all float32 or all
+    float64, the spec parses and matches its hash, and the state arrays are
+    exactly the model's state names and shapes."""
     from .zoo import ModelSpec, build
 
     manifest, arrays = read_container(path, "snapshot")
-    for name, arr in arrays.items():
-        if arr.dtype != np.float64:
-            raise IntegrityError(f"{path}: snapshot member {name} is "
-                                 f"{arr.dtype}, not float64")
+    dtypes = {arr.dtype for arr in arrays.values()}
+    if len(dtypes) != 1 or dtypes - {np.dtype(np.float32), np.dtype(np.float64)}:
+        raise IntegrityError(f"{path}: snapshot state is "
+                             f"{sorted(map(str, dtypes))}, not all float32 "
+                             f"or all float64")
     try:
         spec = ModelSpec.from_json(manifest["spec"])
         if spec.spec_hash() != manifest["spec_hash"]:
             raise IntegrityError(f"{path}: spec hash mismatch")
-        model = build(spec, tuple(manifest["input_shape"]), seed=0)
+        model = build(spec, tuple(manifest["input_shape"]), seed=0,
+                      dtype=dtypes.pop())
         model.set_state({name.removeprefix("state/"): arr
                          for name, arr in arrays.items()})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:

@@ -196,8 +196,11 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
     parameters. It stops after patience + 1 epochs in a row without a new
     best, one later than Keras' EarlyStopping, which stops after `patience`.
     The best epoch's predictions on both sides are returned with the model;
-    they are bit-identical to predicting with it again. Raises
-    `DivergedLoss` on a non-finite loss.
+    they are bit-identical to predicting with it again. The model computes
+    in float32, `zoo.build`'s default; the loss, the loss curves and the
+    predictions returned are float64, and `Model.backward` casts the loss
+    gradient to the model's dtype. Raises `DivergedLoss` on a non-finite
+    loss.
     """
     Xtr, mtr, ytr, wtr = train_data
     Xval, mval, yval, wval = val_data

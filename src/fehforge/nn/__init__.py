@@ -1,7 +1,9 @@
 """From-scratch differentiable layers, losses and the Adam optimizer.
 
-All math is double precision; every layer implements an exact backward pass
-verified against central finite differences in the test suite.
+A layer computes in its parameters' dtype: float32 as `zoo.build` makes a
+model, float64 as a layer is constructed. Every layer implements an exact
+backward pass, verified against central finite differences in float64 in
+the test suite.
 """
 from .layers import (BatchNorm1D, Conv1D, Dense, Dropout, GlobalAveragePool,
                      Layer, MaxPool1D, ReLU)

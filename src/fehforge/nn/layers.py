@@ -1,7 +1,10 @@
 """Feed-forward building blocks with exact backprop.
 
 Conventions:
-  - sequence tensors are (batch, timesteps, channels), float64
+  - sequence tensors are (batch, timesteps, channels); a layer computes in
+    its parameters' dtype (`astype` sets it; float64 as built), and a
+    parameter-free layer in its input's: every array it allocates takes
+    that dtype, so nothing is silently upcast
   - masks are boolean (batch, timesteps); True marks a valid step
   - a layer instance must not be used concurrently from multiple threads
 
@@ -47,6 +50,16 @@ class Layer:
 
     def children(self):
         return []
+
+    def astype(self, dtype):
+        """Cast the parameters and gradients of this layer and its children
+        to `dtype`, in place (no copy where they have it already); self."""
+        for arrays in (self.params, self.grads):
+            for key, arr in arrays.items():
+                arrays[key] = arr.astype(dtype, copy=False)
+        for _, child in self.children():
+            child.astype(dtype)
+        return self
 
     def param_count(self):
         n = sum(int(np.prod(p.shape)) for p in self.params.values())
@@ -140,7 +153,7 @@ class Conv1D(Layer):
             self.grads["W"] += (src.T @ flat_dy).reshape(W.shape)
             if k == 1:
                 return dy @ W[0].T
-            dxp = np.zeros((len(dy), T + k - 1, cin))
+            dxp = np.zeros((len(dy), T + k - 1, cin), dtype=dy.dtype)
         else:
             dxp = np.zeros_like(src)
             for j in range(k):
@@ -170,6 +183,11 @@ class BatchNorm1D(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
+
+    def astype(self, dtype):
+        self.running_mean = self.running_mean.astype(dtype, copy=False)
+        self.running_var = self.running_var.astype(dtype, copy=False)
+        return super().astype(dtype)
 
     def forward(self, x, mask=None, training=False):
         scale, shift = self.params["gamma"], self.params["beta"]
@@ -240,8 +258,10 @@ class Dropout(Layer):
         if not training or self.rate == 0.0:
             self._cache = 1.0 if training else None
             return x
-        # the mask is drawn in C order whatever x's layout; the scale and
-        # the output take x's (a recurrent layer hands on a time-major view)
+        # the mask is drawn in C order whatever x's layout, and in float64
+        # whatever x's dtype, so a float32 model drops what a float64 one
+        # does; the scale and the output take x's (a recurrent layer hands
+        # on a time-major view)
         if mask is None:
             keep = self.rng.random(x.shape) >= self.rate
         else:
@@ -290,11 +310,11 @@ class MaxPool1D(Layer):
         t_out, pl, pr = self._windows(T)
         xp = x
         if pl + pr or mask is not None:
-            xp = np.full((B, pl + T + pr, C), -np.inf)
+            xp = np.full((B, pl + T + pr, C), -np.inf, dtype=x.dtype)
             xp[:, pl:pl + T] = x
             if mask is not None:
                 xp[:, pl:pl + T][~mask] = -np.inf
-        best = np.full((B, t_out, C), -np.inf)
+        best = np.full((B, t_out, C), -np.inf, dtype=x.dtype)
         argj = np.zeros((B, t_out, C), dtype=np.int8) if training else None
         for j in range(w):
             cand = xp[:, j:j + s * t_out:s]
@@ -308,7 +328,7 @@ class MaxPool1D(Layer):
     def backward(self, dy):
         argj, xp_shape, pl, T = self._saved()
         s, t_out = self.stride, dy.shape[1]
-        dxp = np.zeros(xp_shape)
+        dxp = np.zeros(xp_shape, dtype=dy.dtype)
         for j in range(self.pool_size):
             dxp[:, j:j + s * t_out:s] += dy * (argj == j)
         return dxp[:, pl:pl + T]
@@ -318,7 +338,7 @@ class GlobalAveragePool(Layer):
     """Average over valid timesteps: (B, T, C) -> (B, C)."""
 
     def forward(self, x, mask=None, training=False):
-        m = None if mask is None else mask.astype(np.float64)[:, :, None]
+        m = None if mask is None else mask.astype(x.dtype)[:, :, None]
         count = float(x.shape[1]) if m is None else m.sum(axis=1)  # (B, 1)
         self._cache = (m, count, x.shape) if training else None
         return (x if m is None else x * m).sum(axis=1) / count

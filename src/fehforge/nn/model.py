@@ -108,29 +108,34 @@ def iter_leaves(layer, prefix=""):
 
 class Model:
     """Top-level wrapper: a root layer plus bookkeeping for optimization,
-    regularization, dropout seeding and parameter snapshots."""
+    regularization, dropout seeding and parameter snapshots. It casts the
+    root's state to `dtype`, and each input and output gradient to it."""
 
-    def __init__(self, root, input_shape=None, spec=None):
-        self.root = root
+    def __init__(self, root, input_shape=None, spec=None, dtype=np.float64):
+        self.root = root.astype(dtype)
         self.input_shape = input_shape
         self.spec = spec
+        self.dtype = np.dtype(dtype)
         self._mask = None
 
     def forward(self, x, mask=None, training=False):
-        """The root layer's output. Padded steps (mask False) are zeroed
-        first, so no layer reads the padding value; a mask with no padded
-        step is dropped, so the unpadded path does no masked work."""
+        """The root layer's output, in the model's dtype. `x` is cast to it
+        once and its padded steps (mask False) zeroed first, so no layer
+        reads the padding value; a mask with no padded step is dropped, so
+        the unpadded path does no masked work."""
         if mask is not None and mask.all():
             mask = None
         self._mask = mask if training else None
         return self.root.forward(
-            _zero_padded(np.asarray(x, dtype=np.float64), mask),
+            _zero_padded(np.asarray(x, dtype=self.dtype), mask),
             mask=mask, training=training)
 
     def backward(self, dy):
-        """The input gradient, 0 at padded steps: no output depends on
-        them, since `forward` replaced them by 0."""
-        return _zero_padded(self.root.backward(dy), self._mask)
+        """The input gradient of `dy`, cast to the model's dtype; 0 at
+        padded steps: no output depends on them, since `forward` replaced
+        them by 0."""
+        return _zero_padded(
+            self.root.backward(np.asarray(dy, dtype=self.dtype)), self._mask)
 
     def named_params(self):
         for path, leaf in iter_leaves(self.root):
@@ -178,14 +183,15 @@ class Model:
 
     def set_state(self, state):
         """Copy in the arrays `get_state` names: KeyError for one missing,
-        ValueError for one of another shape or a name the model does not
-        use."""
+        ValueError for one of another shape or dtype or a name the model
+        does not use."""
         live = dict(self._state())
         unknown = sorted(state.keys() - live.keys())
         if unknown:
             raise ValueError(f"state {unknown} is not the model's")
         for name, arr in live.items():
-            if np.shape(state[name]) != arr.shape:
-                raise ValueError(f"state {name} has shape "
-                                 f"{np.shape(state[name])}, not {arr.shape}")
-            arr[...] = state[name]
+            new = np.asarray(state[name])
+            if new.shape != arr.shape or new.dtype != arr.dtype:
+                raise ValueError(f"state {name} has shape {new.shape} and "
+                                 f"dtype {new.dtype}, not {arr.shape} {arr.dtype}")
+            arr[...] = new

@@ -112,9 +112,9 @@ class _Recurrent(Layer):
         B, T, _ = x.shape
         pad = _padded_steps(mask, B, T)
         xt, Xp = _project(x, W, self.params[self.in_bias])
-        S = np.empty((self.states, T + 1, B, self.units))
+        S = np.empty((self.states, T + 1, B, self.units), dtype=W.dtype)
         S[:, 0] = 0.0
-        work = self._begin(T, B)
+        work = self._begin(T, B, W.dtype)
         for t in range(T):
             self._step(t, Xp[t], S[:, t], S[:, t + 1], work)
             if pad is not None:
@@ -126,13 +126,13 @@ class _Recurrent(Layer):
     def _loop_back(self, dy):
         xt, S, work, pad = self._saved()
         T, B, n = S.shape[1] - 1, S.shape[2], self.units
-        dS = np.zeros((self.states, B, n))    # state gradients after step t
-        dS_prev = np.empty_like(dS)           # and before it
+        dS = np.zeros((self.states, B, n), S.dtype)   # state gradients after step t
+        dS_prev = np.empty_like(dS)                   # and before it
         if self.return_sequences:
             dyt = dy.transpose(1, 0, 2)
         else:
             dS[0] = dy
-        dwork = self._grad_buffers(T, B)
+        dwork = self._grad_buffers(T, B, S.dtype)
         for t in range(T - 1, -1, -1):
             if self.return_sequences:
                 dS[0] += dyt[t]
@@ -152,12 +152,12 @@ class GRU(_Recurrent):
     def _biases(self, n):
         return {"b_in": np.zeros(3 * n), "b_rec": np.zeros(3 * n)}
 
-    def _begin(self, T, B):
+    def _begin(self, T, B, dtype):
         n = self.units
-        return (np.empty((T, B, 2 * n)),    # update and reset gates
-                np.empty((T, B, n)),        # candidate state
-                np.empty((T, B, n)),        # h Uh + bh_rec
-                np.empty((B, 3 * n)))       # h U + b_rec of the current step
+        return (np.empty((T, B, 2 * n), dtype),    # update and reset gates
+                np.empty((T, B, n), dtype),        # candidate state
+                np.empty((T, B, n), dtype),        # h Uh + bh_rec
+                np.empty((B, 3 * n), dtype))       # h U + b_rec of the current step
 
     def _step(self, t, xp, s, s_new, work):
         ZR, HH, HPh, hp = work
@@ -176,10 +176,10 @@ class GRU(_Recurrent):
         h_new *= zr[:, :n]
         h_new += hh
 
-    def _grad_buffers(self, T, B):
+    def _grad_buffers(self, T, B, dtype):
         n = self.units
-        return (np.empty((T, B, 3 * n)),    # gradient at h U + b_rec
-                np.empty((T, B, n)))        # at the candidate's pre-activation
+        return (np.empty((T, B, 3 * n), dtype),    # gradient at h U + b_rec
+                np.empty((T, B, n), dtype))        # at the candidate's pre-activation
 
     def _step_back(self, t, S, work, dwork, d_in, d_out):
         ZR, HH, HPh, _ = work
@@ -225,15 +225,15 @@ class LSTM(_Recurrent):
     def _biases(self, n):
         return {"b": np.repeat([0.0, 1.0, 0.0, 0.0], n)}    # forget gate at one
 
-    def _begin(self, T, B):
+    def _begin(self, T, B, dtype):
         n = self.units
         # sigmoid(a) = 0.5 * tanh(a / 2) + 0.5, so one tanh serves all four
         # gates: the i, f and o blocks are scaled by 1/2 around it, g by 1
-        scale = np.full(4 * n, 0.5)
+        scale = np.full(4 * n, 0.5, dtype)
         scale[2 * n:3 * n] = 1.0
-        return (np.empty((T, B, 4 * n)),    # gate activations i, f, g, o
-                np.empty((T, B, n)),        # tanh of the updated cell
-                np.empty((B, 4 * n)), scale, 1.0 - scale)
+        return (np.empty((T, B, 4 * n), dtype),    # gate activations i, f, g, o
+                np.empty((T, B, n), dtype),        # tanh of the updated cell
+                np.empty((B, 4 * n), dtype), scale, 1.0 - scale)
 
     def _step(self, t, xp, s, s_new, work):
         A, TC, a, scale, shift = work
@@ -250,8 +250,8 @@ class LSTM(_Recurrent):
         np.tanh(c, out=TC[t])
         np.multiply(gates[:, 3 * n:], TC[t], out=s_new[0])
 
-    def _grad_buffers(self, T, B):
-        return np.empty((T, B, 4 * self.units))   # at the gate pre-activations
+    def _grad_buffers(self, T, B, dtype):
+        return np.empty((T, B, 4 * self.units), dtype)   # at the gate pre-activations
 
     def _step_back(self, t, S, work, dA, d_in, d_out):
         n = self.units

@@ -173,8 +173,11 @@ _CONV = {"fcn": lambda opts, rng, ch: _conv_stack(opts["filters"],
          "resnet": _resnet, "inception": _inception}
 
 
-def build(spec: ModelSpec, input_shape, seed=0) -> Model:
-    """Materialize a spec into a model; deterministic for a fixed seed."""
+def build(spec: ModelSpec, input_shape, seed=0, dtype=np.float32) -> Model:
+    """Materialize a spec into a model; deterministic for a fixed seed. The
+    parameters are drawn in float64 from the seed's stream, then cast to
+    `dtype`: float32 by default, as Keras computes; np.float64 keeps them
+    as drawn."""
     _, ch = input_shape
     rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFF, 0x1417]))
     kind, opts = spec.kind, spec.options
@@ -189,7 +192,8 @@ def build(spec: ModelSpec, input_shape, seed=0) -> Model:
         layers += _recurrent_head(kind, opts, rng, ch)
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    model = Model(Sequential(layers), input_shape=tuple(input_shape), spec=spec)
+    model = Model(Sequential(layers), input_shape=tuple(input_shape), spec=spec,
+                  dtype=dtype)
     model.seed_dropout(seed)
     return model
 

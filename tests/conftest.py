@@ -33,12 +33,13 @@ def numeric_model_grads(model, X, mask, y, w, entries, h=1e-6):
 
 def check_model_gradients(spec, input_shape, seed=0, batch=3,
                           per_param=3, h=1e-6, tol=1e-4):
-    """Build the model, backprop once, and compare against central
-    differences on a few entries of every parameter array.
+    """Build the model in float64, backprop once, and compare against
+    central differences on a few entries of every parameter array: h and
+    tol are set for float64 arithmetic.
 
     Returns the worst relative error observed.
     """
-    model = build(spec, input_shape, seed=seed)
+    model = build(spec, input_shape, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 99)
     L, C = input_shape
     X = rng.normal(size=(batch, L, C))

@@ -233,19 +233,36 @@ def test_cv_matrix_writes_each_cell(workspace, tmp_path):
 
 
 def test_loss_curve_csvs_hold_numbers(workspace, tmp_path):
-    # every cell of a cv and a train loss-curve CSV parses as a number
+    # every cell of a cv and a train loss-curve CSV parses as a number, and
+    # no CSV that cv, train or predict writes holds a numpy scalar's repr
+    # (such as np.float32(...)) where a plain number belongs
     work = str(tmp_path / "work")
     shutil.copytree(workspace, work)
     args = ["--output", work, "--model", "gru", "--variant", "full",
             "--epochs", "2", "--batch-size", "16"]
     assert main(["cv", *args, "--folds", "2", "--repeats", "1"]) == 0
     assert main(["train", *args]) == 0
+    assert main(["predict", "--output", work, "--snapshot",
+                 os.path.join(work, "snapshots", "gru_full.zip"), "--input",
+                 os.path.join(work, "datasets", "full_validation.zip")]) == 0
     for name in ("cv_loss_gru_full.csv", "loss_gru_full.csv"):
         with open(os.path.join(work, "plots", name)) as fh:
             header, *rows = csv.reader(fh)
         assert header[-2:] == ["train_loss", "val_loss"] and rows
         for row in rows:
             assert all(np.isfinite(float(cell)) for cell in row)
+    written = {f"{d}/{f}" for d in ("reports", "plots")
+               for f in os.listdir(os.path.join(work, d))}
+    assert written >= {"reports/cv_gru_full.csv", "reports/train_gru_full.csv",
+                       "reports/predictions.csv", "plots/cv_loss_gru_full.csv",
+                       "plots/loss_gru_full.csv", "plots/pred_vs_true_gru_full.csv"}
+    for path in (os.path.join(work, name) for name in written):
+        with open(path) as fh:
+            header, *rows = csv.reader(fh)
+        numbers = [cell for row in rows for col, cell in zip(header, row)
+                   if col not in ("model", "variant", "metric", "phase")]
+        assert numbers and all(np.isfinite(float(cell)) for cell in numbers
+                               if cell), path
 
 
 def test_exit_code_missing_input(tmp_path):
@@ -386,8 +403,9 @@ def _extra_state(ds, meta, state):
 
 
 def _state_as_dtype(dtype):
+    # every member, but only one of the float64 snapshot for float32
     def tamper(ds, meta, state):
-        for name in state:
+        for name in [min(state)] if dtype is np.float32 else list(state):
             state[name] = state[name].astype(dtype)
     return tamper
 
@@ -418,7 +436,8 @@ def test_exit_code_predict_broken_input(workspace, tmp_path, capsys, tamper):
     arrays = {name: getattr(ds, name)
               for name in ("source_ids", "values", "mask", "targets")}
     snap = tmp_path / "snap.zip"
-    save_snapshot(snap, build(build_default("fcn"), (ds.length, 2), seed=0))
+    save_snapshot(snap, build(build_default("fcn"), (ds.length, 2), seed=0,
+                              dtype=np.float64))
     meta, state = read_container(snap, "snapshot")
     tamper(arrays, meta, state)
     broken = tmp_path / "broken.zip"

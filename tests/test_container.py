@@ -83,29 +83,45 @@ def test_dataset_manifest_without_variant_rejected(tmp_path, dataset):
         load_dataset(path)
 
 
-def test_snapshot_roundtrip_preserves_predictions(tmp_path):
-    model = build(build_default("gru"), (20, 2), seed=3)
+def _check_snapshot_roundtrip(tmp_path, dtype):
+    """A `dtype` model saved and loaded is a `dtype` model of the same state
+    that predicts bit for bit as the one saved."""
+    model = build(build_default("gru"), (20, 2), seed=3, dtype=dtype)
     x = np.random.default_rng(0).normal(size=(4, 20, 2))
     before = model.forward(x, training=False).copy()
     path = tmp_path / "snap.zip"
     save_snapshot(path, model, {"variant": "full"})
     restored, meta = load_snapshot(path)
-    np.testing.assert_array_equal(restored.forward(x, training=False), before)
+    after = restored.forward(x, training=False)
+    assert restored.dtype == after.dtype == before.dtype == dtype
+    assert after.tobytes() == before.tobytes()
     assert restored.input_shape == (20, 2)
     assert meta == {"variant": "full"}
     _, arrays = read_container(path, "snapshot")
     assert set(arrays) == {f"state/{name}" for name in model.get_state()}
+    assert {arr.dtype for arr in arrays.values()} == {np.dtype(dtype)}
+
+
+def test_snapshot_roundtrip_preserves_predictions(tmp_path):
+    _check_snapshot_roundtrip(tmp_path, np.float32)
+
+
+def test_float64_snapshot_loads_as_float64_and_predicts_bit_identically(tmp_path):
+    # as every snapshot written before models computed in float32
+    _check_snapshot_roundtrip(tmp_path, np.float64)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float32, str])
 def test_snapshot_state_of_another_dtype_rejected(tmp_path, dtype):
+    # int64 or str state, or one float32 member in float64 state
     path = tmp_path / "snap.zip"
-    save_snapshot(path, build(build_default("gru"), (20, 2), seed=3))
+    save_snapshot(path, build(build_default("gru"), (20, 2), seed=3,
+                              dtype=np.float64))
     meta, arrays = read_container(path, "snapshot")
-    write_container(path, "snapshot",
-                    {name: arr.astype(dtype) for name, arr in arrays.items()},
-                    meta)
-    with pytest.raises(IntegrityError, match="not float64"):
+    for name in [min(arrays)] if dtype is np.float32 else list(arrays):
+        arrays[name] = arrays[name].astype(dtype)
+    write_container(path, "snapshot", arrays, meta)
+    with pytest.raises(IntegrityError, match="not all float32 or all float64"):
         load_snapshot(path)
 
 

@@ -398,45 +398,60 @@ ZOO_CONVS = [(2, 128, 8), (128, 256, 5), (256, 128, 3), (2, 64, 8), (64, 64, 5),
 
 
 def _agree(a, b):
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+    """`a`, computed in its own dtype, against the float64 reference `b`: to
+    1e-12 in float64; in float32, to 1e-5 of b's largest magnitude."""
+    atol = 1e-12 if a.dtype == np.float64 else 1e-5 * np.abs(b).max()
+    np.testing.assert_allclose(a, b, rtol=0, atol=atol)
 
 
-def _compare(lean, ref, x, mask=None):
-    """Forward in both modes and backward: outputs, input gradients,
-    parameter gradients and running statistics must agree."""
+def _compare(lean, ref, x, mask=None, dtype=np.float64):
+    """Forward in both modes and backward, the lean layer cast to `dtype`
+    and fed `dtype` arrays, the reference in float64: outputs, input
+    gradients, parameter gradients and running statistics must agree, and
+    every array of the lean layer must be of `dtype`."""
     rng = np.random.default_rng(1)
+    lean.astype(dtype)
     for layer in (lean, ref):
         if hasattr(layer, "running_mean"):
             layer.running_mean[...] = np.linspace(-0.5, 0.5, layer.running_mean.size)
             layer.running_var[...] = np.linspace(0.5, 2.0, layer.running_var.size)
-    _agree(lean.forward(x, mask=mask), ref.forward(x, mask=mask))
-    y = lean.forward(x, mask=mask, training=True)
-    _agree(y, ref.forward(x, mask=mask, training=True))
+    pairs = [(lean.forward(x.astype(dtype), mask=mask), ref.forward(x, mask=mask))]
+    y = lean.forward(x.astype(dtype), mask=mask, training=True)
+    pairs.append((y, ref.forward(x, mask=mask, training=True)))
     dy = rng.normal(size=y.shape)
-    _agree(lean.backward(dy), ref.backward(dy))
-    for key in lean.grads:
-        _agree(lean.grads[key], ref.grads[key])
+    pairs.append((lean.backward(dy.astype(dtype)), ref.backward(dy)))
+    pairs += [(lean.grads[key], ref.grads[key]) for key in lean.grads]
     if hasattr(lean, "running_mean"):
-        _agree(lean.running_mean, ref.running_mean)
-        _agree(lean.running_var, ref.running_var)
+        pairs += [(lean.running_mean, ref.running_mean),
+                  (lean.running_var, ref.running_var)]
+    for a, b in pairs:
+        assert a.dtype == dtype
+        _agree(a, b)
 
 
 def _pair(cls, ref_cls, *args):
     return cls(*args), ref_cls(*args)
 
 
-@pytest.mark.parametrize("T", [100, 120])
+# each length in float64, under the id it had before float32 was tested,
+# then in float32
+T_AND_DTYPE = ([pytest.param(T, np.float64, id=str(T)) for T in (100, 120)]
+               + [pytest.param(T, np.float32, id=f"{T}-float32") for T in (100, 120)])
+
+
+@pytest.mark.parametrize("T, dtype", T_AND_DTYPE)
 @pytest.mark.parametrize("cin, filters, k", ZOO_CONVS)
-def test_conv1d_matches_reference(cin, filters, k, T):
+def test_conv1d_matches_reference(cin, filters, k, T, dtype):
     lean = Conv1D(cin, filters, k, np.random.default_rng(k))
     ref = RefConv1D(cin, filters, k, np.random.default_rng(k))
     lean.params["b"][...] = ref.params["b"][...] = np.linspace(-1, 1, filters)
-    _compare(lean, ref, np.random.default_rng(T).normal(size=(32, T, cin)))
+    _compare(lean, ref, np.random.default_rng(T).normal(size=(32, T, cin)),
+             dtype=dtype)
 
 
-@pytest.mark.parametrize("T", [100, 120])
+@pytest.mark.parametrize("T, dtype", T_AND_DTYPE)
 @pytest.mark.parametrize("channels", [32, 64, 128, 256])
-def test_batchnorm_relu_pool_match_reference(channels, T):
+def test_batchnorm_relu_pool_match_reference(channels, T, dtype):
     x = np.random.default_rng(T + channels).normal(0.3, 2.0, size=(32, T, channels))
     mask = np.ones((32, T), dtype=bool)
     mask[3, T // 2:] = False
@@ -444,12 +459,12 @@ def test_batchnorm_relu_pool_match_reference(channels, T):
     for layer in (lean, ref):
         layer.params["gamma"][...] = np.linspace(0.5, 1.5, channels)
         layer.params["beta"][...] = np.linspace(-1, 1, channels)
-    _compare(lean, ref, x)
-    _compare(*_pair(ReLU, RefReLU), x)
-    _compare(*_pair(MaxPool1D, RefMaxPool1D, 3, 1, "same"), x)
-    _compare(*_pair(MaxPool1D, RefMaxPool1D, 2, 2), x)
-    _compare(*_pair(GlobalAveragePool, RefGlobalAveragePool), x)
-    _compare(*_pair(GlobalAveragePool, RefGlobalAveragePool), x, mask)
+    _compare(lean, ref, x, dtype=dtype)
+    _compare(*_pair(ReLU, RefReLU), x, dtype=dtype)
+    _compare(*_pair(MaxPool1D, RefMaxPool1D, 3, 1, "same"), x, dtype=dtype)
+    _compare(*_pair(MaxPool1D, RefMaxPool1D, 2, 2), x, dtype=dtype)
+    _compare(*_pair(GlobalAveragePool, RefGlobalAveragePool), x, dtype=dtype)
+    _compare(*_pair(GlobalAveragePool, RefGlobalAveragePool), x, mask, dtype)
 
 
 def test_relu_maps_nan_to_zero():

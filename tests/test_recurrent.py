@@ -215,14 +215,23 @@ def _ref_lstm(p, x, m, dy, return_sequences):
     return out, grads, dXp @ W.T
 
 
-@pytest.mark.parametrize("cls,reference", [(GRU, _ref_gru), (LSTM, _ref_lstm)])
+# each cell in float64, under the id it had before float32 was tested, then
+# in float32
+@pytest.mark.parametrize("cls, reference, dtype", [
+    pytest.param(cls, ref, dtype, id=f"{cls.__name__}-{ref.__name__}{suffix}")
+    for dtype, suffix in ((np.float64, ""), (np.float32, "-float32"))
+    for cls, ref in ((GRU, _ref_gru), (LSTM, _ref_lstm))])
 @pytest.mark.parametrize("return_sequences", [True, False])
 @pytest.mark.parametrize("masked", [True, False])
 def test_time_loop_matches_per_step_reference(rng, cls, reference,
-                                              return_sequences, masked):
+                                              return_sequences, masked, dtype):
+    # the layer in `dtype` against the float64 reference: to 1e-12 in
+    # float64; in float32, to 1e-5 of the reference's largest magnitude
     layer = cls(3, 6, rng, return_sequences=return_sequences)
     for key in layer.params:        # nonzero biases exercise every term
         layer.params[key][...] += rng.normal(scale=0.3, size=layer.params[key].shape)
+    params = {key: p.copy() for key, p in layer.params.items()}
+    layer.astype(dtype)
     x = rng.normal(size=(5, 11, 3))
     mask = np.ones((5, 11), dtype=bool)
     if masked:
@@ -230,17 +239,19 @@ def test_time_loop_matches_per_step_reference(rng, cls, reference,
         mask[3, 2:] = False
         mask[4, 5:9] = False        # a gap, not only a padded tail
         mask[2] = False             # a row with no valid step
-    out = layer.forward(x, mask=mask if masked else None, training=True)
+    out = layer.forward(x.astype(dtype), mask=mask if masked else None,
+                        training=True)
     dy = rng.normal(size=out.shape)
-    dx = layer.backward(dy)
-    ref_out, ref_grads, ref_dx = reference(layer.params, x,
+    dx = layer.backward(dy.astype(dtype))
+    ref_out, ref_grads, ref_dx = reference(params, x,
                                            mask.astype(np.float64)[:, :, None],
                                            dy, return_sequences)
-    np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(dx, ref_dx, rtol=0, atol=1e-12)
-    for key, grad in ref_grads.items():
-        np.testing.assert_allclose(layer.grads[key], grad, rtol=0, atol=1e-12,
-                                   err_msg=key)
+    pairs = [("output", out, ref_out), ("input gradient", dx, ref_dx)]
+    pairs += [(key, layer.grads[key], grad) for key, grad in ref_grads.items()]
+    for name, got, want in pairs:
+        atol = 1e-12 if dtype == np.float64 else 1e-5 * np.abs(want).max()
+        assert got.dtype == dtype, name
+        np.testing.assert_allclose(got, want, rtol=0, atol=atol, err_msg=name)
 
 
 @pytest.mark.parametrize("cls", [GRU, LSTM])

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from fehforge.errors import InvalidConfig
+from fehforge.nn import Adam, weighted_mse
 from fehforge.nn.model import iter_leaves
 from fehforge.zoo import (KINDS, ModelSpec, build, build_default,
                           layer_param_counts)
+from tests.test_acceptance import TINY_SPECS
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -16,6 +18,48 @@ def test_build_forward_shape(kind):
     out = model.forward(x, mask=mask, training=False)
     assert out.shape == (4, 1)
     assert np.all(np.isfinite(out))
+
+
+def _float_arrays(cache):
+    """The float arrays in a layer's cache, through nested tuples."""
+    if isinstance(cache, tuple):
+        for item in cache:
+            yield from _float_arrays(item)
+    elif isinstance(cache, np.ndarray) and cache.dtype.kind == "f":
+        yield cache
+
+
+@pytest.mark.parametrize("kind", list(TINY_SPECS))
+def test_float32_model_stays_float32(kind):
+    # one training step of the default float32 model, on a float64 input
+    # with a padded row and dropout on: no array upcasts to float64
+    model = build(TINY_SPECS[kind].with_overrides(0.2), (16, 2), seed=0)
+    opt = Adam(model)
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(4, 16, 2))
+    mask = np.ones((4, 16), dtype=bool)
+    mask[1, 11:] = False
+    model.zero_grads()
+    pred = model.forward(X, mask=mask, training=True)
+    _, dpred = weighted_mse(pred, rng.normal(size=4), np.ones(4))
+    arrays = {"input gradient": model.backward(dpred.reshape(-1, 1))}
+    # the float arrays each layer keeps for its backward: its work buffers
+    for path, leaf in iter_leaves(model.root):
+        arrays.update({f"{path} cache {i}": arr
+                       for i, arr in enumerate(_float_arrays(leaf._cache))})
+    model.add_reg_grads()
+    opt.step()
+    arrays.update({"training output": pred,
+                   "inference output": model.forward(X, mask=mask)})
+    # parameters and batch-norm running statistics, gradients, moments
+    arrays.update(model.get_state())
+    for name, leaf, key in model.named_params():
+        arrays.update({f"{name} grad": leaf.grads[key],
+                       f"{name} m": opt.m[name], f"{name} v": opt.v[name]})
+    assert any("running_var" in name for name in arrays) == (
+        kind in ("fcn", "resnet", "inception", "convlstm", "convgru"))
+    assert {name: arr.dtype for name, arr in arrays.items()
+            if arr.dtype != np.float32} == {}
 
 
 @pytest.mark.parametrize("kind", ["lstm", "bilstm", "gru", "bigru"])
@@ -116,6 +160,9 @@ def test_state_roundtrip_changes_then_restores():
         model.set_state({k: v for k, v in state.items() if k != "0/0/0.W"})
     with pytest.raises(ValueError, match="has shape"):
         model.set_state(dict(state, **{"0/0/0.W": np.zeros(3)}))
+    # and one of another dtype, which would otherwise be cast silently
+    with pytest.raises(ValueError, match="dtype float64"):
+        model.set_state(dict(state, **{"0/0/0.W": state["0/0/0.W"].astype(np.float64)}))
 
 
 def test_unknown_kind_rejected():
