@@ -314,6 +314,9 @@ def cmd_gridsearch(cfg):
         print(f"grid {tag}: best dropout={best.dropout} "
               f"lr={best.learning_rate} batch={best.batch_size} "
               f"val wrmse {best.val_wrmse:.4f} ({len(failed)} failed cells)")
+    else:
+        print(f"grid {tag}: all {len(failed)} cells failed, see "
+              f"reports/grid_{tag}.csv")
     return 0
 
 

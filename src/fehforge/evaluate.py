@@ -13,8 +13,8 @@ bit-identical whatever the number of cross-validation lanes.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
-import pickle
 import signal
 import threading
 import traceback
@@ -37,6 +37,9 @@ _STREAM_FOLD = 1
 _STREAM_INIT = 2
 _STREAM_DROPOUT = 3
 _STREAM_SHUFFLE = 4
+
+# the fold lanes' processes and pipes; None where there is no os.fork
+_FORK = multiprocessing.get_context("fork") if hasattr(os, "fork") else None
 
 
 def _substream(seed, stream, *indices):
@@ -291,101 +294,86 @@ def _lane_count(threads, jobs):
 
 
 def _run_lane(fit, jobs):
-    """(results, exception): fit(job) for each job in order, up to the first
-    that raises, whose exception is returned (None when none raised)."""
-    results = []
-    for job in jobs:
+    """One outcome per job: fit(job), or the exception it raised; None for
+    each job after the first that raised."""
+    outcomes = [None] * len(jobs)
+    for i, job in enumerate(jobs):
         try:
-            results.append(fit(job))
+            outcomes[i] = fit(job)
         except Exception as exc:
-            return results, exc
-    return results, None
+            outcomes[i] = exc
+            break
+    return outcomes
 
 
-def _fork_lane(fit, jobs):
-    """Forks a child that runs `jobs`; returns (pid, read end of a pipe).
-    The child pickles its `_run_lane` outcome into the pipe once all is in,
-    so a full pipe cannot stall its work while the caller runs its own
-    lane; its exception carries the child's traceback as a note. It never
-    returns into the caller's stack, its finally blocks or its stdout
-    buffer: whatever happens, it ends in os._exit."""
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(wfd)
-        return pid, rfd
-    code = 1
-    try:
-        os.close(rfd)
-        results, exc = _run_lane(fit, jobs)
-        if exc is not None and hasattr(exc, "add_note"):     # Python >= 3.11
+def _child_lane(fit, jobs, writer):
+    """A forked lane's body: sends its `_run_lane` outcomes once all are in,
+    so a full pipe cannot stall its work while the caller runs its own lane.
+    An exception carries the child's traceback as a note. It ignores SIGINT:
+    on Ctrl-C the caller, interrupted, kills it."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    outcomes = _run_lane(fit, jobs)
+    for exc in outcomes:
+        if isinstance(exc, Exception) and hasattr(exc, "add_note"):  # >= 3.11
             exc.add_note("raised in a fold lane:\n"
                          + "".join(traceback.format_exception(exc)))
-        data = pickle.dumps((results, exc), pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(wfd, "wb") as out:
-            out.write(data)
-        code = 0
-    finally:
-        os._exit(code)
+    writer.send(outcomes)
 
 
-def _collect(pid, rfd):
-    """(results, exception, why the lane ended early) of a forked lane, once
-    it has exited; the reason is None for a lane that sent its outcome."""
+def _receive(child, reader, lane, jobs):
+    """The outcomes of a forked lane, once it has exited. A lane that died
+    or sent garbage delivered none: its first job's outcome is a
+    FehForgeError saying why."""
     try:
-        with os.fdopen(rfd, "rb") as fh:
-            data = fh.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code:
-        return [], None, (f"was killed by signal {-code}" if code < 0
-                          else f"exited with code {code}")
-    try:
-        results, exc = pickle.loads(data)
+        outcomes = reader.recv()
+        why = None
     except Exception as exc:
-        return [], None, f"sent garbage ({type(exc).__name__}: {exc})"
-    return results, exc, None
+        why = f"sent garbage ({type(exc).__name__}: {exc})"
+    child.join()
+    if child.exitcode:
+        why = (f"was killed by signal {-child.exitcode}" if child.exitcode < 0
+               else f"exited with code {child.exitcode}")
+    if why is None:
+        return outcomes
+    rep, fold = jobs[0]
+    return [FehForgeError(f"cross-validation lane {lane} {why} before it "
+                          f"delivered repeat {rep} fold {fold}")
+            ] + [None] * (len(jobs) - 1)
 
 
 def _map_folds(fit, jobs, lanes):
     """[fit(job) for job in jobs] for (repeat, fold) jobs, dealt round-robin
     to `lanes` lanes. The caller runs lane 0 itself; every other lane is one
-    forked child. Like a serial run, it raises the exception of the first
-    job, in job order, that failed; a lane that dies or sends garbage is a
-    FehForgeError naming the first fold it did not deliver. Runs serially
-    where there is no os.fork, or while other threads run, since a forked
-    child could inherit a lock that one of them holds."""
-    if lanes < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    forked `multiprocessing` child with a one-way pipe. Like a serial run,
+    it raises the exception of the first job, in job order, that failed; a
+    lane that dies or sends garbage is a FehForgeError naming the first fold
+    it did not deliver. Runs serially where there is no os.fork, or while
+    other threads run, since a forked child could inherit a lock that one
+    of them holds."""
+    if lanes < 2 or _FORK is None or threading.active_count() > 1:
         lanes = 1
-    children = {}
+    outcomes, children = [None] * len(jobs), []
     try:
         for lane in range(1, lanes):
-            children[lane] = _fork_lane(fit, jobs[lane::lanes])
-        outcomes = [(*_run_lane(fit, jobs[0::lanes]), None)]
-        outcomes += [_collect(*children.pop(lane)) for lane in range(1, lanes)]
+            reader, writer = _FORK.Pipe(duplex=False)
+            child = _FORK.Process(target=_child_lane,
+                                  args=(fit, jobs[lane::lanes], writer))
+            child.start()
+            children.append((child, reader))
+            writer.close()
+        outcomes[0::lanes] = _run_lane(fit, jobs[0::lanes])
+        for lane, (child, reader) in enumerate(children, start=1):
+            outcomes[lane::lanes] = _receive(child, reader, lane,
+                                             jobs[lane::lanes])
     finally:
-        for pid, rfd in children.values():      # left only by an interrupt
-            os.kill(pid, signal.SIGKILL)
-            os.close(rfd)
-            os.waitpid(pid, 0)
-
-    results, failures = [None] * len(jobs), []
-    for lane, (done, exc, reason) in enumerate(outcomes):
-        positions = range(lane, len(jobs), lanes)
-        for pos, result in zip(positions, done):
-            results[pos] = result
-        if len(done) < len(positions):
-            pos = positions[len(done)]
-            rep, fold = jobs[pos]
-            failures.append((pos, exc or FehForgeError(
-                f"cross-validation lane {lane} {reason} before it delivered "
-                f"repeat {rep} fold {fold}")))
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return results
+        for child, reader in children:  # still running only after an interrupt
+            child.kill()
+            child.join()
+            reader.close()
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def summarize_folds(fold_reports):
@@ -423,8 +411,9 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
     report of `dataset.variant`.
 
     The folds train in `config.threads` lanes (0: see `_lane_count`), one
-    in this process and the others in forked children (see `_map_folds`);
-    the fold assignment and the scoring stay in this process. Every fold draws
+    in this process and the others in forked `multiprocessing` children (see
+    `_map_folds`); the fold assignment and the scoring stay in this process,
+    and each fold's result or error comes back pickled. Every fold draws
     from its own seed substreams, so the report is bit-identical at any
     lane count.
     """

@@ -11,13 +11,14 @@ import subprocess
 import sys
 import types
 import zipfile
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
 import yaml
 
 import fehforge
-from fehforge import errors, preprocess
+from fehforge import errors, evaluate, preprocess
 from fehforge.catalog import apply_selection, load_catalog
 from fehforge.cli import DEFAULT_CONFIG, keep_freed_memory, load_config, main
 from fehforge.container import (load_curves, load_dataset, load_weights,
@@ -230,6 +231,28 @@ def test_cv_matrix_writes_each_cell(workspace, tmp_path):
         assert os.path.exists(os.path.join(work, "plots",
                                            f"cv_loss_gru_{variant}.csv"))
     assert matrix == cells
+
+
+def test_gridsearch_says_when_every_cell_failed(workspace, tmp_path, capsys,
+                                                monkeypatch):
+    def diverge(*args, **kwargs):
+        raise errors.DivergedLoss(0, float("nan"))
+
+    monkeypatch.setattr(evaluate, "train", diverge)
+    config = tmp_path / "grid.yaml"
+    config.write_text(yaml.safe_dump({"grid": {
+        "dropout_rates": [0.1, 0.2], "learning_rates": [0.01],
+        "batch_sizes": [16]}}))
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    assert main(["gridsearch", "--config", str(config), "--output", work,
+                 "--model", "gru", "--variant", "full", "--threads", "1"]) == 0
+    assert capsys.readouterr().out == (
+        "grid gru_full: all 2 cells failed, see reports/grid_gru_full.csv\n")
+    with open(os.path.join(work, "reports", "grid_gru_full.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == [
+        "DivergedLoss: non-finite loss nan at epoch 0"] * 2
 
 
 def test_loss_curve_csvs_hold_numbers(workspace, tmp_path):
@@ -474,13 +497,15 @@ def test_every_error_class_exits_with_its_family_code():
 
 @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
 def test_every_error_class_pickles(cls):
-    # a fold lane sends its error to the caller pickled
+    # a fold lane sends its error to the caller pickled, through
+    # multiprocessing's ForkingPickler
     exc = cls(*ERROR_ARGS.get(cls.__name__, ("some message",)))
-    back = pickle.loads(pickle.dumps(exc))
-    assert type(back) is cls
-    assert str(back) == str(exc) and back.args == exc.args
-    assert vars(back) == vars(exc)
-    assert back.exit_code == exc.exit_code
+    for back in (pickle.loads(pickle.dumps(exc)),
+                 ForkingPickler.loads(ForkingPickler.dumps(exc))):
+        assert type(back) is cls
+        assert str(back) == str(exc) and back.args == exc.args
+        assert vars(back) == vars(exc)
+        assert back.exit_code == exc.exit_code
 
 
 def _cv_exit_code(workspace, tmp_path, tamper):

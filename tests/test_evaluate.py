@@ -1,8 +1,9 @@
+import multiprocessing
 import os
-import pickle
 import signal
 import threading
 from dataclasses import replace
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 import pytest
@@ -323,7 +324,8 @@ def test_broken_child_lane_names_its_fold(monkeypatch, fault):
         why = f"killed by signal {int(signal.SIGKILL)}"
     else:
         # the child's pickle of its outcome is garbage; the caller only loads
-        monkeypatch.setattr(pickle, "dumps", lambda *args: b"garbage")
+        monkeypatch.setattr(ForkingPickler, "dumps",
+                            classmethod(lambda cls, obj, protocol=None: b"garbage"))
         why = "sent garbage"
     with pytest.raises(FehForgeError) as info:
         cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
@@ -331,6 +333,36 @@ def test_broken_child_lane_names_its_fold(monkeypatch, fault):
     assert type(info.value) is FehForgeError and info.value.exit_code == 1
     assert why in str(info.value)
     assert "repeat 0 fold 1" in str(info.value)
+
+
+@pytest.mark.parametrize("case", ["clean", "raises", "killed", "interrupted"])
+def test_no_lane_outlives_a_cross_validation(monkeypatch, case):
+    # 3 folds in 2 lanes: fold 1 runs in the forked child; an interrupt in
+    # the caller's own lane leaves the child running until the caller's
+    # cleanup kills and reaps it
+    caller = os.getpid()
+
+    def hook(config, seed_index):
+        if case == "raises" and seed_index == 1:
+            raise DivergedLoss(1, float("inf"))
+        if case == "killed" and seed_index == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if case == "interrupted" and os.getpid() == caller:
+            raise KeyboardInterrupt
+
+    _patch_train(monkeypatch, hook)
+    raised = {"clean": None, "raises": DivergedLoss, "killed": FehForgeError,
+              "interrupted": KeyboardInterrupt}[case]
+    try:
+        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
+                       replace(TINY_CONFIG, threads=2))
+    except BaseException as exc:
+        assert type(exc) is raised
+    else:
+        assert raised is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
 
 
 def test_runs_serially_while_other_threads_run(monkeypatch):
