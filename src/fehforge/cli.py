@@ -135,8 +135,7 @@ def load_config(path=None, overrides=None, command=None):
             values = _merge(values, yaml.safe_load(fh) or {})
     values = _merge(values, overrides or {})
     if not values["paths"]["output_dir"]:
-        values["paths"]["output_dir"] = os.environ.get("FEH_FORGE_OUT",
-                                                       "fehforge_out")
+        values["paths"]["output_dir"] = "fehforge_out"
     chosen = {}
     for key, names in (("variant", list(VARIANTS)), ("model", list(KINDS))):
         allowed = names if command in ("train", "gridsearch") else names + ["all"]

@@ -168,8 +168,8 @@ def load_snapshot(path):
     """(model, meta) of the snapshot at `path`: the model its spec builds in
     the dtype of its state, holding its state arrays, and the `meta` it was
     saved with. IntegrityError unless the members are all float32 or all
-    float64, the spec parses and matches its hash, and the state arrays are
-    exactly the model's state names and shapes."""
+    float64, the spec parses and matches its hash, the state arrays are
+    exactly the model's state names and shapes, and `meta` is a mapping."""
     from .zoo import ModelSpec, build
 
     manifest, arrays = read_container(path, "snapshot")
@@ -189,7 +189,10 @@ def load_snapshot(path):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise IntegrityError(f"{path}: snapshot does not restore its model: "
                              f"{exc!r}") from exc
-    return model, manifest.get("meta", {})
+    meta = manifest.get("meta", {})
+    if not isinstance(meta, dict):
+        raise IntegrityError(f"{path}: snapshot meta is not a mapping")
+    return model, meta
 
 
 # curves member -> StarRecord field, in member order

@@ -7,14 +7,14 @@ the test suite.
 """
 from .layers import (BatchNorm1D, Conv1D, Dense, Dropout, GlobalAveragePool,
                      Layer, MaxPool1D, ReLU)
-from .recurrent import GRU, LSTM, Bidirectional
+from .recurrent import GRU, LSTM
 from .model import Add, Concat, Model, Sequential, iter_leaves
 from .losses import weighted_mse
 from .optim import Adam
 
 __all__ = [
     "Layer", "Dense", "Conv1D", "BatchNorm1D", "ReLU", "Dropout",
-    "MaxPool1D", "GlobalAveragePool", "GRU", "LSTM", "Bidirectional",
-    "Sequential", "Concat", "Add", "Model", "iter_leaves",
+    "MaxPool1D", "GlobalAveragePool", "GRU", "LSTM", "Sequential",
+    "Concat", "Add", "Model", "iter_leaves",
     "weighted_mse", "Adam",
 ]

@@ -39,12 +39,13 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 
 
 class Layer:
-    """Base class. Leaves hold `params`/`grads`/`reg`; composites override
-    `children()`."""
+    """Base class. Leaves hold `params`/`grads`/`reg`, and `buffers`, the
+    state that is saved but not trained; composites override `children()`."""
 
     def __init__(self):
         self.params = {}
         self.grads = {}
+        self.buffers = {}
         self.reg = {}        # param name -> (l1, l2)
         self._cache = None   # set by a training forward, read by backward
 
@@ -52,9 +53,10 @@ class Layer:
         return []
 
     def astype(self, dtype):
-        """Cast the parameters and gradients of this layer and its children
-        to `dtype`, in place (no copy where they have it already); self."""
-        for arrays in (self.params, self.grads):
+        """Cast the parameters, gradients and buffers of this layer and its
+        children to `dtype`, in place (no copy where they have it already);
+        self."""
+        for arrays in (self.params, self.grads, self.buffers):
             for key, arr in arrays.items():
                 arrays[key] = arr.astype(dtype, copy=False)
         for _, child in self.children():
@@ -166,8 +168,9 @@ class Conv1D(Layer):
 class BatchNorm1D(Layer):
     """Per-channel batch normalization over (batch, time).
 
-    Training mode normalizes with batch statistics and updates running
-    stats; inference mode is one scale and shift from the running stats.
+    Training mode normalizes with batch statistics and updates the running
+    statistics, the buffers `running_mean` and `running_var`; inference
+    mode is one scale and shift from the running statistics.
     Training needs two values per channel (batch x time >= 2), not two
     rows: like Keras, it normalizes a one-row batch over its steps. With a
     mask, the batch moments are taken over the valid steps only.
@@ -181,13 +184,8 @@ class BatchNorm1D(Layer):
         self.params["gamma"] = np.ones(channels)
         self.params["beta"] = np.zeros(channels)
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-
-    def astype(self, dtype):
-        self.running_mean = self.running_mean.astype(dtype, copy=False)
-        self.running_var = self.running_var.astype(dtype, copy=False)
-        return super().astype(dtype)
+        self.buffers = {"running_mean": np.zeros(channels),
+                        "running_var": np.ones(channels)}
 
     def forward(self, x, mask=None, training=False):
         scale, shift = self.params["gamma"], self.params["beta"]
@@ -202,15 +200,16 @@ class BatchNorm1D(Layer):
             if mask is not None:
                 x[~mask] = 0.0
             var = (x * x).sum(axis=axes) / n
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            for key, moment in (("running_mean", mu), ("running_var", var)):
+                self.buffers[key] = (self.momentum * self.buffers[key]
+                                     + (1 - self.momentum) * moment)
             ivar = 1.0 / np.sqrt(var + self.eps)
             x *= ivar
             self._cache = (x, ivar, n)
         else:
             self._cache = None
-            scale = scale / np.sqrt(self.running_var + self.eps)
-            shift = shift - self.running_mean * scale
+            scale = scale / np.sqrt(self.buffers["running_var"] + self.eps)
+            shift = shift - self.buffers["running_mean"] * scale
         y = x * scale
         y += shift
         return y

@@ -167,18 +167,14 @@ class Model:
             leaf.rng = np.random.default_rng(child_ss)
 
     def _state(self):
-        """(name, live array) of every parameter and batch-norm running
-        statistic."""
+        """(name, live array) of every parameter and buffer."""
         for path, leaf in iter_leaves(self.root):
-            arrays = dict(leaf.params)
-            if hasattr(leaf, "running_mean"):
-                arrays.update(running_mean=leaf.running_mean,
-                              running_var=leaf.running_var)
-            for key, arr in arrays.items():
+            for key, arr in {**leaf.params, **leaf.buffers}.items():
                 yield f"{path}.{key}", arr
 
     def get_state(self):
-        """Copy of all parameters and batch-norm running statistics."""
+        """Copy of all parameters and buffers (batch-norm running
+        statistics)."""
         return {name: arr.copy() for name, arr in self._state()}
 
     def set_state(self, state):

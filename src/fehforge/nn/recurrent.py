@@ -12,9 +12,12 @@ recurrent bias vectors, so a layer with U units on I input channels holds
 Masked timesteps leave the hidden (and cell) state unchanged, so appending
 padded steps never changes the final state or its gradients. Any validity
 mask works, not only valid steps first: a hole is skipped as padding is.
-`Bidirectional` runs its backward layer on the time-reversed sequence and
-mask, as Keras's `go_backwards` does: there the padded steps come first,
-and the carry skips them.
+A `go_backwards=True` layer reads the sequence and its mask reversed in
+time, as Keras's `go_backwards` does: there the padded steps come first,
+and the carry skips them. With `return_sequences` it hands its output
+back in input order, as Keras's `Bidirectional` does before it merges
+(Keras's standalone `go_backwards` layer hands it back reversed). A
+bidirectional layer is `Concat([cell, cell(go_backwards=True)])`.
 
 GRU and LSTM share one time-major loop each way, in `_Recurrent`, over T
 steps of a batch of B:
@@ -90,10 +93,13 @@ class _Recurrent(Layer):
     bench tracer wraps only the methods that a public class defines itself."""
 
     def __init__(self, in_dim, units, rng, return_sequences=False,
-                 kernel_l1=0.0, kernel_l2=0.0, recurrent_l1=0.0):
+                 go_backwards=False, kernel_l1=0.0, kernel_l2=0.0,
+                 recurrent_l1=0.0):
         super().__init__()
         self.units = units
         self.return_sequences = return_sequences
+        # the loop's order of time steps: last first for go_backwards
+        self._order = slice(None, None, -1 if go_backwards else 1)
         width = self.gates * units
         self.params["W"] = glorot_uniform(rng, (in_dim, width), in_dim, units)
         self.params["U"] = glorot_uniform(rng, (units, width), units, units)
@@ -110,7 +116,9 @@ class _Recurrent(Layer):
             raise ShapeMismatch(f"{type(self).__name__.lower()} expects "
                                 f"(B, T, {W.shape[0]}), got {x.shape}")
         B, T, _ = x.shape
+        x = x[:, self._order]
         pad = _padded_steps(mask, B, T)
+        pad = None if pad is None else pad[self._order]
         xt, Xp = _project(x, W, self.params[self.in_bias])
         S = np.empty((self.states, T + 1, B, self.units), dtype=W.dtype)
         S[:, 0] = 0.0
@@ -120,7 +128,8 @@ class _Recurrent(Layer):
             if pad is not None:
                 np.copyto(S[:, t + 1], S[:, t], where=pad[t])
         self._cache = (xt, S, work, pad) if training else None
-        y = S[0, 1:].transpose(1, 0, 2) if self.return_sequences else S[0, T]
+        y = (S[0, 1:].transpose(1, 0, 2)[:, self._order] if self.return_sequences
+             else S[0, T])
         return y if pad is None else y.copy()   # S is cached; Sequential zeroes y
 
     def _loop_back(self, dy):
@@ -129,7 +138,7 @@ class _Recurrent(Layer):
         dS = np.zeros((self.states, B, n), S.dtype)   # state gradients after step t
         dS_prev = np.empty_like(dS)                   # and before it
         if self.return_sequences:
-            dyt = dy.transpose(1, 0, 2)
+            dyt = dy[:, self._order].transpose(1, 0, 2)
         else:
             dS[0] = dy
         dwork = self._grad_buffers(T, B, S.dtype)
@@ -142,7 +151,7 @@ class _Recurrent(Layer):
                 np.copyto(dS_prev, dS, where=pad[t])
             dS, dS_prev = dS_prev, dS
         dx = self._tail(xt, S[0, :-1].reshape(T * B, n), dwork)
-        return dx.reshape(T, B, -1).transpose(1, 0, 2)
+        return dx.reshape(T, B, -1).transpose(1, 0, 2)[:, self._order]
 
 
 class GRU(_Recurrent):
@@ -278,31 +287,3 @@ class LSTM(_Recurrent):
         self.grads["U"] += h_prev.T @ dA
         self.grads["b"] += dA.sum(axis=0)
         return dA @ self.params["W"].T
-
-
-class Bidirectional(Layer):
-    """Two copies of a recurrent layer, outputs concatenated: `fwd` reads
-    the sequence as given, `bwd` reads it and its mask reversed in time."""
-
-    def __init__(self, forward_layer, backward_layer):
-        super().__init__()
-        if forward_layer.return_sequences != backward_layer.return_sequences:
-            raise ShapeMismatch("wrapped layers disagree on return_sequences")
-        self.fwd = forward_layer
-        self.bwd = backward_layer
-        self.return_sequences = forward_layer.return_sequences
-
-    def children(self):
-        return [("fwd", self.fwd), ("bwd", self.bwd)]
-
-    def forward(self, x, mask=None, training=False):
-        y_f = self.fwd.forward(x, mask=mask, training=training)
-        y_b = self.bwd.forward(x[:, ::-1], training=training,
-                               mask=None if mask is None else mask[:, ::-1])
-        return np.concatenate(
-            [y_f, y_b[:, ::-1] if self.return_sequences else y_b], axis=-1)
-
-    def backward(self, dy):
-        n = self.fwd.units
-        dy_b = dy[:, ::-1, n:] if self.return_sequences else dy[:, n:]
-        return self.fwd.backward(dy[..., :n]) + self.bwd.backward(dy_b)[:, ::-1]

@@ -20,7 +20,7 @@ from .errors import InvalidConfig
 from .nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                         GlobalAveragePool, MaxPool1D, ReLU)
 from .nn.model import Add, Concat, Model, Sequential
-from .nn.recurrent import GRU, LSTM, Bidirectional
+from .nn.recurrent import GRU, LSTM
 
 SPEC_FORMAT_VERSION = 1
 
@@ -111,7 +111,8 @@ def _residual(body, shortcut):
 
 def _recurrent_head(kind, opts, rng, ch):
     """Stacked recurrent layers of `kind`'s cell, each followed by dropout,
-    then the dense output."""
+    then the dense output. A bidirectional layer is a `Concat` of a forward
+    cell and a `go_backwards` one, drawn from `rng` in that order."""
     cell_cls = LSTM if "lstm" in kind else GRU
     bidirectional = kind.startswith("bi")
     if bidirectional:
@@ -121,10 +122,10 @@ def _recurrent_head(kind, opts, rng, ch):
     layers = []
     units = opts["units"]
     for i, (u, rate) in enumerate(zip(units, opts["dropout"])):
-        cells = [cell_cls(ch, u, rng, return_sequences=i < len(units) - 1, **regs)
-                 for _ in range(1 + bidirectional)]
-        layers += [Bidirectional(*cells) if bidirectional else cells[0],
-                   Dropout(rate)]
+        cells = [cell_cls(ch, u, rng, return_sequences=i < len(units) - 1,
+                          go_backwards=backwards, **regs)
+                 for backwards in (False, True)[:1 + bidirectional]]
+        layers += [Concat(cells) if bidirectional else cells[0], Dropout(rate)]
         ch = u * len(cells)
     return layers + [Dense(ch, 1, rng)]
 

@@ -66,6 +66,15 @@ def test_config_defaults_complete():
     assert cfg.values["paths"]["output_dir"]
 
 
+def test_output_dir_ignores_the_environment(monkeypatch):
+    # `--output`, `paths.output_dir` or the literal default; null is the
+    # default, and no environment variable sets it
+    monkeypatch.setenv("FEH_FORGE_OUT", "elsewhere")
+    assert load_config().values["paths"]["output_dir"] == "fehforge_out"
+    cfg = load_config(None, {"paths": {"output_dir": None}})
+    assert cfg.values["paths"]["output_dir"] == "fehforge_out"
+
+
 def test_default_snapshot_unchanged():
     # DEFAULT_CONFIG is built from the section dataclasses; the snapshot of
     # the defaults is pinned so that no default moves unnoticed
@@ -403,6 +412,29 @@ def test_predict_refuses_a_snapshot_in_the_older_format(workspace, tmp_path,
     assert "not a sound snapshot container" in capsys.readouterr().err
 
 
+def test_predict_refuses_a_bidirectional_snapshot_with_older_names(
+        workspace, tmp_path, capsys):
+    # an older version named the directions of a bidirectional layer `fwd`
+    # and `bwd`; they are now its `Concat` branches 0 and 1, so predict
+    # exits 5 on the older names and writes no predictions
+    val = os.path.join(workspace, "datasets", "full_validation.zip")
+    snap, older = tmp_path / "snap.zip", tmp_path / "older.zip"
+    save_snapshot(snap, build(build_default("bigru"), (100, 2), seed=0))
+    meta, state = read_container(snap, "snapshot")
+    renamed = {name.replace("/0.", "/fwd.").replace("/1.", "/bwd."): arr
+               for name, arr in state.items()}
+    assert {"state/0/fwd.W", "state/4/bwd.U"} <= renamed.keys()
+    write_container(older, "snapshot", renamed, meta)
+    for path, code in ((snap, 0), (older, 5)):
+        preds = tmp_path / f"{path.stem}.csv"
+        assert main(["predict", "--output", str(tmp_path), "--snapshot",
+                     str(path), "--input", val,
+                     "--predictions-out", str(preds)]) == code
+        assert preds.exists() == (code == 0)
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "0/fwd.W" in err
+
+
 def test_exit_code_snapshot_not_a_zip(workspace, tmp_path):
     snap = tmp_path / "snapshot.zip"
     snap.write_text("this is not a zip archive\n")
@@ -447,11 +479,12 @@ def _state_as_dtype(dtype):
     lambda ds, meta, state: as_dtype("source_ids", np.float64)(ds),
     lambda ds, meta, state: as_dtype("mask", np.int64)(ds),
     _state_as_dtype(np.int64), _state_as_dtype(np.float32), _state_as_dtype(str),
+    lambda ds, meta, state: meta.update(meta=["full"]),
 ], ids=["no_mask", "short_source_ids", "spec_format_99", "spec_not_json",
         "no_spec", "no_input_shape", "state_dropped", "state_extra",
         "state_wrong_shape",
         "state_broadcastable_shape", "float_source_ids", "int_mask",
-        "int_state", "float32_state", "string_state"])
+        "int_state", "float32_state", "string_state", "meta_not_a_mapping"])
 def test_exit_code_predict_broken_input(workspace, tmp_path, capsys, tamper):
     # `tamper` breaks the dataset's arrays, or the snapshot's manifest or
     # state arrays

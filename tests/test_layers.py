@@ -260,9 +260,10 @@ def test_batchnorm_moments_over_valid_steps(rng):
     np.testing.assert_allclose(out[mask].std(axis=0), 1.0, atol=1e-3)
     assert (out[~mask] == 0).all()
     valid = x[mask]
-    np.testing.assert_allclose(bn.running_mean, 0.01 * valid.mean(axis=0), rtol=1e-12)
-    np.testing.assert_allclose(bn.running_var, 0.99 + 0.01 * valid.var(axis=0),
-                               rtol=1e-12)
+    np.testing.assert_allclose(bn.buffers["running_mean"],
+                               0.01 * valid.mean(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(bn.buffers["running_var"],
+                               0.99 + 0.01 * valid.var(axis=0), rtol=1e-12)
     p_rel, x_rel = layer_grads(layer, x, mask=mask)
     assert p_rel < 1e-6 and x_rel < 1e-6
 
@@ -318,10 +319,11 @@ class RefBatchNorm1D(BatchNorm1D):
         if training:
             mu = x.mean(axis=axes)
             var = x.var(axis=axes)
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
+            stats = self.buffers
+            stats["running_mean"] = self.momentum * stats["running_mean"] + (1 - self.momentum) * mu
+            stats["running_var"] = self.momentum * stats["running_var"] + (1 - self.momentum) * var
         else:
-            mu, var = self.running_mean, self.running_var
+            mu, var = self.buffers["running_mean"], self.buffers["running_var"]
         ivar = 1.0 / np.sqrt(var + self.eps)
         xhat = (x - mu) * ivar
         self._ref = (xhat, ivar, axes, training)
@@ -412,18 +414,17 @@ def _compare(lean, ref, x, mask=None, dtype=np.float64):
     rng = np.random.default_rng(1)
     lean.astype(dtype)
     for layer in (lean, ref):
-        if hasattr(layer, "running_mean"):
-            layer.running_mean[...] = np.linspace(-0.5, 0.5, layer.running_mean.size)
-            layer.running_var[...] = np.linspace(0.5, 2.0, layer.running_var.size)
+        if layer.buffers:
+            mean, var = layer.buffers["running_mean"], layer.buffers["running_var"]
+            mean[...] = np.linspace(-0.5, 0.5, mean.size)
+            var[...] = np.linspace(0.5, 2.0, var.size)
     pairs = [(lean.forward(x.astype(dtype), mask=mask), ref.forward(x, mask=mask))]
     y = lean.forward(x.astype(dtype), mask=mask, training=True)
     pairs.append((y, ref.forward(x, mask=mask, training=True)))
     dy = rng.normal(size=y.shape)
     pairs.append((lean.backward(dy.astype(dtype)), ref.backward(dy)))
     pairs += [(lean.grads[key], ref.grads[key]) for key in lean.grads]
-    if hasattr(lean, "running_mean"):
-        pairs += [(lean.running_mean, ref.running_mean),
-                  (lean.running_var, ref.running_var)]
+    pairs += [(lean.buffers[key], ref.buffers[key]) for key in lean.buffers]
     for a, b in pairs:
         assert a.dtype == dtype
         _agree(a, b)

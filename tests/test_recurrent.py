@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fehforge.nn.recurrent import GRU, LSTM, Bidirectional
+from fehforge.nn.model import Concat
+from fehforge.nn.recurrent import GRU, LSTM
 from tests.test_layers import layer_grads
 
 
@@ -30,8 +31,8 @@ def test_output_shapes(rng):
     x = rng.normal(size=(4, 9, 3))
     assert GRU(3, 6, rng, return_sequences=True).forward(x).shape == (4, 9, 6)
     assert GRU(3, 6, rng, return_sequences=False).forward(x).shape == (4, 6)
-    bi = Bidirectional(LSTM(3, 5, rng, return_sequences=True),
-                       LSTM(3, 5, rng, return_sequences=True))
+    bi = Concat([LSTM(3, 5, rng, return_sequences=True),
+                 LSTM(3, 5, rng, return_sequences=True, go_backwards=True)])
     assert bi.forward(x).shape == (4, 9, 10)
 
 
@@ -70,20 +71,31 @@ def test_masked_steps_freeze_state(rng, cls):
     np.testing.assert_allclose(out_masked, out_short, atol=1e-12)
 
 
+def _forward_twin(layer):
+    """A forward layer of `layer`'s class sharing its parameters."""
+    W = layer.params["W"]
+    twin = type(layer)(W.shape[0], layer.units, np.random.default_rng(0),
+                       return_sequences=layer.return_sequences)
+    twin.params = layer.params
+    return twin
+
+
 def test_bidirectional_equals_manual_concat(rng):
-    # reference: each row alone, unpadded, `bwd` reading its valid steps in
-    # reverse; compared at the last state and at every valid step of the
-    # sequence output. The mask has a hole and trailing padding.
+    # reference: each row alone, unpadded, a forward twin of the
+    # `go_backwards` layer reading its valid steps in reverse; compared at
+    # the last state and at every valid step of the sequence output. The
+    # mask has a hole and trailing padding.
     mask = np.ones((3, 7), dtype=bool)
     mask[1, 5:] = False
     mask[2, 2:4] = False
     x = rng.normal(size=(3, 7, 2))
     for cls, seq in ((GRU, False), (GRU, True), (LSTM, False), (LSTM, True)):
-        fwd, bwd = (cls(2, 3, rng, return_sequences=seq) for _ in range(2))
-        out = Bidirectional(fwd, bwd).forward(x, mask=mask)
+        fwd, bwd = (cls(2, 3, rng, return_sequences=seq, go_backwards=back)
+                    for back in (False, True))
+        out = Concat([fwd, bwd]).forward(x, mask=mask)
         for i, valid in enumerate(mask):
             xi = x[i:i + 1, valid]
-            y_f, y_b = fwd.forward(xi), bwd.forward(xi[:, ::-1])
+            y_f, y_b = fwd.forward(xi), _forward_twin(bwd).forward(xi[:, ::-1])
             if seq:
                 expected = np.concatenate([y_f, y_b[:, ::-1]], axis=-1)[0]
                 np.testing.assert_allclose(out[i, valid], expected, atol=1e-12)
@@ -93,8 +105,8 @@ def test_bidirectional_equals_manual_concat(rng):
 
 
 def test_bidirectional_grads(rng):
-    bi = Bidirectional(LSTM(2, 3, rng, return_sequences=True),
-                       LSTM(2, 3, rng, return_sequences=True))
+    bi = Concat([LSTM(2, 3, rng, return_sequences=True),
+                 LSTM(2, 3, rng, return_sequences=True, go_backwards=True)])
     x = rng.normal(size=(2, 5, 2))
     mask = np.ones((2, 5), dtype=bool)
     mask[0, 3:] = False
@@ -120,6 +132,43 @@ def test_bidirectional_grads(rng):
         flat[i] = orig
         num = (hi - lo) / (2 * h)
         assert abs(dflat[i] - num) / max(abs(dflat[i]), abs(num), 1e-3) < 1e-6
+
+
+def _mask_with_a_hole():
+    mask = np.ones((3, 6), dtype=bool)
+    mask[0, 4:] = False
+    mask[2, 1:3] = False
+    return mask
+
+
+@pytest.mark.parametrize("cls", [GRU, LSTM])
+@pytest.mark.parametrize("return_sequences", [True, False])
+def test_go_backwards_is_a_forward_layer_on_the_reversed_sequence(
+        rng, cls, return_sequences):
+    # bit for bit, under a mask with a hole: the output, handed back in
+    # input order, and the input and parameter gradients
+    back = cls(2, 4, rng, return_sequences=return_sequences, go_backwards=True)
+    fwd = _forward_twin(back)
+    x = rng.normal(size=(3, 6, 2))
+    mask = _mask_with_a_hole()
+    out = back.forward(x, mask=mask, training=True)
+    dy = rng.normal(size=out.shape)
+    dx = back.backward(dy)
+    flip = (lambda a: a[:, ::-1]) if return_sequences else (lambda a: a)
+    np.testing.assert_array_equal(
+        out, flip(fwd.forward(x[:, ::-1], mask=mask[:, ::-1], training=True)))
+    np.testing.assert_array_equal(dx, fwd.backward(flip(dy))[:, ::-1])
+    for key, grad in back.grads.items():
+        np.testing.assert_array_equal(grad, fwd.grads[key], err_msg=key)
+
+
+@pytest.mark.parametrize("cls", [GRU, LSTM])
+@pytest.mark.parametrize("return_sequences", [True, False])
+def test_go_backwards_grads_with_mask(rng, cls, return_sequences):
+    layer = cls(2, 4, rng, return_sequences=return_sequences, go_backwards=True)
+    p_rel, x_rel = layer_grads(layer, rng.normal(size=(3, 6, 2)),
+                               mask=_mask_with_a_hole())
+    assert p_rel < 1e-6 and x_rel < 1e-6
 
 
 # --- reference: the plain per-step formulation -------------------------------

@@ -139,7 +139,7 @@ def test_recurrent_regularization_tags():
     # bidirectional: l1 on both kernels of both directions
     bi = {"W": (2e-6, 0.0), "U": (2e-6, 0.0)}
     assert regs("bigru") == {f"{i}/{d}": bi for i in (0, 2, 4)
-                             for d in ("fwd", "bwd")}
+                             for d in ("0", "1")}
     assert regs("fcn") == {}        # conv stacks carry no penalty
 
 
