@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.fft import irfft, next_fast_len, rfft
 
 from ..errors import DegenerateBatch, InvalidRate, ShapeMismatch
 
@@ -102,12 +103,45 @@ class Dense(Layer):
         return dy @ self.params["W"].T
 
 
+def _block_spectra(blocks, n):
+    """The rfft over the steps of (batch, blocks, steps, channels), zero-filled
+    to n steps, frequency-major: (n // 2 + 1, batch * blocks, channels)."""
+    spec = rfft(blocks, n, axis=2)
+    return spec.reshape(-1, *spec.shape[2:]).swapaxes(0, 1)
+
+
+def _window_spectra(src, n, L):
+    """The spectra of the n-step windows, L steps apart, of (batch, steps,
+    channels), frequency-major: (n // 2 + 1, batch * windows, channels)."""
+    return _block_spectra(sliding_window_view(src, n, axis=1)[:, ::L].swapaxes(2, 3), n)
+
+
+def _freq_matmul(a, b):
+    """a @ b at each frequency of frequency-major (f, p, q) and (f, q, r)
+    stacks, laid out (p, f, r) so that an FFT over axis 1 reads short
+    strides."""
+    out = np.empty((a.shape[1], a.shape[0], b.shape[2]), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=out.swapaxes(0, 1))
+    return out
+
+
 class Conv1D(Layer):
     """Temporal convolution, stride 1, same padding; preserves length.
 
-    1x1 kernels and inputs of at most 4 channels (the 2-channel first
-    layers) run as one im2col GEMM on (batch * T, k * in_channels) columns;
-    wider inputs loop over the k taps, faster there than copying x k times.
+    The path is picked at construction from the shape alone:
+      - im2col for 1x1 kernels and inputs of at most 4 channels (the
+        2-channel first layers): one GEMM on (batch * T, k * in_channels)
+        columns;
+      - overlap-save FFT blocks for kernels of 16 taps or more (inception's
+        k20 and k40 branches): far fewer multiply-adds than the tap loop;
+      - otherwise a loop over the k taps, one GEMM each, faster there than
+        copying x k times.
+    The FFT length n = next_fast_len(4k) is fixed by the kernel, never by T
+    or the batch. Each output block of L = n - k + 1 steps comes from its
+    own window of n padded input steps, so padded steps appended to the
+    input only add blocks and change no bit of the earlier ones: no
+    prediction depends on the padded length. A T-sized FFT would round
+    differently for every T.
     """
 
     def __init__(self, in_channels, filters, kernel_size, rng, use_bias=True):
@@ -117,28 +151,50 @@ class Conv1D(Layer):
         self.pad_left = (k - 1) // 2
         self.pad_right = k - 1 - self.pad_left
         self.use_bias = use_bias
-        self.im2col = k == 1 or in_channels <= 4
+        self.path = ("im2col" if k == 1 or in_channels <= 4
+                     else "fft" if k >= 16 else "taps")
         self.params["W"] = glorot_uniform(
             rng, (k, in_channels, filters), k * in_channels, k * filters)
         if use_bias:
             self.params["b"] = np.zeros(filters)
         self.grads = {k_: np.zeros_like(v) for k_, v in self.params.items()}
 
+    def _blocks(self, T):
+        """FFT length, block length and block count for T output steps."""
+        n = next_fast_len(4 * self.kernel_size, real=True)
+        L = n - self.kernel_size + 1
+        return n, L, -(-T // L)
+
     def forward(self, x, mask=None, training=False):
         W = self.params["W"]
         if x.ndim != 3 or x.shape[2] != W.shape[1]:
             raise ShapeMismatch(
                 f"conv1d expects (batch, T, {W.shape[1]}), got {x.shape}")
-        B, T, _ = x.shape
-        src = x if self.kernel_size == 1 else np.pad(
-            x, ((0, 0), (self.pad_left, self.pad_right), (0, 0)))
-        if self.im2col:
-            src = sliding_window_view(src, T, axis=1).transpose(0, 3, 1, 2).reshape(B * T, -1)
-            y = (src @ W.reshape(-1, W.shape[2])).reshape(B, T, -1)
+        B, T, cin = x.shape
+        k = self.kernel_size
+        if self.path == "fft":
+            n, L, nb = self._blocks(T)
+            src = np.zeros((B, nb * L + k - 1, cin), dtype=x.dtype)
+            src[:, self.pad_left:self.pad_left + T] = x
+            w_spec = _block_spectra(W.transpose(1, 0, 2)[None], n)
+            np.conjugate(w_spec, out=w_spec)
+            # each complex intermediate is freed once used: they set the peak
+            spec = _freq_matmul(_window_spectra(src, n, L), w_spec)
+            del w_spec
+            z = irfft(spec, n, axis=1).reshape(B, nb, n, -1)
+            del spec
+            # the first L steps of each block, joined in one copy
+            y = np.concatenate([z[:, b, :L] for b in range(nb)], axis=1)[:, :T]
         else:
-            y = src[:, :T] @ W[0]
-            for j in range(1, self.kernel_size):
-                y += src[:, j:j + T] @ W[j]
+            src = x if k == 1 else np.pad(
+                x, ((0, 0), (self.pad_left, self.pad_right), (0, 0)))
+            if self.path == "im2col":
+                src = sliding_window_view(src, T, axis=1).transpose(0, 3, 1, 2).reshape(B * T, -1)
+                y = (src @ W.reshape(-1, W.shape[2])).reshape(B, T, -1)
+            else:
+                y = src[:, :T] @ W[0]
+                for j in range(1, k):
+                    y += src[:, j:j + T] @ W[j]
         if self.use_bias:
             y += self.params["b"]
         self._cache = (src, T) if training else None
@@ -148,10 +204,33 @@ class Conv1D(Layer):
         src, T = self._saved()
         W = self.params["W"]
         k, cin, cout = W.shape
-        flat_dy = dy.reshape(-1, cout)
         if self.use_bias:
             self.grads["b"] += dy.sum(axis=(0, 1))
-        if self.im2col:
+        if self.path == "fft":
+            B = len(dy)
+            n, L, nb = self._blocks(T)
+            blocks = np.zeros((B, nb, n, cout), dtype=dy.dtype)
+            for b in range(nb):
+                blocks[:, b, :min(L, T - b * L)] = dy[:, b * L:(b + 1) * L]
+            dy_spec = _block_spectra(blocks, n)
+            del blocks
+            # each block's full convolution with W, n steps, added where
+            # consecutive blocks overlap
+            w_spec = _block_spectra(W.transpose(1, 0, 2)[None], n)
+            z = irfft(_freq_matmul(dy_spec, w_spec.swapaxes(1, 2)), n, axis=1)
+            z = z.reshape(B, nb, n, cin)
+            dxp = np.zeros((B, nb + 1, L, cin), dtype=dy.dtype)
+            dxp[:, :nb] = z[:, :, :L]
+            dxp[:, 1:, :k - 1] += z[:, :, L:]
+            del z, w_spec
+            # each input window correlated with its block of dy
+            np.conjugate(dy_spec, out=dy_spec)
+            g = irfft(_freq_matmul(_window_spectra(src, n, L).swapaxes(1, 2), dy_spec), n, axis=1)
+            self.grads["W"] += g[:, :k].swapaxes(0, 1)
+            # a compact copy, not a view that keeps every block alive
+            return np.ascontiguousarray(dxp.reshape(B, -1, cin)[:, self.pad_left:self.pad_left + T])
+        flat_dy = dy.reshape(-1, cout)
+        if self.path == "im2col":
             self.grads["W"] += (src.T @ flat_dy).reshape(W.shape)
             if k == 1:
                 return dy @ W[0].T

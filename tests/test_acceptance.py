@@ -34,6 +34,10 @@ TINY_SPECS = {
     "inception": build_default("inception", blocks=1, modules_per_block=2,
                                bottleneck_filters=3, branch_filters=3,
                                branch_kernels=[3, 5, 8]),
+    # a 20-tap branch on a 5-channel bottleneck takes the FFT path
+    "inception_fft": build_default("inception", blocks=1, modules_per_block=2,
+                                   bottleneck_filters=5, branch_filters=3,
+                                   branch_kernels=[3, 8, 20]),
     "lstm": build_default("lstm", units=[6, 4], dropout=[0.0, 0.0]),
     "bilstm": build_default("bilstm", units=[5, 3], dropout=[0.0, 0.0]),
     "gru": build_default("gru", units=[6, 4], dropout=[0.0, 0.0]),
@@ -69,7 +73,7 @@ def test_02_gradient_correctness_all_architectures():
             worst = max(worst, rel)
     elapsed = time.time() - t0
     assert elapsed < 120.0
-    _pass(2, f"9 architectures x 3 seeds: worst gradient rel. error "
+    _pass(2, f"{len(TINY_SPECS)} architectures x 3 seeds: worst gradient rel. error "
              f"{worst:.2e} < 1e-4 in {elapsed:.1f}s")
 
 
@@ -162,13 +166,14 @@ def test_04c_input_gradient_zero_at_padded_steps(kind):
 
 @pytest.mark.parametrize("kind", list(TINY_SPECS))
 def test_04d_padding_length_never_reaches_a_prediction(kind):
-    # row 0 fills the short container; in the long one every row is padded
+    # row 0 fills the short container; in the long ones every row is
+    # padded, and 60 appended steps take a 20-tap FFT conv past one block
     rng = np.random.default_rng(7)
     X = rng.normal(size=(4, 16, 2))
     mask = np.arange(16) < np.array([16, 9, 13, 11])[:, None]
     X[~mask] = -1.0
-    X_long = np.concatenate([X, np.full((4, 7, 2), -1.0)], axis=1)
-    mask_long = np.pad(mask, ((0, 0), (0, 7)))
+    inputs = [(np.concatenate([X, np.full((4, extra, 2), -1.0)], axis=1),
+               np.pad(mask, ((0, 0), (0, extra)))) for extra in (0, 7, 60)]
     specs = [TINY_SPECS[kind]]
     if "dropout" in specs[0].options:
         # a training forward with dropout on, reseeded alike on both sides:
@@ -178,11 +183,12 @@ def test_04d_padding_length_never_reaches_a_prediction(kind):
         model = build(spec, (16, 2), seed=0)
         for training in (False, True):
             preds = []
-            for x, m in ((X, mask), (X_long, mask_long)):
+            for x, m in inputs:
                 model.seed_dropout(3)
                 preds.append(model.forward(x, mask=m, training=training))
-            np.testing.assert_array_equal(*preds)
-    _pass(4, f"{kind}: predictions equal with 0 and 7 padded steps appended")
+            np.testing.assert_array_equal(preds[0], preds[1])
+            np.testing.assert_array_equal(preds[0], preds[2])
+    _pass(4, f"{kind}: predictions equal with 0, 7 and 60 padded steps appended")
 
 
 def test_05_weighting_properties():

@@ -7,6 +7,7 @@ from fehforge.nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                                 glorot_uniform)
 from fehforge.nn.model import Add, Concat, Sequential, iter_leaves
 from fehforge.nn.recurrent import GRU
+from fehforge.zoo import KINDS, build, build_default
 
 
 def layer_grads(layer, x, mask=None, training=True, h=1e-6):
@@ -100,11 +101,32 @@ def test_conv1d_matches_manual_convolution(rng):
     np.testing.assert_allclose(out[0, :, 0], expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("kernel", [1, 3, 8])
-def test_conv1d_grads(rng, kernel):
-    layer = Conv1D(2, 4, kernel, rng)
-    p_rel, x_rel = layer_grads(layer, rng.normal(size=(3, 10, 2)))
+# 16 taps or more on over 4 channels take the FFT path; their T crosses a
+# block boundary
+@pytest.mark.parametrize("kernel, cin, T", [(1, 2, 10), (3, 2, 10), (8, 2, 10),
+                                           (16, 5, 60), (40, 5, 130)],
+                         ids=["1", "3", "8", "16", "40"])
+def test_conv1d_grads(rng, kernel, cin, T):
+    layer = Conv1D(cin, 4, kernel, rng)
+    p_rel, x_rel = layer_grads(layer, rng.normal(size=(3, T, cin)))
     assert p_rel < 1e-6 and x_rel < 1e-6
+
+
+def test_conv1d_paths_of_the_default_kinds():
+    # im2col for 1x1 kernels and inputs of at most 4 channels, FFT blocks
+    # for 16 taps or more, the tap loop otherwise; of the default kinds only
+    # inception's k20 and k40 branches take the FFT
+    fft = set()
+    for kind in KINDS:
+        model = build(build_default(kind), (100, 2), seed=0)
+        for _, leaf in iter_leaves(model.root):
+            if isinstance(leaf, Conv1D):
+                k, cin, _ = leaf.params["W"].shape
+                assert leaf.path == ("im2col" if k == 1 or cin <= 4
+                                     else "fft" if k >= 16 else "taps")
+                if leaf.path == "fft":
+                    fft.add((kind, k))
+    assert fft == {("inception", 20), ("inception", 40)}
 
 
 def test_batchnorm_train_stats_and_grads(rng):
@@ -450,6 +472,26 @@ def test_conv1d_matches_reference(cin, filters, k, T, dtype):
              dtype=dtype)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no_bias"])
+@pytest.mark.parametrize("k", [16, 20, 40])
+def test_conv1d_fft_matches_reference_across_blocks(k, use_bias, dtype):
+    # lengths below the kernel, of one block of L steps, one step over and
+    # past two blocks, each unmasked and with padded steps (zeroed, as
+    # `Sequential` hands them on)
+    L = Conv1D(6, 5, k, np.random.default_rng(k))._blocks(1)[1]
+    for T in (1, 7, L, L + 1, 2 * L + 3):
+        x = np.random.default_rng(T).normal(size=(4, T, 6))
+        mask = np.arange(T) < np.array([T, T - T // 3, 1, T // 2 + 1])[:, None]
+        for m in (None, mask):
+            lean, ref = (cls(6, 5, k, np.random.default_rng(k), use_bias=use_bias)
+                         for cls in (Conv1D, RefConv1D))
+            assert lean.path == "fft"
+            if use_bias:
+                lean.params["b"][...] = ref.params["b"][...] = np.linspace(-1, 1, 5)
+            _compare(lean, ref, x if m is None else x * m[..., None], m, dtype)
+
+
 @pytest.mark.parametrize("T, dtype", T_AND_DTYPE)
 @pytest.mark.parametrize("channels", [32, 64, 128, 256])
 def test_batchnorm_relu_pool_match_reference(channels, T, dtype):
@@ -517,6 +559,7 @@ def test_concat_joins_branches_on_channels_and_grads(rng):
 @pytest.mark.parametrize("make, shape", [
     (lambda rng: Conv1D(2, 3, 3, rng), (4, 6, 2)),
     (lambda rng: Conv1D(8, 3, 3, rng), (4, 6, 8)),
+    (lambda rng: Conv1D(5, 3, 16, rng), (4, 6, 5)),
     (lambda rng: BatchNorm1D(2), (4, 6, 2)), (lambda rng: ReLU(), (4, 6, 2)),
     (lambda rng: MaxPool1D(2), (4, 6, 2)),
     (lambda rng: GlobalAveragePool(), (4, 6, 2)),
@@ -525,7 +568,7 @@ def test_concat_joins_branches_on_channels_and_grads(rng):
     (lambda rng: Concat([Conv1D(2, 3, 3, rng), ReLU()]), (4, 6, 2)),
     (lambda rng: Add([Sequential([Conv1D(2, 2, 3, rng)]), Sequential([])]),
      (4, 6, 2))],
-    ids=["conv_im2col", "conv_taps", "bn", "relu", "maxpool", "gap", "dense",
+    ids=["conv_im2col", "conv_taps", "conv_fft", "bn", "relu", "maxpool", "gap", "dense",
          "dropout", "dropout_rate0", "concat", "add"])
 def test_backward_needs_training_forward(rng, make, shape):
     layer = make(rng)

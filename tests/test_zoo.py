@@ -57,7 +57,7 @@ def test_float32_model_stays_float32(kind):
         arrays.update({f"{name} grad": leaf.grads[key],
                        f"{name} m": opt.m[name], f"{name} v": opt.v[name]})
     assert any("running_var" in name for name in arrays) == (
-        kind in ("fcn", "resnet", "inception", "convlstm", "convgru"))
+        TINY_SPECS[kind].kind in ("fcn", "resnet", "inception", "convlstm", "convgru"))
     assert {name: arr.dtype for name, arr in arrays.items()
             if arr.dtype != np.float32} == {}
 
