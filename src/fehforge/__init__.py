@@ -5,6 +5,21 @@ folding, smoothing-spline resampling, inverse-density
 sample weighting, and a zoo of nine from-scratch neural regressors
 trained under repeated stratified k-fold cross-validation.
 """
+import os
+import sys
+
+
+def _blas_threads():
+    """OpenBLAS's threads per call, as it reads them when numpy loads: the
+    first positive integer of these variables, else 0 (every CPU)."""
+    values = (os.environ.get(var, "").strip()
+              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return next((int(v) for v in values if v.isdecimal() and int(v) > 0), 0)
+
+
+if "numpy" not in sys.modules and not _blas_threads():  # 1 BLAS thread a lane
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .catalog import (LightCurve, SelectionCriteria, SplitSpec, StarRecord,
                       apply_selection, join_photometry, load_catalog,
                       load_photometry, split_train_validation)

@@ -48,21 +48,20 @@ from .preprocess import PreprocessConfig, Variant
 from .zoo import KINDS, build_default
 
 # Each config section and the dataclass that holds its defaults and checks
-# its values. `seed` and `threads` are top-level keys that reach each
-# section with a field of that name.
+# its values. `seed` is a top-level key that reaches each section with a
+# field of that name.
 SECTIONS = {"selection": cat.SelectionCriteria, "split": cat.SplitSpec,
             "preprocess": PreprocessConfig,
             "weighting": weighting.WeightingConfig,
             "train": evaluate.TrainConfig, "grid": evaluate.GridSpec}
-_SHARED = ("seed", "threads")
 
 DEFAULT_CONFIG = {
     "paths": {"catalog": None, "photometry": None, "output_dir": None},
     **{name: {f.name: f.default for f in dataclasses.fields(cls)
-              if f.name not in _SHARED} for name, cls in SECTIONS.items()},
+              if f.name != "seed"} for name, cls in SECTIONS.items()},
     "variant": "full",
     "model": "gru",
-    **{key: getattr(evaluate.TrainConfig, key) for key in _SHARED},
+    "seed": evaluate.TrainConfig.seed,
 }
 # The type of each value that may be null: each whose default is None, and
 # the weight cap (null = uncapped).
@@ -76,14 +75,13 @@ VARIANTS = {v.value: v for v in Variant}
 # reaches `load_config` as the string given, to be read as the file's are.
 FLAGS = {"--catalog": "paths.catalog", "--photometry": "paths.photometry",
          "--output": "paths.output_dir", "--model": "model",
-         "--variant": "variant", "--seed": "seed", "--threads": "threads",
+         "--variant": "variant", "--seed": "seed",
          "--epochs": "train.max_epochs", "--patience": "train.patience",
          "--folds": "train.folds", "--repeats": "train.repeats",
          "--batch-size": "train.batch_size",
          "--learning-rate": "train.learning_rate"}
 _FLAG_HELP = {"model": f"one of {', '.join(KINDS)} or 'all'",
-              "variant": f"{' | '.join(VARIANTS)} | all",
-              "threads": "cross-validation lanes; 0 = CPUs / BLAS threads"}
+              "variant": f"{' | '.join(VARIANTS)} | all"}
 
 
 def _merge(base, override, name="config"):
@@ -145,9 +143,8 @@ def load_config(path=None, overrides=None, command=None):
         chosen[key] = names if values[key] == "all" else [values[key]]
     sections = {}
     for name, cls in SECTIONS.items():
-        fields = {f.name for f in dataclasses.fields(cls)}
-        sections[name] = cls(**values[name], **{
-            key: values[key] for key in _SHARED if key in fields})
+        shared = {"seed": values["seed"]} if hasattr(cls, "seed") else {}
+        sections[name] = cls(**values[name], **shared)
     return Config(values, chosen["variant"], chosen["model"], **sections)
 
 

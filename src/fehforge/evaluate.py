@@ -23,6 +23,7 @@ from itertools import product
 
 import numpy as np
 
+from . import _blas_threads
 from .container import ArrayDataset, write_csv
 from .errors import (DivergedLoss, FehForgeError, InvalidConfig,
                      NonPositiveWeightSum, TooFewSamples, ZeroVariance)
@@ -56,18 +57,17 @@ class TrainConfig:
     repeats: int = 3
     bins: int = 10
     seed: int = 0
-    threads: int = 0        # fold lanes; 0 = CPUs / BLAS threads
 
     def __post_init__(self):
         if (self.folds < 2 or self.batch_size < 1 or self.bins < 2
-                or self.threads < 0 or self.max_epochs < 1 or self.repeats < 1
-                or self.patience < 0 or not 0 < self.learning_rate < math.inf):
+                or self.max_epochs < 1 or self.repeats < 1 or self.patience < 0
+                or not 0 < self.learning_rate < math.inf):
             raise InvalidConfig(
                 f"invalid train config: folds {self.folds} (>= 2), batch_size "
-                f"{self.batch_size} (>= 1), bins {self.bins} (>= 2), threads "
-                f"{self.threads} (>= 0), max_epochs {self.max_epochs} (>= 1), "
-                f"repeats {self.repeats} (>= 1), patience {self.patience} "
-                f"(>= 0), learning_rate {self.learning_rate} (finite, > 0)")
+                f"{self.batch_size} (>= 1), bins {self.bins} (>= 2), max_epochs "
+                f"{self.max_epochs} (>= 1), repeats {self.repeats} (>= 1), "
+                f"patience {self.patience} (>= 0), learning_rate "
+                f"{self.learning_rate} (finite, > 0)")
 
 
 @dataclass(frozen=True)
@@ -273,24 +273,13 @@ def predict(model, dataset: ArrayDataset):
 
 # --- cross-validation -------------------------------------------------------
 
-def _lane_count(threads, jobs):
-    """`threads` lanes, never more than there are jobs. When it is 0, the
-    CPUs this process may run on divided by the threads OpenBLAS gives each
-    call (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else every CPU):
-    lanes x BLAS threads beyond the cores spin against each other, and
-    made a 5-fold GRU CV slower in two lanes than in one."""
-    if not threads:
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:          # no affinity call on this platform
-            cpus = os.cpu_count() or 1
-        blas = cpus
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            if os.environ.get(var, "").strip().isdigit():
-                blas = max(int(os.environ[var]), 1)
-                break
-        threads = max(cpus // blas, 1)
-    return min(threads, jobs)
+def _lane_count(jobs):
+    """The CPUs this process may run on over OpenBLAS's threads per call
+    (`_blas_threads`; 0 is every CPU), from 1 to `jobs`: lanes x BLAS
+    threads beyond the cores spin against each other."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(max(cpus // (_blas_threads() or cpus), 1), jobs)
 
 
 def _run_lane(fit, jobs):
@@ -410,12 +399,11 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
     """k x repeats training runs with aggregated mean +/- std metrics, in a
     report of `dataset.variant`.
 
-    The folds train in `config.threads` lanes (0: see `_lane_count`), one
-    in this process and the others in forked `multiprocessing` children (see
-    `_map_folds`); the fold assignment and the scoring stay in this process,
-    and each fold's result or error comes back pickled. Every fold draws
-    from its own seed substreams, so the report is bit-identical at any
-    lane count.
+    The folds train in `_lane_count` lanes, one in this process and the
+    others in forked `multiprocessing` children (see `_map_folds`); the fold
+    assignment and the scoring stay in this process, and each fold's result
+    or error comes back pickled. Every fold draws from its own seed
+    substreams, so the report is bit-identical at any lane count.
     """
     weights = np.asarray(weights, dtype=np.float64)
     assignments = stratified_kfold(dataset.targets, config.folds,
@@ -437,7 +425,7 @@ def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
                 (y[val], weights[val]))
 
     return score_folds(spec.kind, dataset.variant, _map_folds(
-        fit, jobs, _lane_count(config.threads, len(jobs))))
+        fit, jobs, _lane_count(len(jobs))))
 
 
 # --- grid search ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,14 @@ def check_model_gradients(spec, input_shape, seed=0, batch=3,
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """lanes(n): a cross-validation after the call trains in n lanes (no more
+    than its jobs), as on n CPUs with one OpenBLAS thread each."""
+    def set_lanes(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                            raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return set_lanes

@@ -243,7 +243,7 @@ def test_06b_real_catalog_reproduction():
     pass
 
 
-def test_07_cv_machinery():
+def test_07_cv_machinery(lanes):
     rng = np.random.default_rng(3)
     y = rng.normal(size=120)
     folds = stratified_kfold(y, 5, bins=10, repeats=2, seed=0)
@@ -260,8 +260,8 @@ def test_07_cv_machinery():
                       targets, Variant.FULL.value, {})
     spec = build_default("gru", units=[4], dropout=[0.0])
     config = TrainConfig(batch_size=16, learning_rate=0.02, max_epochs=4,
-                         patience=2, folds=3, repeats=2, bins=3, seed=0,
-                         threads=1)
+                         patience=2, folds=3, repeats=2, bins=3, seed=0)
+    lanes(1)
     a = cross_validate(spec, ds, np.ones(45), config)
     assert len(a.fold_reports) == 3 * 2          # k x repeats
     b = cross_validate(spec, ds, np.ones(45), config)
@@ -269,7 +269,7 @@ def test_07_cv_machinery():
         assert fa.train_loss_curve == fb.train_loss_curve
         assert fa.val_metrics == fb.val_metrics   # bit-identical rerun
     _pass(7, "per-bin fold balance within 1, k x repeats fold reports, "
-             "bit-identical rerun at threads=1")
+             "bit-identical rerun in one lane")
 
 
 def test_08_grid_search_correctness():

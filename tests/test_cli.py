@@ -61,7 +61,7 @@ def test_config_precedence(tmp_path):
 def test_config_defaults_complete():
     cfg = load_config()
     for key in ("paths", "selection", "split", "preprocess", "weighting",
-                "variant", "model", "train", "grid", "seed", "threads"):
+                "variant", "model", "train", "grid", "seed"):
         assert key in cfg.values
     assert cfg.values["paths"]["output_dir"]
 
@@ -83,7 +83,7 @@ def test_default_snapshot_unchanged():
         DEFAULT_CONFIG["paths"], output_dir="X"))
     text = yaml.safe_dump(cfg.values, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "c8c40aed05523be3ebccb7388f59cb92f7e7be3d20b1e41c262434ceacfe3f57")
+        "260daf1a57fcae1114c692db5c702f00fef83ca827f559ee7bcf0089bfda77e0")
 
 
 def test_ingest_outputs(workspace):
@@ -243,10 +243,11 @@ def test_cv_matrix_writes_each_cell(workspace, tmp_path):
 
 
 def test_gridsearch_says_when_every_cell_failed(workspace, tmp_path, capsys,
-                                                monkeypatch):
+                                                monkeypatch, lanes):
     def diverge(*args, **kwargs):
         raise errors.DivergedLoss(0, float("nan"))
 
+    lanes(1)
     monkeypatch.setattr(evaluate, "train", diverge)
     config = tmp_path / "grid.yaml"
     config.write_text(yaml.safe_dump({"grid": {
@@ -255,7 +256,7 @@ def test_gridsearch_says_when_every_cell_failed(workspace, tmp_path, capsys,
     work = str(tmp_path / "work")
     shutil.copytree(workspace, work)
     assert main(["gridsearch", "--config", str(config), "--output", work,
-                 "--model", "gru", "--variant", "full", "--threads", "1"]) == 0
+                 "--model", "gru", "--variant", "full"]) == 0
     assert capsys.readouterr().out == (
         "grid gru_full: all 2 cells failed, see reports/grid_gru_full.csv\n")
     with open(os.path.join(work, "reports", "grid_gru_full.csv")) as fh:
@@ -648,6 +649,7 @@ def test_unknown_model_rejected(workspace):
     ("gridsearch", {"grid": {"dropout_rates": [1.0]}}),
     ("ingest", {"split": {"train_fraction": 1.0}}),
     ("ingest", {"selection": {"min_epochs": -1}}),
+    ("cv", {"threads": 0}),
 ], ids=["negative_lam", "zero_batch_size", "unknown_variant", "unknown_key",
         "train_fraction_not_a_number", "batch_size_not_a_number",
         "top_level_list", "unknown_model", "bandwidth_not_a_number",
@@ -655,7 +657,8 @@ def test_unknown_model_rejected(workspace):
         "negative_learning_rate", "nan_learning_rate", "negative_patience",
         "zero_cap", "removed_pad_value", "float_seed", "float_max_epochs",
         "bool_threads", "float_grid_batch_size", "bool_lam", "grid_list_not_a_list",
-        "grid_dropout_one", "train_fraction_one", "negative_selection_cut"])
+        "grid_dropout_one", "train_fraction_one", "negative_selection_cut",
+        "removed_threads"])
 def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section):
     config = tmp_path / "bad.yaml"
     config.write_text(yaml.safe_dump(section))
@@ -737,9 +740,9 @@ def test_cv_rerun_from_snapshot_byte_identical(workspace, tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--epochs", "abc"], ["--learning-rate", "x"], ["--seed", "1.5"],
-    ["--threads", ""], ["--repeats", "0"], ["--learning-rate", "inf"],
-], ids=["epochs_abc", "learning_rate_x", "seed_1.5", "threads_empty",
-        "repeats_0", "learning_rate_inf"])
+    ["--repeats", "0"], ["--learning-rate", "inf"],
+], ids=["epochs_abc", "learning_rate_x", "seed_1.5", "repeats_0",
+        "learning_rate_inf"])
 def test_exit_code_invalid_flag(tmp_path, capsys, flags):
     # flag values are read by load_config, as the same values in YAML are
     out = str(tmp_path / "out")
@@ -750,7 +753,9 @@ def test_exit_code_invalid_flag(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("argv", [
     ["cv", "--bogus", "1"], ["predict", "--input", "x.zip"], ["train", "--epochs"],
-], ids=["unknown_flag", "no_snapshot", "flag_without_value"])
+    ["cv", "--threads", "1"],
+], ids=["unknown_flag", "no_snapshot", "flag_without_value",
+        "removed_threads"])
 def test_usage_error_exits_2(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)

@@ -1,6 +1,9 @@
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
@@ -195,7 +198,7 @@ def test_best_epoch_validation_predictions_reused(corpus_datasets, kind, variant
         np.testing.assert_array_equal(pred, predict(result.model, side))
 
 
-def test_cross_validate_scores_train_predictions(monkeypatch):
+def test_cross_validate_scores_train_predictions(monkeypatch, lanes):
     # each fold's report is `metric_suite` of the predictions `train`
     # returned for that fold's two sides
     results, real_train = [], evaluate.train
@@ -205,7 +208,8 @@ def test_cross_validate_scores_train_predictions(monkeypatch):
         return results[-1]
     monkeypatch.setattr(evaluate, "train", recording_train)
     ds, w = toy_dataset(45), np.linspace(0.5, 1.5, 45)
-    report = cross_validate(TINY_SPEC, ds, w, replace(TINY_CONFIG, threads=1))
+    lanes(1)
+    report = cross_validate(TINY_SPEC, ds, w, TINY_CONFIG)
     folds = stratified_kfold(ds.targets, 3, bins=4, seed=0)[0]
     for fr, res in zip(report.fold_reports, results):
         val = folds == fr.fold
@@ -249,19 +253,20 @@ def test_cross_validate_rerun_identical_single_thread():
         assert fa.train_loss_curve == fb.train_loss_curve
 
 
-def test_cross_validate_threaded_matches_serial():
+def test_cross_validate_threaded_matches_serial(lanes):
     # 6 jobs in 1, 2 and 3 lanes: fold reports (metrics of both sides and
     # loss curves) and the summary are bit-identical
     ds = toy_dataset(45)
     w = np.linspace(0.5, 1.5, 45)
-    runs = {threads: cross_validate(
-                TINY_SPEC, ds, w, replace(TINY_CONFIG, repeats=2, threads=threads))
-            for threads in (1, 2, 3)}
+    runs = {}
+    for n in (1, 2, 3):
+        lanes(n)
+        runs[n] = cross_validate(TINY_SPEC, ds, w, replace(TINY_CONFIG, repeats=2))
     serial = runs[1]
     assert len(serial.fold_reports) == 6
-    for threads in (2, 3):
-        assert runs[threads].fold_reports == serial.fold_reports
-        assert runs[threads].summary == serial.summary
+    for n in (2, 3):
+        assert runs[n].fold_reports == serial.fold_reports
+        assert runs[n].summary == serial.summary
 
 
 def _patch_train(monkeypatch, hook):
@@ -276,8 +281,10 @@ def _patch_train(monkeypatch, hook):
     monkeypatch.setattr(evaluate, "train", train)
 
 
-def test_error_in_child_lane_raised_once_in_caller(monkeypatch, tmp_path):
+def test_error_in_child_lane_raised_once_in_caller(monkeypatch, tmp_path,
+                                                   lanes):
     # 3 folds in 2 lanes: fold 1 runs in the forked child
+    lanes(2)
     caller = os.getpid()
 
     def hook(config, seed_index):
@@ -288,8 +295,7 @@ def test_error_in_child_lane_raised_once_in_caller(monkeypatch, tmp_path):
     _patch_train(monkeypatch, hook)
     raised = tmp_path / "raised"
     try:
-        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
-                       replace(TINY_CONFIG, threads=2))
+        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45), TINY_CONFIG)
     except FehForgeError as exc:
         with open(raised, "a") as fh:
             fh.write(f"{os.getpid()} {type(exc).__name__} {exc.exit_code} "
@@ -299,22 +305,23 @@ def test_error_in_child_lane_raised_once_in_caller(monkeypatch, tmp_path):
         f"{caller} DivergedLoss 4 2 inf non-finite loss inf at epoch 2"]
 
 
-def test_first_failing_fold_in_job_order_is_raised(monkeypatch):
+def test_first_failing_fold_in_job_order_is_raised(monkeypatch, lanes):
     # fold 2 fails in the caller's lane and fold 1 in the child: a serial
     # run would stop at fold 1, so that is the error raised
+    lanes(2)
     def hook(config, seed_index):
         if seed_index in (1, 2):
             raise DivergedLoss(seed_index, float("inf"))
 
     _patch_train(monkeypatch, hook)
     with pytest.raises(DivergedLoss) as info:
-        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
-                       replace(TINY_CONFIG, threads=2))
+        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45), TINY_CONFIG)
     assert info.value.epoch == 1
 
 
 @pytest.mark.parametrize("fault", ["dies", "garbage"])
-def test_broken_child_lane_names_its_fold(monkeypatch, fault):
+def test_broken_child_lane_names_its_fold(monkeypatch, lanes, fault):
+    lanes(2)
     if fault == "dies":
         def hook(config, seed_index):
             if seed_index == 1:
@@ -328,18 +335,18 @@ def test_broken_child_lane_names_its_fold(monkeypatch, fault):
                             classmethod(lambda cls, obj, protocol=None: b"garbage"))
         why = "sent garbage"
     with pytest.raises(FehForgeError) as info:
-        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
-                       replace(TINY_CONFIG, threads=2))
+        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45), TINY_CONFIG)
     assert type(info.value) is FehForgeError and info.value.exit_code == 1
     assert why in str(info.value)
     assert "repeat 0 fold 1" in str(info.value)
 
 
 @pytest.mark.parametrize("case", ["clean", "raises", "killed", "interrupted"])
-def test_no_lane_outlives_a_cross_validation(monkeypatch, case):
+def test_no_lane_outlives_a_cross_validation(monkeypatch, lanes, case):
     # 3 folds in 2 lanes: fold 1 runs in the forked child; an interrupt in
     # the caller's own lane leaves the child running until the caller's
     # cleanup kills and reaps it
+    lanes(2)
     caller = os.getpid()
 
     def hook(config, seed_index):
@@ -354,8 +361,7 @@ def test_no_lane_outlives_a_cross_validation(monkeypatch, case):
     raised = {"clean": None, "raises": DivergedLoss, "killed": FehForgeError,
               "interrupted": KeyboardInterrupt}[case]
     try:
-        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45),
-                       replace(TINY_CONFIG, threads=2))
+        cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45), TINY_CONFIG)
     except BaseException as exc:
         assert type(exc) is raised
     else:
@@ -365,10 +371,10 @@ def test_no_lane_outlives_a_cross_validation(monkeypatch, case):
     assert multiprocessing.active_children() == []
 
 
-def test_runs_serially_while_other_threads_run(monkeypatch):
+def test_runs_serially_while_other_threads_run(monkeypatch, lanes):
     ds = toy_dataset(45)
-    expected = cross_validate(TINY_SPEC, ds, np.ones(45),
-                              replace(TINY_CONFIG, threads=1))
+    lanes(1)
+    expected = cross_validate(TINY_SPEC, ds, np.ones(45), TINY_CONFIG)
 
     def no_fork():
         raise AssertionError("forked with another thread running")
@@ -377,9 +383,9 @@ def test_runs_serially_while_other_threads_run(monkeypatch):
     release = threading.Event()
     waiter = threading.Thread(target=release.wait, args=(30,))
     waiter.start()
+    lanes(2)
     try:
-        report = cross_validate(TINY_SPEC, ds, np.ones(45),
-                                replace(TINY_CONFIG, threads=2))
+        report = cross_validate(TINY_SPEC, ds, np.ones(45), TINY_CONFIG)
     finally:
         release.set()
         waiter.join(timeout=30)
@@ -387,24 +393,82 @@ def test_runs_serially_while_other_threads_run(monkeypatch):
     assert report.fold_reports == expected.fold_reports
 
 
-@pytest.mark.parametrize("threads, env, lanes", [
-    (0, {"OPENBLAS_NUM_THREADS": "1"}, 4),
-    (0, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
-    (0, {"OMP_NUM_THREADS": "1"}, 4),
-    (0, {}, 1),                         # unpinned OpenBLAS takes every CPU
-    (0, {"OMP_NUM_THREADS": "8"}, 1),
-    (3, {}, 3),
-    (9, {}, 6),                         # never more lanes than jobs
-], ids=["blas_1", "blas_2", "omp_1", "unpinned", "omp_8", "explicit",
-        "capped_by_jobs"])
-def test_lane_count(monkeypatch, threads, env, lanes):
+@pytest.mark.parametrize("env, jobs, expected", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 6, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 6, 2),
+    ({"OMP_NUM_THREADS": "1"}, 6, 4),
+    ({}, 6, 1),                         # unpinned OpenBLAS takes every CPU
+    ({"OMP_NUM_THREADS": "8"}, 6, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 3, 3),  # never more lanes than jobs
+    # OpenBLAS reads 0, empty or a word as unset and falls through to
+    # OMP_NUM_THREADS, then to every CPU
+    ({"OPENBLAS_NUM_THREADS": "0"}, 6, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, 6, 4),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 6, 2),
+    ({"OPENBLAS_NUM_THREADS": "two", "OMP_NUM_THREADS": "0"}, 6, 1),
+    ({"OPENBLAS_NUM_THREADS": " 2 "}, 6, 2),
+], ids=["blas_1", "blas_2", "omp_1", "unpinned", "omp_8", "capped_by_jobs",
+        "blas_0", "blas_0_omp_1", "blas_empty_omp_2", "blas_word_omp_0",
+        "blas_2_spaced"])
+def test_lane_count(monkeypatch, env, jobs, expected):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
                         raising=False)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
-    assert evaluate._lane_count(threads, 6) == lanes
+    assert evaluate._lane_count(jobs) == expected
+
+
+# Imports fehforge (after numpy with argv[1] "numpy_first") and scipy's
+# LAPACK, then prints OPENBLAS_NUM_THREADS, the threads each loaded OpenBLAS
+# reports where it has a get_num_threads symbol, and the lanes on 2 CPUs.
+_BLAS_PROBE = """
+import ctypes, json, os, sys
+if sys.argv[1] == "numpy_first":
+    import numpy
+import fehforge
+import scipy.linalg
+threads = []
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    for lib in map(ctypes.CDLL, libs):
+        for name in ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "scipy_openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                get = getattr(lib, name)
+                get.argtypes, get.restype = (), ctypes.c_int
+                threads.append(get())
+os.sched_getaffinity = lambda pid: {0, 1}
+print(json.dumps({"var": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": threads,
+                  "lanes": fehforge.evaluate._lane_count(5)}))
+"""
+
+
+@pytest.mark.parametrize("order, env, var, threads, expected", [
+    ("import", {}, "1", 1, 2),
+    ("import", {"OPENBLAS_NUM_THREADS": "2"}, "2", 2, 1),
+    ("import", {"OMP_NUM_THREADS": "2"}, None, 2, 1),
+    ("numpy_first", {}, None, None, 1),
+], ids=["unset", "user_openblas_2", "user_omp_2", "numpy_first"])
+def test_import_pins_one_blas_thread(order, env, var, threads, expected):
+    # importing fehforge before numpy sets one OpenBLAS thread, unless the
+    # user set a count; after numpy it sets nothing (OpenBLAS has read its
+    # variables) and counts the unpinned BLAS as every CPU
+    src = os.path.dirname(os.path.dirname(evaluate.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    run = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE, order], capture_output=True,
+        text=True, timeout=120, check=True, env=dict(base, **env, PYTHONPATH=(
+            os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))))
+    seen = json.loads(run.stdout)
+    assert seen["var"] == var and seen["lanes"] == expected
+    if threads is not None:
+        assert seen["threads"] == [threads] * len(seen["threads"])
 
 
 def test_summarize_folds_mean_std():
@@ -437,23 +501,25 @@ def test_grid_search_single_cell_equals_plain_cv():
     assert ranked[0].report.summary == direct.summary
 
 
-def test_grid_search_runs_each_distinct_cell_once(monkeypatch):
+def test_grid_search_runs_each_distinct_cell_once(monkeypatch, lanes):
     # an FCN has no dropout, so its two dropout cells are one CV
     calls = []
     _patch_train(monkeypatch, lambda config, seed_index: calls.append(seed_index))
     spec = build_default("fcn", filters=[2, 2, 2], kernels=[3, 3, 3])
     grid = GridSpec(dropout_rates=(0.1, 0.4), learning_rates=(0.02,),
                     batch_sizes=(16,))
-    config = replace(TINY_CONFIG, threads=1)
-    ranked, failed = grid_search(spec, toy_dataset(30), np.ones(30), grid, config)
-    assert len(calls) == config.folds * config.repeats
+    lanes(1)
+    ranked, failed = grid_search(spec, toy_dataset(30), np.ones(30), grid,
+                                 TINY_CONFIG)
+    assert len(calls) == TINY_CONFIG.folds * TINY_CONFIG.repeats
     assert failed == [] and [c.dropout for c in ranked] == [0.1, 0.4]
     assert ranked[0].report is ranked[1].report
 
 
-def test_grid_search_records_cell_diverged_in_child_lane(monkeypatch):
+def test_grid_search_records_cell_diverged_in_child_lane(monkeypatch, lanes):
     # the second cell's fold 1 diverges in the forked lane; the DivergedLoss
     # crosses to the caller intact, so the cell is recorded as failed
+    lanes(2)
     caller = os.getpid()
 
     def hook(config, seed_index):
@@ -465,7 +531,7 @@ def test_grid_search_records_cell_diverged_in_child_lane(monkeypatch):
     grid = GridSpec(dropout_rates=(0.0,), learning_rates=(0.02, 20.0),
                     batch_sizes=(16,))
     ranked, failed = grid_search(TINY_SPEC, toy_dataset(45), np.ones(45), grid,
-                                 replace(TINY_CONFIG, threads=2))
+                                 TINY_CONFIG)
     assert [c.learning_rate for c in ranked] == [0.02]
     assert [(c.learning_rate, c.error) for c in failed] == [
         (20.0, "DivergedLoss: non-finite loss nan at epoch 3")]
