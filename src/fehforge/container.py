@@ -99,8 +99,8 @@ def read_container(path, kind, dtypes=None):
     each member of `dtypes` (name -> the dtype it must have; default: every
     .npy member, of any dtype) to its array. MissingInput if there is no
     file; IntegrityError if it is not a sound zip archive, its manifest
-    names another kind, or a member is missing, unreadable or of another
-    dtype."""
+    names another kind or format version, or a member is missing,
+    unreadable or of another dtype."""
     if not os.path.exists(path):
         raise MissingInput(f"{kind} container not found: {path}")
     try:
@@ -108,6 +108,10 @@ def read_container(path, kind, dtypes=None):
             manifest = json.loads(zf.read("manifest.json"))
             if not isinstance(manifest, dict) or manifest.get("kind") != kind:
                 raise IntegrityError(f"{path} is not a {kind} container")
+            if manifest.get("format_version") != FORMAT_VERSION:
+                raise IntegrityError(
+                    f"{path} is {kind} container format version "
+                    f"{manifest.get('format_version')}, not {FORMAT_VERSION}")
             names = dtypes or [m[:-4] for m in zf.namelist() if m.endswith(".npy")]
             arrays = {name: np.load(io.BytesIO(zf.read(f"{name}.npy")),
                                     allow_pickle=False) for name in names}

@@ -282,87 +282,96 @@ def _lane_count(jobs):
     return min(max(cpus // (_blas_threads() or cpus), 1), jobs)
 
 
-def _run_lane(fit, jobs):
-    """One outcome per job: fit(job), or the exception it raised; None for
-    each job after the first that raised."""
-    outcomes = [None] * len(jobs)
-    for i, job in enumerate(jobs):
+def _run_lane(fit, jobs, lane, taken, taker):
+    """Every lane's loop: take the next job index from the shared counter
+    `taken`, mark the job `lane`'s in the shared `taker`, and run it, until
+    none is left. Returns {index: fit(job), or the exception it raised}; a
+    job that raised ends the counter, so no lane takes a job after it."""
+    outcomes = {}
+    while True:
+        with taken.get_lock():
+            i = taken.value
+            taken.value = i + 1
+            if i < len(jobs):
+                taker[i] = lane
+        if i >= len(jobs):
+            return outcomes
         try:
-            outcomes[i] = fit(job)
+            outcomes[i] = fit(jobs[i])
         except Exception as exc:
             outcomes[i] = exc
-            break
-    return outcomes
+            with taken.get_lock():
+                taken.value = len(jobs)
+            return outcomes
 
 
-def _child_lane(fit, jobs, writer):
+def _child_lane(fit, jobs, lane, taken, taker, writer):
     """A forked lane's body: sends its `_run_lane` outcomes once all are in,
     so a full pipe cannot stall its work while the caller runs its own lane.
     An exception carries the child's traceback as a note. It ignores SIGINT:
     on Ctrl-C the caller, interrupted, kills it."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    outcomes = _run_lane(fit, jobs)
-    for exc in outcomes:
+    outcomes = _run_lane(fit, jobs, lane, taken, taker)
+    for exc in outcomes.values():
         if isinstance(exc, Exception) and hasattr(exc, "add_note"):  # >= 3.11
             exc.add_note("raised in a fold lane:\n"
                          + "".join(traceback.format_exception(exc)))
     writer.send(outcomes)
 
 
-def _receive(child, reader, lane, jobs):
-    """The outcomes of a forked lane, once it has exited. A lane that died
-    or sent garbage delivered none: its first job's outcome is a
-    FehForgeError saying why."""
+def _receive(child, reader):
+    """(outcomes, None) of a forked lane once it has exited, or ({}, why)
+    for a lane that died or sent garbage: it delivered none."""
     try:
-        outcomes = reader.recv()
-        why = None
+        outcomes, why = reader.recv(), None
     except Exception as exc:
-        why = f"sent garbage ({type(exc).__name__}: {exc})"
+        outcomes, why = {}, f"sent garbage ({type(exc).__name__}: {exc})"
     child.join()
     if child.exitcode:
-        why = (f"was killed by signal {-child.exitcode}" if child.exitcode < 0
-               else f"exited with code {child.exitcode}")
-    if why is None:
-        return outcomes
-    rep, fold = jobs[0]
-    return [FehForgeError(f"cross-validation lane {lane} {why} before it "
-                          f"delivered repeat {rep} fold {fold}")
-            ] + [None] * (len(jobs) - 1)
+        outcomes, why = {}, (f"was killed by signal {-child.exitcode}"
+                             if child.exitcode < 0
+                             else f"exited with code {child.exitcode}")
+    return outcomes, why
 
 
-def _map_folds(fit, jobs, lanes):
-    """[fit(job) for job in jobs] for (repeat, fold) jobs, dealt round-robin
-    to `lanes` lanes. The caller runs lane 0 itself; every other lane is one
-    forked `multiprocessing` child with a one-way pipe. Like a serial run,
-    it raises the exception of the first job, in job order, that failed; a
-    lane that dies or sends garbage is a FehForgeError naming the first fold
-    it did not deliver. Runs serially where there is no os.fork, or while
-    other threads run, since a forked child could inherit a lock that one
-    of them holds."""
-    if lanes < 2 or _FORK is None or threading.active_count() > 1:
+def _map_jobs(fit, jobs):
+    """What fit(job) returned or raised for each (cell, repeat, fold) job,
+    in job order; None for a job no lane took after one raised, and a
+    FehForgeError naming the job and why for one held by a lane that died
+    or sent garbage. The caller runs lane 0 of `_lane_count`, and each
+    other lane is a forked `multiprocessing` child with a one-way pipe.
+    Runs serially where there is no os.fork, or while other threads run,
+    since a forked child could inherit a lock that one of them holds."""
+    lanes = _lane_count(len(jobs))
+    if _FORK is None or threading.active_count() > 1:
         lanes = 1
-    outcomes, children = [None] * len(jobs), []
+    shared = _FORK or multiprocessing
+    taken = shared.Value("l", 0)
+    taker = shared.Array("i", len(jobs), lock=False)  # 0 also for no lane
+    whys, children = {}, []
     try:
         for lane in range(1, lanes):
             reader, writer = _FORK.Pipe(duplex=False)
-            child = _FORK.Process(target=_child_lane,
-                                  args=(fit, jobs[lane::lanes], writer))
+            child = _FORK.Process(target=_child_lane, args=(
+                fit, jobs, lane, taken, taker, writer))
             child.start()
             children.append((child, reader))
             writer.close()
-        outcomes[0::lanes] = _run_lane(fit, jobs[0::lanes])
+        outcomes = _run_lane(fit, jobs, 0, taken, taker)
         for lane, (child, reader) in enumerate(children, start=1):
-            outcomes[lane::lanes] = _receive(child, reader, lane,
-                                             jobs[lane::lanes])
+            delivered, whys[lane] = _receive(child, reader)
+            outcomes.update(delivered)
     finally:
         for child, reader in children:  # still running only after an interrupt
             child.kill()
             child.join()
             reader.close()
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
-    return outcomes
+    for i, (cell, rep, fold) in enumerate(jobs):
+        if i not in outcomes and taker[i]:
+            outcomes[i] = FehForgeError(
+                f"cross-validation lane {taker[i]} {whys[taker[i]]} before it "
+                f"delivered cell {cell}, repeat {rep} fold {fold}")
+    return [outcomes.get(i) for i in range(len(jobs))]
 
 
 def summarize_folds(fold_reports):
@@ -394,38 +403,68 @@ def score_folds(model_kind, variant, folds) -> MetricsReport:
                          summary=summarize_folds(fold_reports))
 
 
+def _cross_validate_cells(cells, contain=()):
+    """{cell: MetricsReport, or the exception that failed it} of `cells`,
+    {cell: (spec, dataset, weights, config)}, whose folds are the jobs of
+    one `_map_jobs` list. Like a serial run, it raises the first exception
+    in job order, unless it is a `contain`: that fails only its cell, whose
+    later folds its lane skips."""
+    cells = {cell: (spec, ds, np.asarray(w, dtype=np.float64), cfg,
+                    stratified_kfold(ds.targets, cfg.folds, bins=cfg.bins,
+                                     repeats=cfg.repeats, seed=cfg.seed))
+             for cell, (spec, ds, w, cfg) in cells.items()}
+    jobs = [(cell, rep, fold) for cell, (*_, cfg, _) in cells.items()
+            for rep in range(cfg.repeats) for fold in range(cfg.folds)]
+    failed = set()  # the cells of this lane's contained errors
+
+    def fit(job):
+        """The job's TrainResult, without its model."""
+        cell, rep, fold = job
+        if cell in failed:
+            return None
+        spec, ds, w, cfg, assignments = cells[cell]
+        val = assignments[rep] == fold
+        try:
+            result = train(spec, (ds.values[~val], ds.mask[~val],
+                                  ds.targets[~val], w[~val]),
+                           (ds.values[val], ds.mask[val], ds.targets[val],
+                            w[val]), cfg, seed_index=rep * cfg.folds + fold)
+        except contain as exc:
+            failed.add(cell)
+            return exc
+        return replace(result, model=None)
+
+    outcomes, reports = _map_jobs(fit, jobs), {}
+    for cell, (spec, ds, w, _, a) in cells.items():
+        folds = [(rep, fold, outcome) for (c, rep, fold), outcome
+                 in zip(jobs, outcomes) if c == cell]
+        y = ds.targets
+        try:
+            for *_, outcome in folds:
+                if isinstance(outcome, Exception):
+                    raise outcome
+            reports[cell] = score_folds(spec.kind, ds.variant, [
+                (rep, fold, result, (y[a[rep] != fold], w[a[rep] != fold]),
+                 (y[a[rep] == fold], w[a[rep] == fold]))
+                for rep, fold, result in folds])
+        except contain as exc:
+            reports[cell] = exc
+    return reports
+
+
 def cross_validate(spec: ModelSpec, dataset: ArrayDataset, weights,
                    config: TrainConfig) -> MetricsReport:
     """k x repeats training runs with aggregated mean +/- std metrics, in a
     report of `dataset.variant`.
 
     The folds train in `_lane_count` lanes, one in this process and the
-    others in forked `multiprocessing` children (see `_map_folds`); the fold
-    assignment and the scoring stay in this process, and each fold's result
-    or error comes back pickled. Every fold draws from its own seed
-    substreams, so the report is bit-identical at any lane count.
+    others forked, and a free lane takes the next fold (`_map_jobs`); the
+    fold assignment and the scoring stay in this process. Every fold draws
+    from its own seed substreams, so the report is bit-identical at any
+    lane count. Like a serial run, it raises the first failing fold's error.
     """
-    weights = np.asarray(weights, dtype=np.float64)
-    assignments = stratified_kfold(dataset.targets, config.folds,
-                                   bins=config.bins, repeats=config.repeats,
-                                   seed=config.seed)
-    jobs = [(rep, fold) for rep in range(config.repeats)
-            for fold in range(config.folds)]
-
-    X, mask, y = dataset.values, dataset.mask, dataset.targets
-
-    def fit(job):
-        """The fold as `score_folds` takes it; its TrainResult has no model."""
-        rep, fold = job
-        val, tr = assignments[rep] == fold, assignments[rep] != fold
-        result = train(spec, (X[tr], mask[tr], y[tr], weights[tr]),
-                       (X[val], mask[val], y[val], weights[val]),
-                       config, seed_index=rep * config.folds + fold)
-        return (rep, fold, replace(result, model=None), (y[tr], weights[tr]),
-                (y[val], weights[val]))
-
-    return score_folds(spec.kind, dataset.variant, _map_folds(
-        fit, jobs, _lane_count(len(jobs))))
+    cell = (dataset.variant, spec.kind)
+    return _cross_validate_cells({cell: (spec, dataset, weights, config)})[cell]
 
 
 # --- grid search ------------------------------------------------------------
@@ -451,21 +490,26 @@ def grid_search(spec: ModelSpec, dataset: ArrayDataset, weights,
                 grid: GridSpec, config: TrainConfig):
     """Evaluate every grid cell via cross-validation and rank by mean
     validation wRMSE (ties: validation MAE, then cell order). The cells of one
-    (spec, learning rate, batch size) share one cross-validation's outcome."""
-    cells, runs = [], {}
-    for i, (dropout, lr, batch) in enumerate(grid.cells()):
+    (spec, learning rate, batch size) share one cross-validation's outcome.
+    All their folds are one job list; a cell records its first FehForgeError
+    in job order, and the other cells go on."""
+    firsts, runs, rows = {}, {}, []
+    for dropout, lr, batch in grid.cells():
         cell_spec = spec.with_overrides(dropout=dropout)
-        key = (cell_spec.spec_hash(), lr, batch)
-        if key not in runs:
-            cell_config = replace(config, learning_rate=lr, batch_size=batch)
-            try:
-                runs[key] = (cross_validate(cell_spec, dataset, weights,
-                                            cell_config), None)
-            except FehForgeError as exc:
-                runs[key] = (None, f"{type(exc).__name__}: {exc}")
-        cells.append((i, GridCell(dropout, lr, batch, *runs[key])))
-    ok = [(i, c) for i, c in cells if c.error is None]
-    failed = [c for _, c in cells if c.error is not None]
+        first = firsts.setdefault((cell_spec.spec_hash(), lr, batch),
+                                  (dropout, lr, batch))
+        runs[first] = (cell_spec, dataset, weights,
+                       replace(config, learning_rate=lr, batch_size=batch))
+        rows.append((dropout, lr, batch, first))
+    outcomes = _cross_validate_cells(runs, contain=FehForgeError)
+    cells = [GridCell(dropout, lr, batch, outcomes[first])
+             for dropout, lr, batch, first in rows]
+    for cell in cells:  # a failed cell's report is the error it raised
+        if isinstance(cell.report, Exception):
+            cell.error = f"{type(cell.report).__name__}: {cell.report}"
+            cell.report = None
+    ok = [(i, c) for i, c in enumerate(cells) if c.error is None]
+    failed = [c for c in cells if c.error is not None]
     ranked = [c for _, c in sorted(ok, key=lambda t: (t[1].val_wrmse,
                                                       t[1].val_mae, t[0]))]
     return ranked, failed
@@ -475,11 +519,12 @@ def grid_search(spec: ModelSpec, dataset: ArrayDataset, weights,
 
 def run_matrix(datasets, kinds, config: TrainConfig, weights_by_variant):
     """Cross-validate every model kind on every dataset variant; returns
-    {(variant, kind): MetricsReport}, ordered by variant then model."""
-    return {(variant, kind): cross_validate(
-                build_default(kind), datasets[variant],
-                weights_by_variant[variant], config)
-            for variant in sorted(datasets) for kind in kinds}
+    {(variant, kind): MetricsReport}, ordered by variant then model. All
+    their folds are one job list, and it raises the first failing one's."""
+    return _cross_validate_cells({
+        (variant, kind): (build_default(kind), datasets[variant],
+                          weights_by_variant[variant], config)
+        for variant in sorted(datasets) for kind in kinds})
 
 
 # --- report writers ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import zipfile
 
 import numpy as np
@@ -125,6 +126,25 @@ def test_snapshot_state_of_another_dtype_rejected(tmp_path, dtype):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("kind", ["dataset", "snapshot"])
+def test_container_of_another_format_version_rejected(tmp_path, dataset, kind):
+    # a manifest rewritten to format version 2 is refused, naming both
+    path = tmp_path / f"{kind}.zip"
+    if kind == "dataset":
+        save_dataset(path, dataset)
+    else:
+        save_snapshot(path, build(build_default("fcn"), (16, 2), seed=1))
+    with zipfile.ZipFile(path) as zf:
+        members = {n: zf.read(n) for n in zf.namelist()}
+    manifest = dict(json.loads(members["manifest.json"]), format_version=2)
+    members["manifest.json"] = json.dumps(manifest).encode()
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+    with pytest.raises(IntegrityError, match="format version 2, not 1"):
+        (load_dataset if kind == "dataset" else load_snapshot)(path)
+
+
 def test_snapshot_rerun_byte_identical(tmp_path):
     model = build(build_default("fcn"), (16, 2), seed=1)
     a, b = tmp_path / "a.zip", tmp_path / "b.zip"
@@ -138,7 +158,6 @@ def test_snapshot_tampered_spec_rejected(tmp_path):
     path = tmp_path / "snap.zip"
     save_snapshot(path, model)
     # rewrite manifest.json with a different spec but the stale hash
-    import json
     with zipfile.ZipFile(path) as zf:
         meta = json.loads(zf.read("manifest.json"))
         members = {n: zf.read(n) for n in zf.namelist() if n != "manifest.json"}

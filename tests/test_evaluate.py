@@ -281,6 +281,35 @@ def _patch_train(monkeypatch, hook):
     monkeypatch.setattr(evaluate, "train", train)
 
 
+def _patch_train_in_child(monkeypatch, hook,
+                          wanted=lambda config, seed_index: seed_index == 1):
+    """_patch_train(hook) in 2 lanes, with a handshake that puts the job
+    `wanted` matches in the forked lane: the forked lane starts once the
+    caller's lane holds a job, and that first job waits until the forked
+    lane has started the wanted one, for at most 10 s each. So the forked
+    lane takes every job from the second up to the wanted one."""
+    caller = os.getpid()
+    caller_took, child_took = evaluate._FORK.Event(), evaluate._FORK.Event()
+    real_process = evaluate._FORK.Process
+
+    def process(target, args):
+        def after_caller(*args):
+            assert caller_took.wait(10), "the caller's lane took no job"
+            target(*args)
+        return real_process(target=after_caller, args=args)
+
+    def handshake(config, seed_index):
+        if os.getpid() != caller and wanted(config, seed_index):
+            child_took.set()
+        elif os.getpid() == caller and not caller_took.is_set():
+            caller_took.set()
+            assert child_took.wait(10), "the forked lane took no wanted job"
+        hook(config, seed_index)
+
+    monkeypatch.setattr(evaluate._FORK, "Process", process)
+    _patch_train(monkeypatch, handshake)
+
+
 def test_error_in_child_lane_raised_once_in_caller(monkeypatch, tmp_path,
                                                    lanes):
     # 3 folds in 2 lanes: fold 1 runs in the forked child
@@ -292,7 +321,7 @@ def test_error_in_child_lane_raised_once_in_caller(monkeypatch, tmp_path,
             assert os.getpid() != caller
             raise DivergedLoss(2, float("inf"))
 
-    _patch_train(monkeypatch, hook)
+    _patch_train_in_child(monkeypatch, hook)
     raised = tmp_path / "raised"
     try:
         cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45), TINY_CONFIG)
@@ -306,8 +335,8 @@ def test_error_in_child_lane_raised_once_in_caller(monkeypatch, tmp_path,
 
 
 def test_first_failing_fold_in_job_order_is_raised(monkeypatch, lanes):
-    # fold 2 fails in the caller's lane and fold 1 in the child: a serial
-    # run would stop at fold 1, so that is the error raised
+    # folds 1 and 2 fail, in whichever lanes take them: a serial run would
+    # stop at fold 1, so that is the error raised
     lanes(2)
     def hook(config, seed_index):
         if seed_index in (1, 2):
@@ -321,19 +350,22 @@ def test_first_failing_fold_in_job_order_is_raised(monkeypatch, lanes):
 
 @pytest.mark.parametrize("fault", ["dies", "garbage"])
 def test_broken_child_lane_names_its_fold(monkeypatch, lanes, fault):
+    # 3 folds in 2 lanes: fold 1 runs in the forked child
     lanes(2)
+    caller = os.getpid()
     if fault == "dies":
         def hook(config, seed_index):
-            if seed_index == 1:
+            if seed_index == 1 and os.getpid() != caller:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        _patch_train(monkeypatch, hook)
         why = f"killed by signal {int(signal.SIGKILL)}"
     else:
         # the child's pickle of its outcome is garbage; the caller only loads
         monkeypatch.setattr(ForkingPickler, "dumps",
                             classmethod(lambda cls, obj, protocol=None: b"garbage"))
+        hook = lambda config, seed_index: None
         why = "sent garbage"
+    _patch_train_in_child(monkeypatch, hook)
     with pytest.raises(FehForgeError) as info:
         cross_validate(TINY_SPEC, toy_dataset(45), np.ones(45), TINY_CONFIG)
     assert type(info.value) is FehForgeError and info.value.exit_code == 1
@@ -352,12 +384,12 @@ def test_no_lane_outlives_a_cross_validation(monkeypatch, lanes, case):
     def hook(config, seed_index):
         if case == "raises" and seed_index == 1:
             raise DivergedLoss(1, float("inf"))
-        if case == "killed" and seed_index == 1:
+        if case == "killed" and seed_index == 1 and os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
         if case == "interrupted" and os.getpid() == caller:
             raise KeyboardInterrupt
 
-    _patch_train(monkeypatch, hook)
+    _patch_train_in_child(monkeypatch, hook)
     raised = {"clean": None, "raises": DivergedLoss, "killed": FehForgeError,
               "interrupted": KeyboardInterrupt}[case]
     try:
@@ -369,6 +401,94 @@ def test_no_lane_outlives_a_cross_validation(monkeypatch, lanes, case):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert multiprocessing.active_children() == []
+
+
+def test_a_free_lane_takes_the_next_fold(monkeypatch, lanes):
+    # 4 folds in 2 lanes: the lane holding fold 0 waits until folds 1-3 have
+    # trained, so the other lane must take each next fold as it comes free
+    # (dealt round-robin, fold 2 would wait behind fold 0)
+    trained = [evaluate._FORK.Event() for _ in range(4)]
+    real_train = evaluate.train
+
+    def train(spec, train_data, val_data, config, seed_index=0):
+        if seed_index == 0:
+            assert all(e.wait(10) for e in trained[1:]), "folds 1-3 waited"
+        result = real_train(spec, train_data, val_data, config, seed_index)
+        trained[seed_index].set()
+        return result
+
+    monkeypatch.setattr(evaluate, "train", train)
+    lanes(2)
+    report = cross_validate(TINY_SPEC, toy_dataset(60), np.ones(60),
+                            replace(TINY_CONFIG, folds=4))
+    assert [fr.fold for fr in report.fold_reports] == [0, 1, 2, 3]
+
+
+def test_one_set_of_lanes_per_command(monkeypatch, lanes):
+    # a two-kind matrix and a two-cell grid each fork their lanes once
+    started, real_process = [], evaluate._FORK.Process
+
+    def process(*args, **kwargs):
+        started.append(args or kwargs)
+        return real_process(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate._FORK, "Process", process)
+    lanes(2)
+    ds, config = toy_dataset(30), replace(TINY_CONFIG, max_epochs=1)
+    run_matrix({"full": ds}, ["fcn", "gru"], config, {"full": np.ones(30)})
+    assert len(started) == 1
+    grid = GridSpec(dropout_rates=(0.0,), learning_rates=(0.02, 0.05),
+                    batch_sizes=(16,))
+    ranked, failed = grid_search(TINY_SPEC, ds, np.ones(30), grid, config)
+    assert len(ranked) == 2 and failed == [] and len(started) == 2
+
+
+def test_failing_matrix_takes_no_job_after_its_first_failure(monkeypatch,
+                                                            lanes):
+    # one lane: the first cell's fold 1 fails, so it is the last of the
+    # matrix's 6 folds to train
+    calls = []
+
+    def hook(config, seed_index):
+        calls.append(seed_index)
+        if len(calls) == 2:
+            raise DivergedLoss(1, float("inf"))
+
+    _patch_train(monkeypatch, hook)
+    lanes(1)
+    ds = toy_dataset(45)
+    datasets = {"full": ds, "raw_padded": replace(ds, variant="raw_padded")}
+    with pytest.raises(DivergedLoss):
+        run_matrix(datasets, ["gru"], TINY_CONFIG,
+                   {v: np.ones(45) for v in datasets})
+    assert calls == [0, 1]
+
+
+def test_matrix_and_failing_grid_identical_at_any_lane_count(monkeypatch,
+                                                             lanes):
+    # a 3-cell matrix, and a 3-cell grid whose second cell fails at fold 1,
+    # give equal reports and errors in 1, 2 and 3 lanes
+    def hook(config, seed_index):
+        if config.learning_rate == 0.05 and seed_index == 1:
+            raise DivergedLoss(seed_index, float("nan"))
+
+    _patch_train(monkeypatch, hook)
+    datasets = {v: replace(toy_dataset(45, seed=i), variant=v)
+                for i, v in enumerate(("full", "raw_padded", "spline_no_mean"))}
+    weights = {v: np.linspace(0.5, 1.5, 45) for v in datasets}
+    grid = GridSpec(dropout_rates=(0.0,), learning_rates=(0.02, 0.05, 0.01),
+                    batch_sizes=(16,))
+    runs = {}
+    for n in (1, 2, 3):
+        lanes(n)
+        runs[n] = (run_matrix(datasets, ["gru"], TINY_CONFIG, weights),
+                   grid_search(TINY_SPEC, datasets["full"], weights["full"],
+                               grid, TINY_CONFIG))
+    matrix, (ranked, failed) = runs[1]
+    assert len(matrix) == 3 and len(ranked) == 2
+    assert [(c.learning_rate, c.error) for c in failed] == [
+        (0.05, "DivergedLoss: non-finite loss nan at epoch 1")]
+    assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
 def test_runs_serially_while_other_threads_run(monkeypatch, lanes):
@@ -522,12 +642,15 @@ def test_grid_search_records_cell_diverged_in_child_lane(monkeypatch, lanes):
     lanes(2)
     caller = os.getpid()
 
+    def diverges(config, seed_index):
+        return config.learning_rate == 20.0 and seed_index == 1
+
     def hook(config, seed_index):
-        if config.learning_rate == 20.0 and seed_index == 1:
+        if diverges(config, seed_index):
             assert os.getpid() != caller
             raise DivergedLoss(3, float("nan"))
 
-    _patch_train(monkeypatch, hook)
+    _patch_train_in_child(monkeypatch, hook, diverges)
     grid = GridSpec(dropout_rates=(0.0,), learning_rates=(0.02, 20.0),
                     batch_sizes=(16,))
     ranked, failed = grid_search(TINY_SPEC, toy_dataset(45), np.ones(45), grid,
@@ -535,6 +658,32 @@ def test_grid_search_records_cell_diverged_in_child_lane(monkeypatch, lanes):
     assert [c.learning_rate for c in ranked] == [0.02]
     assert [(c.learning_rate, c.error) for c in failed] == [
         (20.0, "DivergedLoss: non-finite loss nan at epoch 3")]
+
+
+def test_grid_search_records_the_cells_of_a_dead_lane(monkeypatch, lanes):
+    # the forked lane takes folds 1 and 2 of the first cell and folds 0 and
+    # 1 of the second, and dies in the last: each cell records the first
+    # fold it lost, and the grid returns
+    lanes(2)
+    caller = os.getpid()
+
+    def dies(config, seed_index):
+        return config.learning_rate == 20.0 and seed_index == 1
+
+    def hook(config, seed_index):
+        if dies(config, seed_index) and os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _patch_train_in_child(monkeypatch, hook, dies)
+    grid = GridSpec(dropout_rates=(0.0,), learning_rates=(0.02, 20.0),
+                    batch_sizes=(16,))
+    ranked, failed = grid_search(TINY_SPEC, toy_dataset(45), np.ones(45), grid,
+                                 TINY_CONFIG)
+    lost = (f"FehForgeError: cross-validation lane 1 was killed by signal "
+            f"{int(signal.SIGKILL)} before it delivered cell")
+    assert ranked == [] and [(c.learning_rate, c.error) for c in failed] == [
+        (0.02, f"{lost} (0.0, 0.02, 16), repeat 0 fold 1"),
+        (20.0, f"{lost} (0.0, 20.0, 16), repeat 0 fold 0")]
 
 
 def test_grid_search_ranking_order():
