@@ -190,6 +190,7 @@ class TrainResult:
     val_predictions: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
           seed_index=0) -> TrainResult:
     """Mini-batch weighted-MSE training with Adam and early stopping.
@@ -203,7 +204,7 @@ def train(spec: ModelSpec, train_data, val_data, config: TrainConfig,
     in float32, `zoo.build`'s default; the loss, the loss curves and the
     predictions returned are float64, and `Model.backward` casts the loss
     gradient to the model's dtype. Raises `DivergedLoss` on a non-finite
-    loss.
+    loss, with numpy's overflow warnings on the way there silenced.
     """
     Xtr, mtr, ytr, wtr = train_data
     Xval, mval, yval, wval = val_data

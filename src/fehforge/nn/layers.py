@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import irfft, next_fast_len, rfft
+from scipy.linalg.blas import get_blas_funcs
 
 from ..errors import DegenerateBatch, InvalidRate, ShapeMismatch
 
@@ -79,6 +80,23 @@ class Layer:
             raise RuntimeError(f"{type(self).__name__}.backward needs a forward "
                                f"with training=True first")
         return self._cache
+
+
+def _colsum(x, y=None):
+    """x.sum() or (x * y).sum() over every axis but the last, bit for bit
+    (row after row; for 2 columns or more) and with no product temporary."""
+    axes = list(range(x.ndim))
+    operands = (x, axes) if y is None else (x, axes, y, axes)
+    return np.einsum(*operands, axes[-1:])
+
+
+def _flat_rows(a, P, lead, tail, dtype):
+    """(B, T, C) `a` as B rows of P steps back to back, each row's T steps
+    `lead` steps in, then `tail` steps: (B * P + tail, C), zero elsewhere."""
+    B, T, C = a.shape
+    flat = np.zeros((B * P + tail, C), dtype=dtype)
+    flat[:B * P].reshape(B, P, C)[:, lead:lead + T] = a
+    return flat
 
 
 class Dense(Layer):
@@ -134,8 +152,13 @@ class Conv1D(Layer):
         columns;
       - overlap-save FFT blocks for kernels of 16 taps or more (inception's
         k20 and k40 branches): far fewer multiply-adds than the tap loop;
-      - otherwise a loop over the k taps, one GEMM each, faster there than
-        copying x k times.
+      - otherwise a loop over the k taps, faster there than copying x k
+        times. The rows' padded inputs (P = T + k - 1 steps each) lie back
+        to back, so tap j of every output is one block of B * P rows and
+        one in-place BLAS GEMM. An output row's last k - 1 steps read into
+        the next row and are dropped; backward gives them dy = 0 and the
+        pad rows are 0, so neither reaches a gradient. On 2 channels im2col
+        wins: (32, 119, 2->128) k8 ran 1.33 ms f+b, flat 3.85 (float32).
     The FFT length n = next_fast_len(4k) is fixed by the kernel, never by T
     or the batch. Each output block of L = n - k + 1 steps comes from its
     own window of n padded input steps, so padded steps appended to the
@@ -185,16 +208,20 @@ class Conv1D(Layer):
             del spec
             # the first L steps of each block, joined in one copy
             y = np.concatenate([z[:, b, :L] for b in range(nb)], axis=1)[:, :T]
+        elif self.path == "taps":
+            P = T + k - 1
+            src = _flat_rows(x, P, self.pad_left, k - 1, W.dtype)
+            y = np.empty((B * P, W.shape[2]), dtype=W.dtype)
+            gemm = get_blas_funcs("gemm", (W,))
+            for j in range(k):
+                # y (+)= src[j:j + B * P] @ W[j], in BLAS's column-major terms
+                gemm(1.0, W[j].T, src[j:j + B * P].T, float(j > 0), y.T, overwrite_c=True)
+            y = y.reshape(B, P, -1)[:, :T]
         else:
             src = x if k == 1 else np.pad(
                 x, ((0, 0), (self.pad_left, self.pad_right), (0, 0)))
-            if self.path == "im2col":
-                src = sliding_window_view(src, T, axis=1).transpose(0, 3, 1, 2).reshape(B * T, -1)
-                y = (src @ W.reshape(-1, W.shape[2])).reshape(B, T, -1)
-            else:
-                y = src[:, :T] @ W[0]
-                for j in range(1, k):
-                    y += src[:, j:j + T] @ W[j]
+            src = sliding_window_view(src, T, axis=1).transpose(0, 3, 1, 2).reshape(B * T, -1)
+            y = (src @ W.reshape(-1, W.shape[2])).reshape(B, T, -1)
         if self.use_bias:
             y += self.params["b"]
         self._cache = (src, T) if training else None
@@ -205,7 +232,7 @@ class Conv1D(Layer):
         W = self.params["W"]
         k, cin, cout = W.shape
         if self.use_bias:
-            self.grads["b"] += dy.sum(axis=(0, 1))
+            self.grads["b"] += _colsum(dy)
         if self.path == "fft":
             B = len(dy)
             n, L, nb = self._blocks(T)
@@ -229,16 +256,20 @@ class Conv1D(Layer):
             self.grads["W"] += g[:, :k].swapaxes(0, 1)
             # a compact copy, not a view that keeps every block alive
             return np.ascontiguousarray(dxp.reshape(B, -1, cin)[:, self.pad_left:self.pad_left + T])
-        flat_dy = dy.reshape(-1, cout)
-        if self.path == "im2col":
-            self.grads["W"] += (src.T @ flat_dy).reshape(W.shape)
-            if k == 1:
-                return dy @ W[0].T
-            dxp = np.zeros((len(dy), T + k - 1, cin), dtype=dy.dtype)
-        else:
-            dxp = np.zeros_like(src)
+        if self.path == "taps":
+            B, P = len(dy), T + k - 1
+            dyf = _flat_rows(dy, P, 0, 0, W.dtype)
+            dxf = np.zeros_like(src)
+            gemm = get_blas_funcs("gemm", (W,))
             for j in range(k):
-                self.grads["W"][j] += src[:, j:j + T].reshape(-1, cin).T @ flat_dy
+                self.grads["W"][j] += src[j:j + B * P].T @ dyf
+                # dxf[j:j + B * P] += dyf @ W[j].T
+                gemm(1.0, W[j].T, dyf.T, 1.0, dxf[j:j + B * P].T, trans_a=1, overwrite_c=True)
+            return dxf[:B * P].reshape(B, P, cin)[:, self.pad_left:self.pad_left + T]
+        self.grads["W"] += (src.T @ dy.reshape(-1, cout)).reshape(W.shape)
+        if k == 1:
+            return dy @ W[0].T
+        dxp = np.zeros((len(dy), T + k - 1, cin), dtype=dy.dtype)
         for j in range(k):
             dxp[:, j:j + T] += dy @ W[j].T
         return dxp[:, self.pad_left:self.pad_left + T]
@@ -273,12 +304,11 @@ class BatchNorm1D(Layer):
             n = x.size // x.shape[-1] if mask is None else int(mask.sum())
             if n < 2:
                 raise DegenerateBatch("batch norm needs batch x time >= 2 in training")
-            axes = tuple(range(x.ndim - 1))
-            mu = x.sum(axis=axes) / n
+            mu = _colsum(x) / n
             x = x - mu                    # centred once, scaled in place to xhat
             if mask is not None:
                 x[~mask] = 0.0
-            var = (x * x).sum(axis=axes) / n
+            var = _colsum(x, x) / n
             for key, moment in (("running_mean", mu), ("running_var", var)):
                 self.buffers[key] = (self.momentum * self.buffers[key]
                                      + (1 - self.momentum) * moment)
@@ -295,8 +325,7 @@ class BatchNorm1D(Layer):
 
     def backward(self, dy):
         xhat, ivar, n = self._saved()
-        axes = tuple(range(dy.ndim - 1))
-        sum_dy, sum_dy_xhat = dy.sum(axis=axes), (dy * xhat).sum(axis=axes)
+        sum_dy, sum_dy_xhat = _colsum(dy), _colsum(dy, xhat)
         self.grads["gamma"] += sum_dy_xhat
         self.grads["beta"] += sum_dy
         # fused batch-norm backward through the batch statistics:

@@ -52,7 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeMismatch
-from .layers import Layer, glorot_uniform
+from .layers import Layer, _colsum, glorot_uniform
 
 
 def _sigmoid(x, out=None):
@@ -212,12 +212,12 @@ class GRU(_Recurrent):
         dHP = dwork[0].reshape(-1, 3 * n)
         dZR = dHP[:, :2 * n]
         dAh = dwork[1].reshape(-1, n)
-        db_rec = dHP.sum(axis=0)
+        db_rec = _colsum(dHP)
         self.grads["W"][:, :2 * n] += xt.T @ dZR
         self.grads["W"][:, 2 * n:] += xt.T @ dAh
         self.grads["U"] += h_prev.T @ dHP
         self.grads["b_in"][:2 * n] += db_rec[:2 * n]
-        self.grads["b_in"][2 * n:] += dAh.sum(axis=0)
+        self.grads["b_in"][2 * n:] += _colsum(dAh)
         self.grads["b_rec"] += db_rec
         dx = dZR @ W[:, :2 * n].T
         dx += dAh @ W[:, 2 * n:].T
@@ -285,5 +285,5 @@ class LSTM(_Recurrent):
         dA = dA.reshape(-1, 4 * self.units)
         self.grads["W"] += xt.T @ dA
         self.grads["U"] += h_prev.T @ dA
-        self.grads["b"] += dA.sum(axis=0)
+        self.grads["b"] += _colsum(dA)
         return dA @ self.params["W"].T

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from multiprocessing.reduction import ForkingPickler
 
@@ -164,6 +165,18 @@ def test_train_seed_index_changes_outcome():
     a = train(TINY_SPEC, as_tuple(ds), as_tuple(val), TINY_CONFIG, seed_index=0)
     b = train(TINY_SPEC, as_tuple(ds), as_tuple(val), TINY_CONFIG, seed_index=1)
     assert a.train_loss_curve != b.train_loss_curve
+
+
+def test_diverging_train_raises_without_numpy_warnings():
+    # every loss is checked for finiteness, so the overflow on the way there
+    # is no news: a diverging run warns nothing before `DivergedLoss`
+    cfg = replace(TINY_CONFIG, learning_rate=1e38)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergedLoss):
+            train(TINY_SPEC, as_tuple(toy_dataset(40)),
+                  as_tuple(toy_dataset(16, seed=2)), cfg)
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 @pytest.fixture(scope="module")

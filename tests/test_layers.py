@@ -4,7 +4,7 @@ import pytest
 from fehforge.errors import (DegenerateBatch, InvalidRate, ShapeMismatch)
 from fehforge.nn.layers import (BatchNorm1D, Conv1D, Dense, Dropout,
                                 GlobalAveragePool, Layer, MaxPool1D, ReLU,
-                                glorot_uniform)
+                                _colsum, glorot_uniform)
 from fehforge.nn.model import Add, Concat, Sequential, iter_leaves
 from fehforge.nn.recurrent import GRU
 from fehforge.zoo import KINDS, build, build_default
@@ -101,11 +101,13 @@ def test_conv1d_matches_manual_convolution(rng):
     np.testing.assert_allclose(out[0, :, 0], expected, atol=1e-12)
 
 
-# 16 taps or more on over 4 channels take the FFT path; their T crosses a
-# block boundary
+# 2 channels take im2col; 6 the tap loop, the last with T below the kernel;
+# 16 taps or more on over 4 channels take the FFT path, and their T crosses
+# a block boundary
 @pytest.mark.parametrize("kernel, cin, T", [(1, 2, 10), (3, 2, 10), (8, 2, 10),
-                                           (16, 5, 60), (40, 5, 130)],
-                         ids=["1", "3", "8", "16", "40"])
+                                           (16, 5, 60), (40, 5, 130),
+                                           (3, 6, 10), (8, 6, 5)],
+                         ids=["1", "3", "8", "16", "40", "taps-3", "taps-8-short"])
 def test_conv1d_grads(rng, kernel, cin, T):
     layer = Conv1D(cin, 4, kernel, rng)
     p_rel, x_rel = layer_grads(layer, rng.normal(size=(3, T, cin)))
@@ -490,6 +492,39 @@ def test_conv1d_fft_matches_reference_across_blocks(k, use_bias, dtype):
             if use_bias:
                 lean.params["b"][...] = ref.params["b"][...] = np.linspace(-1, 1, 5)
             _compare(lean, ref, x if m is None else x * m[..., None], m, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("k", [3, 8])
+def test_conv1d_taps_match_reference_across_rows(k, B, dtype):
+    # the tap loop lays the rows back to back with zero gap rows between
+    # them: lengths of one step, one below the kernel and two kernels, each
+    # unmasked and with padded steps (zeroed, as `Sequential` hands them on)
+    for T in (1, k - 1, 2 * k):
+        x = np.random.default_rng(T).normal(size=(B, T, 6))
+        mask = np.arange(T) < np.array([T // 2 + 1, T, 1])[:B, None]
+        for m in (None, mask):
+            lean, ref = (cls(6, 5, k, np.random.default_rng(k)) for cls in (Conv1D, RefConv1D))
+            assert lean.path == "taps"
+            lean.params["b"][...] = ref.params["b"][...] = np.linspace(-1, 1, 5)
+            _compare(lean, ref, x if m is None else x * m[..., None], m, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+@pytest.mark.parametrize("shape", [(500, 2), (357, 60), (4, 119, 3), (7, 30, 128)])
+def test_colsum_gives_the_bits_of_sum(shape, dtype):
+    # the channel sums of conv, batch-norm and recurrent gradients; every
+    # third row zero, as padded steps leave them
+    rng = np.random.default_rng(len(shape))
+    x, y = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+    x[..., ::3, :] = 0.0
+    axes = tuple(range(len(shape) - 1))
+    for rows in (slice(None), slice(1, None)):   # all, and a view of all but one
+        a, b = x[..., rows, :], y[..., rows, :]
+        np.testing.assert_array_equal(_colsum(a), a.sum(axis=axes))
+        np.testing.assert_array_equal(_colsum(a, b), (a * b).sum(axis=axes))
+        assert _colsum(a, b).dtype == dtype
 
 
 @pytest.mark.parametrize("T, dtype", T_AND_DTYPE)
