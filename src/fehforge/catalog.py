@@ -19,8 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .container import write_csv
-from .errors import (DegenerateSplit, DuplicateEpoch, EmptyCatalog,
-                     InvalidConfig, MissingColumn, OrphanStar, ParseError)
+from .errors import (DegenerateSplit, DuplicateEpoch, EmptyCatalog, InvalidConfig,
+                     MalformedInput, MissingColumn, OrphanStar, ParseError)
 
 # Default header names, with common aliases accepted per field.
 DEFAULT_COLUMN_MAP = {
@@ -163,19 +163,22 @@ def load_catalog(path):
     header, `ParseError` (row number and field name) on the first missing or
     unparseable mandatory value, and `EmptyCatalog` when no data rows exist.
     """
-    with open(path, newline="") as fh:
-        reader, indices = _read_header(fh, path, DEFAULT_COLUMN_MAP,
-                                       MANDATORY_FIELDS, "file")
-        records = []
-        for row_num, row in _data_rows(reader, indices):
-            get = lambda f: row[indices[f]] if f in indices else ""
-            value = lambda f, kind=float: _parse_value(get(f), kind, row_num, f, path)
-            rid = value("id", int) if get("id") else row_num - 2
-            phi31_sigma = value("phi31_sigma") if get("phi31_sigma") else 0.0
-            records.append(StarRecord(
-                id=rid, source_id=value("source_id", int), period=value("period"),
-                amp_g=value("amp_g"), n_epochs=value("n_epochs", int), feh=value("feh"),
-                feh_sigma=value("feh_sigma"), phi31_sigma=phi31_sigma))
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader, indices = _read_header(fh, path, DEFAULT_COLUMN_MAP,
+                                           MANDATORY_FIELDS, "file")
+            records = []
+            for row_num, row in _data_rows(reader, indices):
+                get = lambda f: row[indices[f]] if f in indices else ""
+                value = lambda f, kind=float: _parse_value(get(f), kind, row_num, f, path)
+                rid = value("id", int) if get("id") else row_num - 2
+                phi31_sigma = value("phi31_sigma") if get("phi31_sigma") else 0.0
+                records.append(StarRecord(
+                    id=rid, source_id=value("source_id", int), period=value("period"),
+                    amp_g=value("amp_g"), n_epochs=value("n_epochs", int), feh=value("feh"),
+                    feh_sigma=value("feh_sigma"), phi31_sigma=phi31_sigma))
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
     if not records:
         raise EmptyCatalog(f"{path}: header only, no data rows")
     return records
@@ -244,24 +247,27 @@ def load_photometry(path):
     blank-looking or short rows, float-formatted ids) or a non-finite value
     goes through the row parser instead, which raises `ParseError`.
     """
-    with open(path, newline="") as fh:
-        reader, cols = _read_header(fh, path, PHOTOMETRY_COLUMN_MAP,
-                                    PHOTOMETRY_COLUMN_MAP, "photometry file")
-        delim = reader.dialect.delimiter
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)   # header only
-                body = np.loadtxt(fh, delimiter=delim, dtype=_PHOTOMETRY_DTYPE,
-                                  usecols=[cols[f] for f in PHOTOMETRY_COLUMN_MAP],
-                                  comments=None, ndmin=1)
-            sids, times, mags = body["source_id"], body["time"], body["mag"]
-            if not (np.isfinite(times).all() and np.isfinite(mags).all()):
-                raise ValueError("non-finite value")
-        except ValueError:
-            fh.seek(0)
-            reader = csv.reader(fh, delimiter=delim)
-            next(reader)
-            sids, times, mags = _photometry_rows(reader, cols, path)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader, cols = _read_header(fh, path, PHOTOMETRY_COLUMN_MAP,
+                                        PHOTOMETRY_COLUMN_MAP, "photometry file")
+            delim = reader.dialect.delimiter
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)   # header only
+                    body = np.loadtxt(fh, delimiter=delim, dtype=_PHOTOMETRY_DTYPE,
+                                      usecols=[cols[f] for f in PHOTOMETRY_COLUMN_MAP],
+                                      comments=None, ndmin=1)
+                sids, times, mags = body["source_id"], body["time"], body["mag"]
+                if not (np.isfinite(times).all() and np.isfinite(mags).all()):
+                    raise ValueError("non-finite value")
+            except ValueError:
+                fh.seek(0)
+                reader = csv.reader(fh, delimiter=delim)
+                next(reader)
+                sids, times, mags = _photometry_rows(reader, cols, path)
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{path} is not UTF-8 text: {exc}") from exc
     order = np.lexsort((mags, times, sids))
     sids, times, mags = sids[order], times[order], mags[order]
     ids, starts = np.unique(sids, return_index=True)

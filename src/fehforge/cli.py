@@ -122,15 +122,18 @@ Config = collections.namedtuple("Config",
 
 def load_config(path=None, overrides=None, command=None):
     """DEFAULT_CONFIG < the YAML file at `path` < `overrides`, as a checked
-    `Config`: a key, type, choice or range outside what DEFAULT_CONFIG and
-    the section dataclasses allow raises InvalidConfig. `train` and
-    `gridsearch` take one variant and one model, not 'all'."""
+    `Config`. A file that is not YAML, or a key, type, choice or range that
+    DEFAULT_CONFIG and the section dataclasses do not allow, raises
+    InvalidConfig; `train` and `gridsearch` take one model and variant, not 'all'."""
     values = DEFAULT_CONFIG
     if path:
         if not os.path.exists(path):
             raise MissingInput(f"config file not found: {path}")
-        with open(path) as fh:
-            values = _merge(values, yaml.safe_load(fh) or {})
+        try:
+            with open(path) as fh:
+                values = _merge(values, yaml.safe_load(fh) or {})
+        except yaml.YAMLError as exc:
+            raise InvalidConfig(f"{path} is not YAML: {exc}") from exc
     values = _merge(values, overrides or {})
     if not values["paths"]["output_dir"]:
         values["paths"]["output_dir"] = "fehforge_out"

@@ -18,6 +18,7 @@ import json
 import os
 import tempfile
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ def read_container(path, kind, dtypes=None):
             names = dtypes or [m[:-4] for m in zf.namelist() if m.endswith(".npy")]
             arrays = {name: np.load(io.BytesIO(zf.read(f"{name}.npy")),
                                     allow_pickle=False) for name in names}
-    except (zipfile.BadZipFile, KeyError, ValueError) as exc:
+    except (zipfile.BadZipFile, zlib.error, NotImplementedError, KeyError, ValueError) as exc:
         raise IntegrityError(f"{path} is not a sound {kind} container: "
                              f"{exc}") from exc
     for name, dtype in (dtypes or {}).items():

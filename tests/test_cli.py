@@ -12,6 +12,7 @@ import sys
 import types
 import zipfile
 from multiprocessing.reduction import ForkingPickler
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,9 +151,9 @@ def test_preprocess_writes_spline_fits(workspace, tmp_path, monkeypatch):
 
 def test_preprocess_rerun_byte_identical(workspace):
     path = os.path.join(workspace, "datasets", "full_train.zip")
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     assert main(["preprocess", "--output", workspace, "--variant", "full"]) == 0
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
 
 
 def test_train_and_predict_flow(workspace, tmp_path):
@@ -196,7 +197,7 @@ def test_predictions_do_not_depend_on_padding_length(workspace, tmp_path):
             out = str(tmp_path / f"{kind}_{name}.csv")
             assert main(["predict", "--output", work, "--snapshot", snap,
                          "--input", path, "--predictions-out", out]) == 0
-            preds.append(open(out, "rb").read())
+            preds.append(Path(out).read_bytes())
         assert preds[0] == preds[1], kind
 
 
@@ -324,12 +325,12 @@ def test_exit_code_malformed_catalog(tmp_path, corpus):
 
 def _drop_rows_of_one_star(catalog, photometry):
     sid = apply_selection(load_catalog(catalog))[0][0].source_id
-    return "".join(line for line in open(photometry).readlines()
+    return "".join(line for line in Path(photometry).read_text().splitlines(True)
                    if not line.startswith(f"{sid},"))
 
 
 def _bad_magnitude(catalog, photometry):
-    lines = open(photometry).readlines()
+    lines = Path(photometry).read_text().splitlines(True)
     lines[1] = lines[1].rsplit(",", 1)[0] + ",x\n"
     return "".join(lines)
 
@@ -608,8 +609,8 @@ def test_preprocess_all_fits_each_spline_once(corpus, tmp_path, monkeypatch):
     assert sorted(fitted) == sorted(stars)
 
     # FULL derived from SPLINE_NO_MEAN is byte for byte FULL fitted directly
-    derived = {side: open(os.path.join(out, "datasets", f"full_{side}.zip"),
-                          "rb").read() for side in ("train", "validation")}
+    derived = {side: Path(out, "datasets", f"full_{side}.zip").read_bytes()
+               for side in ("train", "validation")}
     assert main(["preprocess", "--output", out, "--variant", "full",
                  "--config", str(config)]) == 0
     for side, data in derived.items():
@@ -669,6 +670,18 @@ def test_exit_code_invalid_config(workspace, tmp_path, capsys, command, section)
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_exit_code_config_not_yaml(workspace, tmp_path, capsys):
+    config = tmp_path / "bad.yaml"
+    config.write_text("train: [\n")
+    work = str(tmp_path / "work")
+    shutil.copytree(workspace, work)
+    before = sorted(os.walk(work))
+    assert main(["cv", "--config", str(config), "--output", work]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config} is not YAML") and "Traceback" not in err
+    assert sorted(os.walk(work)) == before
+
+
 def test_preprocess_checks_weighting_before_writing(corpus, tmp_path):
     catalog, photometry = corpus
     out = str(tmp_path / "out")
@@ -691,7 +704,7 @@ def test_weighting_cap_null_is_uncapped(workspace, tmp_path):
     assert main(["preprocess", "--output", work, "--variant", "full",
                  "--config", str(config)]) == 0
     snapshot = os.path.join(work, "config.snapshot.yaml")
-    assert yaml.safe_load(open(snapshot))["weighting"]["cap"] is None
+    assert yaml.safe_load(Path(snapshot).read_text())["weighting"]["cap"] is None
     assert load_config(snapshot).weighting.cap is None
 
 
@@ -729,13 +742,13 @@ def test_cv_rerun_from_snapshot_byte_identical(workspace, tmp_path):
                  "--batch-size", "16", "--seed", "3"]) == 0
     outputs = [os.path.join(work, "reports", "cv_gru_full.csv"),
                os.path.join(work, "plots", "cv_loss_gru_full.csv")]
-    before = [open(path, "rb").read() for path in outputs]
+    before = [Path(path).read_bytes() for path in outputs]
     for path in outputs:
         os.remove(path)
     snapshot = os.path.join(work, "config.snapshot.yaml")
     shutil.copyfile(snapshot, tmp_path / "snapshot.yaml")
     assert main(["cv", "--config", str(tmp_path / "snapshot.yaml")]) == 0
-    assert [open(path, "rb").read() for path in outputs] == before
+    assert [Path(path).read_bytes() for path in outputs] == before
 
 
 @pytest.mark.parametrize("flags", [
@@ -803,7 +816,7 @@ def test_exit_code_short_row(corpus, tmp_path, capsys, which):
     catalog, photometry = corpus
     paths = {"catalog": catalog, "photometry": photometry}
     bad = tmp_path / f"{which}.csv"
-    text = open(paths[which]).read()
+    text = Path(paths[which]).read_text()
     first_id = text.splitlines()[1].split(",")[0]
     bad.write_text(text + f"{first_id},3.0\n")     # a row that stops short
     paths[which] = str(bad)
@@ -812,6 +825,23 @@ def test_exit_code_short_row(corpus, tmp_path, capsys, which):
     err = capsys.readouterr().err
     row = len(text.splitlines()) + 1
     assert err.startswith(f"error: row {row}: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["catalog", "photometry"])
+def test_exit_code_not_utf8(corpus, tmp_path, capsys, which):
+    catalog, photometry = corpus
+    paths = {"catalog": catalog, "photometry": photometry}
+    bad = tmp_path / f"{which}.csv"
+    text = Path(paths[which]).read_bytes()
+    row = text.splitlines(True)[1]
+    bad.write_bytes(text + row[:-2] + b"\xff" + row[-1:])    # a last digit not UTF-8
+    paths[which] = str(bad)
+    out = tmp_path / "out"
+    assert main(["ingest", "--catalog", paths["catalog"], "--photometry",
+                 paths["photometry"], "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad} is not UTF-8 text") and "Traceback" not in err
+    assert not out.exists()
 
 
 def _no_c_library(name):

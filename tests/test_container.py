@@ -1,3 +1,4 @@
+import io
 import json
 import zipfile
 
@@ -296,13 +297,39 @@ def test_weights_wrong_kind(tmp_path, dataset):
 
 
 
+def _with_values_member(path, data, compression, method=None, first_byte=None):
+    """`data`, a dataset container, rewritten to `path` with `compression`;
+    then values.npy's compression method set to `method` in both its
+    headers, or the first byte of its stored data set to `first_byte`."""
+    with zipfile.ZipFile(io.BytesIO(data)) as zf, \
+            zipfile.ZipFile(path, "w", compression) as out:
+        for info in zf.infolist():
+            out.writestr(info.filename, zf.read(info))
+    raw = bytearray(path.read_bytes())
+    local, central = raw.find(b"values.npy") - 30, raw.rfind(b"values.npy") - 46
+    if method is not None:
+        raw[local + 8:local + 10] = raw[central + 10:central + 12] = method.to_bytes(2, "little")
+    if first_byte is not None:
+        start = local + 30 + int.from_bytes(raw[local + 26:local + 28], "little") \
+            + int.from_bytes(raw[local + 28:local + 30], "little")
+        raw[start] = first_byte
+    path.write_bytes(bytes(raw))
+
+
 def test_loaders_refuse_files_that_are_not_sound_zips(tmp_path, dataset):
     text = tmp_path / "text.zip"
     text.write_text("one line of text\n")
     truncated = tmp_path / "truncated.zip"
     save_dataset(truncated, dataset)
-    truncated.write_bytes(truncated.read_bytes()[:-200])
-    for path in (text, truncated):
+    sound = truncated.read_bytes()
+    truncated.write_bytes(sound[:-200])
+    # values.npy deflated with its first block of the reserved type (zlib
+    # raises), and under compression method 99, AES (zipfile raises
+    # NotImplementedError)
+    bad_stream, aes = tmp_path / "bad_stream.zip", tmp_path / "aes.zip"
+    _with_values_member(bad_stream, sound, zipfile.ZIP_DEFLATED, first_byte=0b111)
+    _with_values_member(aes, sound, zipfile.ZIP_STORED, method=99)
+    for path in (text, truncated, bad_stream, aes):
         for load in (load_dataset, load_snapshot, load_curves, load_weights):
             with pytest.raises(IntegrityError):
                 load(path)

@@ -103,11 +103,12 @@ def test_conv1d_matches_manual_convolution(rng):
 
 # 2 channels take im2col; 6 the tap loop, the last with T below the kernel;
 # 16 taps or more on over 4 channels take the FFT path, and their T crosses
-# a block boundary
+# a block boundary; an odd FFT kernel pads as much on each side
 @pytest.mark.parametrize("kernel, cin, T", [(1, 2, 10), (3, 2, 10), (8, 2, 10),
                                            (16, 5, 60), (40, 5, 130),
-                                           (3, 6, 10), (8, 6, 5)],
-                         ids=["1", "3", "8", "16", "40", "taps-3", "taps-8-short"])
+                                           (3, 6, 10), (8, 6, 5), (17, 5, 70)],
+                         ids=["1", "3", "8", "16", "40", "taps-3", "taps-8-short",
+                              "fft-17"])
 def test_conv1d_grads(rng, kernel, cin, T):
     layer = Conv1D(cin, 4, kernel, rng)
     p_rel, x_rel = layer_grads(layer, rng.normal(size=(3, T, cin)))
@@ -476,11 +477,12 @@ def test_conv1d_matches_reference(cin, filters, k, T, dtype):
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 @pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no_bias"])
-@pytest.mark.parametrize("k", [16, 20, 40])
+@pytest.mark.parametrize("k", [16, 17, 20, 40])
 def test_conv1d_fft_matches_reference_across_blocks(k, use_bias, dtype):
     # lengths below the kernel, of one block of L steps, one step over and
     # past two blocks, each unmasked and with padded steps (zeroed, as
-    # `Sequential` hands them on)
+    # `Sequential` hands them on); even kernels pad one step more on the
+    # right, the odd one as much on each side
     L = Conv1D(6, 5, k, np.random.default_rng(k))._blocks(1)[1]
     for T in (1, 7, L, L + 1, 2 * L + 3):
         x = np.random.default_rng(T).normal(size=(4, T, 6))
